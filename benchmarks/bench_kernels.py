@@ -2,8 +2,11 @@
 """Timing comparison of the compiled kernels against the numpy fallback.
 
 Workloads mirror the engine's hot paths: the explicit backward march at the
-default pricing resolution (single row and a nested parameter block) and the
-pathwise bilinear field reads used by decomposition extraction.
+default pricing resolution (single row and a nested parameter block), the
+bilinear kernel (kept as the reference the field read is tested against),
+and `ValueField.read_along`, the fused numpy read of value, gradient and
+second difference that decomposition extraction runs, on a one-date and a
+two-date field.  The fused read has no compiled variant.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -13,6 +16,7 @@ import time
 
 import numpy as np
 
+import gexpect as gx
 from gexpect import _core_py as reference
 from gexpect import kernels
 
@@ -61,6 +65,23 @@ def bench_read(impl, n_queries, n_t, n_x, repeat):
     return _time(run, repeat)
 
 
+def bench_read_along(source, times, repeat, n_paths=8192, n_steps=256):
+    """Extraction-shaped read: every grid time of every path, path-major."""
+    band = gx.VolBand.scalar(1.0, 2.0)
+    grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
+    payoff = gx.PayoffSpec.parse(source, times)
+    field = gx.conditional_expectation(payoff, band, grid)
+    bundle = gx.simulate(gx.ControlProcess.constant(1.5), n_paths, n_steps,
+                         seed=1)
+    m1 = bundle.paths.shape[1]
+    qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
+    qx = bundle.paths.ravel()
+    hist = None
+    if payoff.n > 1:
+        hist = np.repeat(bundle.monitor_values(payoff.times[:-1]), m1, axis=0)
+    return _time(lambda: field.read_along(qt, qx, hist), repeat)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
@@ -74,7 +95,15 @@ def main():
         ("bilinear read, 1e6 queries, field 1564x401",
          lambda impl: bench_read(impl, 1_000_000, 1564, 401, args.repeat)),
     ]
+    numpy_only = [
+        ("read_along, 2.1M queries, 1-date sq(x1)",
+         lambda: bench_read_along("sq(x1)", (1.0,), args.repeat)),
+        ("read_along, 2.1M queries, 2-date sq(x2-x1)",
+         lambda: bench_read_along("sq(x2 - x1)", (0.5, 1.0), args.repeat)),
+    ]
     print(f"{'workload':44s} {'reference':>11s} {'compiled':>11s} {'speedup':>8s}")
+    for label, bench in numpy_only:
+        print(f"{label:44s} {bench() * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
     for label, bench in cases:
         ref = bench(reference)
         if compiled is None:

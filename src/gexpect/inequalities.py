@@ -334,7 +334,7 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     qt = np.full(grid.n_x, t)
     hist = x.reshape(-1, 1)
     inner, _ = field.read_along(qt, x, hist)
-    refed = solve_interval(inner, band, grid, (0.0, t))
+    refed = solve_interval(inner[:, 0], band, grid, (0.0, t))
     outer = float(refed.values[0, grid.n_x // 2])
     base = field.value(0.0, (), 0.0)
     config = {"check": "tower", "payoff": payoff.source(), "t": t,

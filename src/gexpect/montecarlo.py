@@ -405,7 +405,8 @@ def conditional_supremum(payoff: PayoffSpec, field, bundle: PathBundle,
     if payoff.n > 1:
         hist = bundle.monitor_values(payoff.times[:-1])
     qt = np.full(bundle.n_paths, times[k])
-    return field.read_along(qt, bundle.paths[:, k], hist)
+    values, clamped = field.read_along(qt, bundle.paths[:, k], hist)
+    return values[:, 0], clamped
 
 
 @dataclass

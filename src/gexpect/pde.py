@@ -19,7 +19,13 @@ last-interval solution is restarted at each earlier date with the diagonal
 re-read v(t_i, ..., x, x) as new terminal data.  Parameter grids coincide
 with the spatial grid, so the diagonal is a node-exact read.  Solved fields
 store every time step when no parameter axes are present and a strided
-subset otherwise; reads interpolate multilinearly.
+subset otherwise.
+
+Fields are read in one pass: each query is bracketed once (time by search,
+space and history arithmetically on the uniform x grid), and the value, the
+gradient and the second difference all come from the same four-node value
+stencil, interpolated multilinearly.  Queries are read in fixed chunks, so
+the read's scratch memory does not grow with the query count.
 """
 
 import math
@@ -27,14 +33,17 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+# unused here; perfbench/spans.py looks this name up to trace scipy reads
+from scipy.interpolate import RegularGridInterpolator  # noqa: F401
 
 from . import kernels
 from .errors import NumericalError
-from .nonlinearity import VolBand, eval_g_scalar
+from .nonlinearity import VolBand
 from .payoff import PayoffSpec
 
 _MAGIC = b"GXVF1\n"
+_CHUNK = 1 << 16                  # queries per read pass
+_COLUMNS = {"value": 0, "gradient": 1, "hessian": 2}
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,6 @@ class SpaceTimeGrid:
     n_x: int = 401
     x_max: float = 8.0
     cfl_fraction: float = 0.8
-    boundary: str = "linear"
     param_time_slices: int = 32
     memory_limit: int = 1_500_000_000
 
@@ -62,8 +70,6 @@ class SpaceTimeGrid:
         if not 0.0 < self.cfl_fraction <= 1.0:
             raise NumericalError("cfl_fraction must lie in (0, 1] "
                                  "(explicit scheme monotonicity)")
-        if self.boundary != "linear":
-            raise ValueError(f"unknown boundary rule {self.boundary!r}")
 
     @property
     def dx(self) -> float:
@@ -78,8 +84,7 @@ class SpaceTimeGrid:
 
     def refined(self) -> "SpaceTimeGrid":
         return SpaceTimeGrid(2 * self.n_x - 1, self.x_max, self.cfl_fraction,
-                             self.boundary, self.param_time_slices,
-                             self.memory_limit)
+                             self.param_time_slices, self.memory_limit)
 
     @classmethod
     def default_for(cls, band: VolBand, n_x: int = 401) -> "SpaceTimeGrid":
@@ -135,7 +140,9 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     n_stored = len(steps) + 1
 
     rows = int(np.prod(param_shape, dtype=np.int64)) if param_shape else 1
-    need = (n_stored * rows * grid.n_x * 8) * 3 + rows * grid.n_x * 8
+    # the march snapshots plus their reordered contiguous copy, and the
+    # working rows
+    need = (n_stored * rows * grid.n_x * 8) * 2 + rows * grid.n_x * 8
     if need > grid.memory_limit:
         raise NumericalError(
             f"field storage would need ~{need / 1e9:.2f} GB "
@@ -158,13 +165,61 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     return IntervalField(t0, t1, times, np.ascontiguousarray(values), dt)
 
 
+def _central(v_left, v, v_right, dx):
+    """Central gradient and second difference at a node."""
+    return ((v_right - v_left) / (2.0 * dx),
+            (v_right - 2.0 * v + v_left) / (dx * dx))
+
+
+def _one_sided(v_left, v_right, dx):
+    """Gradient at a truncation node, whose second difference is zero."""
+    return (v_right - v_left) / dx
+
+
+def _bracket(q, x0, dx, n):
+    """Cell index and in-cell weight of q on x0 + dx * [0, n), clamped, with
+    the arithmetic of kernels.bilinear_read."""
+    xi = (q - x0) / dx
+    np.clip(xi, 0.0, n - 1.0, out=xi)
+    ix = np.minimum(xi.astype(np.intp), n - 2)
+    return ix, xi - ix
+
+
+def _bracket_nodes(q, nodes, dx):
+    """As _bracket, with the weight measured between the cell's own nodes:
+    a query on node k lands in cell k with weight 0 or in cell k-1 with
+    weight 1, so it reads that node exactly."""
+    ix, _ = _bracket(q, nodes[0], dx, len(nodes))
+    q = np.clip(q, nodes[0], nodes[-1])
+    return ix, (q - nodes[ix]) / (nodes[ix + 1] - nodes[ix])
+
+
+def _lerp(a, b, w):
+    return a * (1.0 - w) + b * w
+
+
+def _node_derivatives(v, dx):
+    """Gradient and second difference at every node of v (..., n_x)."""
+    grad = np.empty_like(v)
+    hess = np.zeros_like(v)
+    grad[..., 1:-1], hess[..., 1:-1] = _central(v[..., :-2], v[..., 1:-1],
+                                                v[..., 2:], dx)
+    grad[..., 0] = _one_sided(v[..., 0], v[..., 1], dx)
+    grad[..., -1] = _one_sided(v[..., -2], v[..., -1], dx)
+    return grad, hess
+
+
 class ValueField:
     """Nested solved field: one IntervalField per monitoring interval.
 
     Interval i (0-based) covers [T_i, T_{i+1}) with T = (0, t_1, ..., 1) and
-    carries i parameter axes (the monitored history).  Reads interpolate
-    linearly in every axis and clamp to the truncated domain, reporting
-    clamped queries.
+    carries i parameter axes (the monitored history).  One read returns the
+    value, the space gradient and the second difference together: each
+    query is bracketed once, node gradients and second differences come
+    from the value stencil v[ix-1..ix+2] (central inside, one-sided gradient
+    and zero second difference at the truncation nodes), and all three are
+    interpolated linearly in every axis.  Reads clamp to the truncated
+    domain, report clamped queries and run in fixed chunks of queries.
     """
 
     def __init__(self, intervals, x_nodes, payoff=None, band=None, grid=None):
@@ -177,8 +232,6 @@ class ValueField:
         self.x_max = float(self.x[-1])
         self.boundaries = np.array([self.intervals[0].t_start]
                                    + [iv.t_end for iv in self.intervals])
-        self._derived = {}
-        self._interp = {}
 
     @property
     def n_intervals(self) -> int:
@@ -188,81 +241,101 @@ class ValueField:
         inner = self.boundaries[1:-1]
         return int(np.searchsorted(inner, t, side="right"))
 
-    def _array(self, i: int, kind: str) -> np.ndarray:
-        if kind == "value":
-            return self.intervals[i].values
-        key = (i, kind)
-        if key not in self._derived:
-            v = self.intervals[i].values
-            dx = self.dx
-            if kind == "gradient":
-                out = np.empty_like(v)
-                out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
-                out[..., 0] = (v[..., 1] - v[..., 0]) / dx
-                out[..., -1] = (v[..., -1] - v[..., -2]) / dx
-            elif kind == "hessian":
-                out = np.zeros_like(v)
-                out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1]
-                                  + v[..., :-2]) / (dx * dx)
-            else:
-                raise ValueError(f"unknown field kind {kind!r}")
-            self._derived[key] = np.ascontiguousarray(out)
-        return self._derived[key]
+    def _read_interval(self, iv: IntervalField, qt, qx, hist) -> np.ndarray:
+        """(3, K) value, gradient and second difference of one interval at
+        times qt (inside it), positions qx and history hist (K, param_dim)."""
+        n, dx = len(self.x), self.dx
+        flat = iv.values.reshape(-1)
+        times = iv.times
+        n_t = len(times)
+        it = np.searchsorted(times, qt, side="right") - 1
+        np.clip(it, 0, n_t - 2, out=it)
+        wt = (qt - times[it]) / (times[it + 1] - times[it])
+        np.clip(wt, 0.0, 1.0, out=wt)
+        if iv.param_dim:
+            # exact on nodes, where tower checks read nested intervals
+            ix, fx = _bracket_nodes(qx, self.x, dx)
+            params = [_bracket_nodes(hist[:, j], self.x, dx)
+                      for j in range(iv.param_dim)]
+        else:
+            ix, fx = _bracket(qx, -self.x_max, dx, n)
+            params = []
+        stencil = np.stack((np.maximum(ix - 1, 0), ix, ix + 1,
+                            np.minimum(ix + 2, n - 1)))
+        first = np.flatnonzero(ix == 0)
+        last = np.flatnonzero(ix == n - 2)
+        fx_left = 1.0 - fx
 
-    def _interpolator(self, i: int, kind: str):
-        key = (i, kind)
-        if key not in self._interp:
-            iv = self.intervals[i]
-            pts = (self.x,) * iv.param_dim + (iv.times, self.x)
-            self._interp[key] = RegularGridInterpolator(
-                pts, self._array(i, kind), method="linear",
-                bounds_error=False, fill_value=None)
-        return self._interp[key]
+        def cell(row):
+            # x-interpolated (value, gradient, hessian) of field row `row`
+            v_left, v0, v1, v_right = flat[row * n + stencil]
+            g0, h0 = _central(v_left, v0, v1, dx)
+            g1, h1 = _central(v0, v1, v_right, dx)
+            g0[first] = _one_sided(v0[first], v1[first], dx)
+            h0[first] = 0.0
+            g1[last] = _one_sided(v0[last], v1[last], dx)
+            h1[last] = 0.0
+            out = np.empty((3, len(fx)))
+            out[0] = v0 * fx_left + v1 * fx
+            out[1] = g0 * fx_left + g1 * fx
+            out[2] = h0 * fx_left + h1 * fx
+            return out
 
-    def read_along(self, t, x, history=None, kind="value"):
+        # corner rows in C order of the parameter axes, then linear in time,
+        # then in each parameter axis from the last to the first
+        rows = [0]
+        for ip, _ in params:
+            rows = [r * n + ip + b for r in rows for b in (0, 1)]
+        rows = [r * n_t + it for r in rows]
+        vals = [_lerp(cell(r), cell(r + 1), wt) for r in rows]
+        for _, fp in reversed(params):
+            vals = [_lerp(a, b, fp) for a, b in zip(vals[::2], vals[1::2])]
+        return vals[0]
+
+    def read_along(self, t, x, history=None):
         """Vectorized field read at (t_k, history_k, x_k).
 
         t, x: (K,); history: (K, >= n-1) monitored values (columns beyond an
-        interval's parameter count are ignored).  Returns (values, clamped)
-        with clamped flagging queries outside the spatial truncation.
+        interval's parameter count are ignored).  Returns (values, clamped):
+        values is (K, 3) with columns value, gradient and second difference;
+        clamped flags queries outside the spatial truncation.
         """
         t = np.asarray(t, dtype=float).ravel()
         x = np.asarray(x, dtype=float).ravel()
         if t.shape != x.shape:
             raise ValueError("t and x must have matching shapes")
-        out = np.empty(t.shape[0])
-        clamped = np.abs(x) > self.x_max + 1e-12
-        inner = self.boundaries[1:-1]
-        idx = np.searchsorted(inner, t, side="right")
-        for i in range(self.n_intervals):
-            sel = idx == i
-            if not sel.any():
-                continue
-            iv = self.intervals[i]
-            qt = np.clip(t[sel], iv.t_start, iv.t_end)
-            qx = x[sel]
-            if iv.param_dim == 0:
-                out[sel] = kernels.bilinear_read(
-                    iv.times, -self.x_max, self.dx,
-                    self._array(i, kind), qt, np.asarray(qx, dtype=float))
-            else:
-                if history is None:
-                    raise ValueError("history required for nested intervals")
-                hist = np.asarray(history, dtype=float)[sel, :iv.param_dim]
-                clamped[sel] |= (np.abs(hist) > self.x_max + 1e-12).any(axis=1)
-                cols = [np.clip(hist[:, j], -self.x_max, self.x_max)
-                        for j in range(iv.param_dim)]
-                cols += [qt, np.clip(qx, -self.x_max, self.x_max)]
-                out[sel] = self._interpolator(i, kind)(np.column_stack(cols))
-        return out, clamped
+        out = np.empty((3, t.shape[0]))
+        clamped = np.empty(t.shape[0], dtype=bool)
+        hist = None if history is None else np.asarray(history, dtype=float)
+        for start in range(0, t.shape[0], _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            clamped[chunk] = np.abs(x[chunk]) > self.x_max + 1e-12
+            part = np.searchsorted(self.boundaries[1:-1], t[chunk],
+                                   side="right")
+            for i, iv in enumerate(self.intervals):
+                sel = np.flatnonzero(part == i) + start
+                if not len(sel):
+                    continue
+                h = None
+                if iv.param_dim:
+                    if hist is None:
+                        raise ValueError("history required for nested "
+                                         "intervals")
+                    h = hist[sel, :iv.param_dim]
+                    clamped[sel] |= (np.abs(h) > self.x_max + 1e-12).any(1)
+                qt = np.clip(t[sel], iv.t_start, iv.t_end)
+                out[:, sel] = self._read_interval(iv, qt, x[sel], h)
+        return out.T, clamped
 
     def value(self, t: float, history=(), x: float = 0.0,
               kind: str = "value") -> float:
+        if kind not in _COLUMNS:
+            raise ValueError(f"unknown field kind {kind!r}")
         hist = None
         if len(history):
             hist = np.asarray(history, dtype=float).reshape(1, -1)
-        vals, _ = self.read_along([t], [x], hist, kind)
-        return float(vals[0])
+        vals, _ = self.read_along([t], [x], hist)
+        return float(vals[0, _COLUMNS[kind]])
 
     def terminal_slice(self, i: int) -> np.ndarray:
         return self.intervals[i].values[..., -1, :]
@@ -301,10 +374,9 @@ class ValueField:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for i, iv in enumerate(self.intervals):
-                v = self._array(i, "value")
-                dv = self._array(i, "gradient")
-                d2v = self._array(i, "hessian")
+            grads, hessians = derivatives(self)
+            for iv, dv, d2v in zip(self.intervals, grads, hessians):
+                v = iv.values
                 pd = iv.param_dim
                 for pidx in np.ndindex(*v.shape[:pd]):
                     pvals = [repr(self.x[j]) for j in pidx]
@@ -389,10 +461,12 @@ def g_expectation(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
 
 def derivatives(field: ValueField):
     """First/second difference fields per interval (central inside, one-sided
-    gradient at the truncation, hessian zero there per the boundary rule)."""
-    grads = [field._array(i, "gradient") for i in range(field.n_intervals)]
-    hessians = [field._array(i, "hessian") for i in range(field.n_intervals)]
-    return grads, hessians
+    gradient at the truncation, hessian zero there per the boundary rule).
+
+    Computed afresh on every call; reads take the same differences from the
+    value stencil instead."""
+    pairs = [_node_derivatives(iv.values, field.dx) for iv in field.intervals]
+    return [g for g, _ in pairs], [h for _, h in pairs]
 
 
 @dataclass
@@ -419,8 +493,3 @@ def refine_study(payoff: PayoffSpec, band: VolBand, grids) -> list:
         if r0.diff and r1.diff and abs(r1.diff) > 0:
             r1.order = math.log2(abs(r0.diff / r1.diff))
     return rows
-
-
-def scheme_nonlinearity(gamma, band: VolBand):
-    """The per-node update form used by the march (d=1 closed form)."""
-    return eval_g_scalar(gamma, band.lower_scalar, band.upper_scalar)

@@ -82,26 +82,16 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
     if bundle.paths.ndim != 2:
         raise ValueError("decomposition extraction is d=1 only")
     n_paths, m1 = bundle.paths.shape
-    m = m1 - 1
     hist = None
     if payoff.n > 1:
         mon = bundle.monitor_values(payoff.times[:-1])
         hist = np.repeat(mon, m1, axis=0)
     qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
-    qx = bundle.paths.ravel()
 
-    y, _ = field.read_along(qt, qx, hist, kind="value")
-    h, _ = field.read_along(qt, qx, hist, kind="gradient")
-    y = y.reshape(n_paths, m1)
-    h = h.reshape(n_paths, m1)
-
-    step_hist = None if hist is None else hist.reshape(n_paths, m1, -1)[:, :-1, :]
-    gamma, _ = field.read_along(
-        qt.reshape(n_paths, m1)[:, :-1].ravel(),
-        bundle.paths[:, :-1].ravel(),
-        None if step_hist is None else step_hist.reshape(n_paths * m, -1),
-        kind="hessian")
-    gamma = gamma.reshape(n_paths, m)
+    read, _ = field.read_along(qt, bundle.paths.ravel(), hist)
+    del qt, hist    # free the queries before the (N, M) temporaries below
+    y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
+    gamma = d2u[:, :-1]
 
     lo, up = band.lower_scalar, band.upper_scalar
     integrand = eval_g_scalar(gamma, lo, up) - 0.5 * (bundle.alpha * gamma)

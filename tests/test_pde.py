@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 import gexpect as gx
+from gexpect import kernels
 from gexpect.errors import NumericalError
 from gexpect.pde import solve_interval
 
@@ -193,8 +195,129 @@ def test_read_clamping_flag(band12, grid201, field_cache):
     field = field_cache("sq(x1)")
     vals, clamped = field.read_along([0.5, 0.5], [0.0, 99.0])
     assert not clamped[0] and clamped[1]
-    assert vals[1] == pytest.approx(field.value(0.5, (), grid201.x_max),
+    assert vals[1, 0] == pytest.approx(field.value(0.5, (), grid201.x_max),
                                     abs=1e-9)
+
+
+def _single_date_oracle(field, t, x):
+    """(K, 3) bilinear reads of the value and its node difference arrays."""
+    iv = field.intervals[0]
+    grads, hessians = gx.derivatives(field)
+    return np.column_stack([
+        kernels.bilinear_read(iv.times, -field.x_max, field.dx, arr, t, x)
+        for arr in (iv.values, grads[0], hessians[0])])
+
+
+@pytest.mark.parametrize("source", ["sq(x1)", "call(x1, 0.3)"])
+def test_fused_read_bit_equal_to_bilinear_kernel(field_cache, source):
+    field = field_cache(source)
+    x_max, dx = field.x_max, field.dx
+    rng = np.random.default_rng(3)
+    k = 4000
+    x = np.concatenate([
+        rng.uniform(-x_max, x_max, k),                  # random
+        rng.uniform(x_max, x_max + 3.0, 50),            # clamped above
+        -rng.uniform(x_max, x_max + 3.0, 50),           # clamped below
+        -x_max + rng.uniform(0.0, dx, 50),              # ix == 0
+        x_max - rng.uniform(0.0, dx, 50),               # ix == n_x - 2
+        [-x_max, x_max, 0.0],
+    ])
+    t = rng.uniform(-0.1, 1.1, len(x))
+    t[:3] = (0.0, 1.0, field.intervals[0].times[5])
+    vals, clamped = field.read_along(t, x)
+    assert np.array_equal(vals, _single_date_oracle(field, t, x))
+    assert np.array_equal(clamped, np.abs(x) > x_max + 1e-12)
+
+
+def _scipy_oracle(field, t, x, hist):
+    """(K, 3) reads through scipy's multilinear interpolator, per interval."""
+    grads, hessians = gx.derivatives(field)
+    out = np.empty((len(t), 3))
+    idx = np.searchsorted(field.boundaries[1:-1], t, side="right")
+    for i, iv in enumerate(field.intervals):
+        sel = idx == i
+        pts = (field.x,) * iv.param_dim + (iv.times, field.x)
+        cols = [np.clip(hist[sel, j], -field.x_max, field.x_max)
+                for j in range(iv.param_dim)]
+        cols += [np.clip(t[sel], iv.t_start, iv.t_end),
+                 np.clip(x[sel], -field.x_max, field.x_max)]
+        q = np.column_stack(cols)
+        for c, arr in enumerate((iv.values, grads[i], hessians[i])):
+            out[sel, c] = RegularGridInterpolator(pts, arr)(q)
+    return out
+
+
+@pytest.mark.parametrize("source,times,n_x", [
+    ("sq(x2 - x1)", (0.5, 1.0), 201),
+    ("call(x2 - 0.5 * x1, 0.2)", (0.5, 1.0), 201),
+    ("sq(x3 - x2) + abs(x1)", (1 / 3, 2 / 3, 1.0), 61),
+])
+def test_fused_read_matches_scipy_on_nested_fields(band12, source, times,
+                                                   n_x):
+    grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
+    field = gx.conditional_expectation(gx.PayoffSpec.parse(source, times),
+                                       band12, grid)
+    rng = np.random.default_rng(5)
+    k = 3000
+    t = rng.uniform(0.0, 1.0, k)
+    t[:len(times)] = times
+    x = rng.normal(0.0, 3.0, k)
+    hist = rng.normal(0.0, 3.0, (k, len(times) - 1))
+    hist[-20:] *= 5.0                                   # clamped history
+    got, _ = field.read_along(t, x, hist)
+    want = _scipy_oracle(field, t, x, hist)
+    for c in range(3):
+        scale = np.abs(want[:, c]).max()
+        assert np.abs(got[:, c] - want[:, c]).max() <= 1e-12 * scale
+
+
+def test_nested_read_exact_on_nodes(field_cache):
+    field = field_cache("sq(x2 - x1)", (0.5, 1.0))
+    iv = field.intervals[1]
+    k, j = np.meshgrid(np.arange(0, len(field.x), 7), np.arange(len(field.x)))
+    k, j = k.ravel(), j.ravel()
+    vals, _ = field.read_along(np.full(len(k), 0.5), field.x[j],
+                               field.x[k].reshape(-1, 1))
+    assert np.array_equal(vals[:, 0], iv.values[k, 0, j])
+
+
+@pytest.mark.parametrize("k", [0, 1, 1 << 16, (1 << 16) + 1])
+def test_read_independent_of_chunking(field_cache, k):
+    field = field_cache("sq(x2 - x1)", (0.5, 1.0))
+    rng = np.random.default_rng(k)
+    t = rng.uniform(0.0, 1.0, k)
+    x = rng.normal(0.0, 3.0, k)
+    hist = rng.normal(0.0, 3.0, (k, 1))
+    vals, clamped = field.read_along(t, x, hist)
+    assert vals.shape == (k, 3) and clamped.shape == (k,)
+    # every query at a chunk edge, plus a sample, read one at a time
+    picks = [j for j in (0, 1, (1 << 16) - 1, 1 << 16) if j < k]
+    picks += list(rng.integers(0, k, 100)) if k else []
+    for j in picks:
+        one, one_clamped = field.read_along(t[j:j + 1], x[j:j + 1],
+                                            hist[j:j + 1])
+        assert np.array_equal(one[0], vals[j])
+        assert one_clamped[0] == clamped[j]
+
+
+def test_clamped_flag_on_history(field_cache):
+    field = field_cache("sq(x2 - x1)", (0.5, 1.0))
+    x_max = field.x_max
+    hist = np.array([[0.3], [x_max + 1.0], [-x_max - 1.0], [x_max + 1.0]])
+    t = np.array([0.75, 0.75, 0.75, 0.25])      # the last reads no history
+    vals, clamped = field.read_along(t, np.zeros(4), hist)
+    assert clamped.tolist() == [False, True, True, False]
+    edge, _ = field.read_along([0.75], [0.0], [[x_max]])
+    assert np.array_equal(vals[1], edge[0])
+
+
+def test_value_kind_selects_column(field_cache):
+    field = field_cache("call(x1, 0)")
+    vals, _ = field.read_along([0.3], [0.4])
+    for c, kind in enumerate(("value", "gradient", "hessian")):
+        assert field.value(0.3, (), 0.4, kind=kind) == vals[0, c]
+    with pytest.raises(ValueError):
+        field.value(0.3, (), 0.4, kind="laplacian")
 
 
 def test_degenerate_lower_bound_supported(grid201):
