@@ -325,26 +325,23 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         field = conditional_expectation(payoff, band, grid)
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
-                                  cfg.n_steps, seed, degree=cfg.degree())
+                                  cfg.n_steps, seed, degree=cfg.degree(),
+                                  keep_rows=cfg.csv_paths)
         sym = rep.is_symmetric(payoff, band, field, family, tol=1e-8,
                                n_paths=min(cfg.n_paths, 2048),
                                n_steps=cfg.n_steps, seed=seed)
-        best = next(c for c in family if c.label == gap.argmax_label)
-        bundle = mc.simulate(best, cfg.n_paths, cfg.n_steps, seed)
-        dec = rep.extract(payoff, band, field, bundle)
-        res_rms = rep.residual_rms(dec)
-        min_dk = rep.monotonicity(dec)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    dec.to_csv(out / "decomposition.csv", max_paths=cfg.csv_paths,
-               fingerprint=cfg.fingerprint())
+    best = next(r for r in gap.rows if r.label == gap.argmax_label)
+    best.head.to_csv(out / "decomposition.csv", max_paths=cfg.csv_paths,
+                     fingerprint=cfg.fingerprint())
     records = [
         {"kind": "represent_summary", "fingerprint": cfg.fingerprint(),
-         "payoff": payoff.source(), "control": dec.control_label,
-         "residual_rms": res_rms, "min_dk": min_dk,
-         "exclusion_rate": dec.exclusion_rate,
-         "terminal_defect": rep.terminal_defect(dec, bundle),
+         "payoff": payoff.source(), "control": best.label,
+         "residual_rms": best.residual_rms, "min_dk": best.min_dk,
+         "exclusion_rate": best.excluded / cfg.n_paths,
+         "terminal_defect": best.terminal_defect,
          "sup_mean_neg_k1": gap.sup, "gap_argmax": gap.argmax_label,
          "symmetric": sym.symmetric, "k_abs_max": sym.k_abs_max,
          "value": sym.value, "value_negated": sym.value_negated,
@@ -358,9 +355,9 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _write_meta(cfg, out)
     if not quiet:
-        print(f"control (gap argmax)  {dec.control_label}")
-        print(f"residual rms          {res_rms:.5f}")
-        print(f"min dK                {min_dk:.2e}")
+        print(f"control (gap argmax)  {best.label}")
+        print(f"residual rms          {best.residual_rms:.5f}")
+        print(f"min dK                {best.min_dk:.2e}")
         print(f"sup E[-K1]            {gap.sup:.5f}")
         print(f"symmetric             {sym.symmetric} "
               f"(|K|max {sym.k_abs_max:.2e}, asymmetry {sym.asymmetry:.4f})")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from .errors import ConfigError
-from .montecarlo import ControlFamily, derive_seed, iter_increment_blocks
+from .montecarlo import ControlFamily, Moments, derive_seed
 from .nonlinearity import VolBand
 from .payoff import Expr, PayoffSpec
 from .pde import SpaceTimeGrid, ValueField, conditional_expectation, solve_interval
@@ -123,17 +123,6 @@ H_BUILTINS = {
 }
 
 
-def _sqrt_mean(sum1, sum2, n):
-    """sqrt of a sample mean with its delta-method standard error."""
-    mean = sum1 / n
-    var = max(sum2 / n - mean * mean, 0.0)
-    se_mean = math.sqrt(var / max(n - 1, 1))
-    if mean <= 0:
-        return 0.0, math.sqrt(se_mean)
-    root = math.sqrt(mean)
-    return root, se_mean / (2.0 * root)
-
-
 def bdg_check(h: HProcess, family: ControlFamily, n_paths: int, n_steps: int,
               seed: int) -> list:
     """Two-sided bound between the integrand norm and its integral's sup norm.
@@ -144,35 +133,17 @@ def bdg_check(h: HProcess, family: ControlFamily, n_paths: int, n_steps: int,
     """
     if family.band.d != 1:
         raise ValueError("integral-bound check is d=1 only")
-    dt = 1.0 / n_steps
-    step_times = np.arange(n_steps) * dt
-    alphas = [c.step_values(step_times) for c in family]
-    k = len(alphas)
-    s_i = np.zeros(k)
-    s_i2 = np.zeros(k)
-    s_m2 = np.zeros(k)
-    s_m4 = np.zeros(k)
-    for lo, hi, dw in iter_increment_blocks(seed, n_paths, n_steps, dt):
-        for j, alpha in enumerate(alphas):
-            dx = np.sqrt(alpha) * dw
-            x_left = np.concatenate(
-                [np.zeros((dx.shape[0], 1)), np.cumsum(dx, axis=1)[:, :-1]],
-                axis=1)
-            hv = h.evaluate(step_times, x_left)
-            integral = ((alpha * hv * hv) * dt).sum(axis=1)
-            s_i[j] += integral.sum()
-            s_i2[j] += (integral ** 2).sum()
-            m_run = np.cumsum(hv * dx, axis=1)
-            sup2 = np.maximum(np.abs(m_run).max(axis=1), 0.0) ** 2
-            s_m2[j] += sup2.sum()
-            s_m4[j] += (sup2 ** 2).sum()
 
-    h_norms = [_sqrt_mean(s_i[j], s_i2[j], n_paths) for j in range(k)]
-    m_norms = [_sqrt_mean(s_m2[j], s_m4[j], n_paths) for j in range(k)]
-    jh = max(range(k), key=lambda j: h_norms[j][0])
-    jm = max(range(k), key=lambda j: m_norms[j][0])
-    h_norm, h_se = h_norms[jh]
-    m_norm, m_se = m_norms[jm]
+    def fold(_, bundle):
+        hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
+        integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
+        m_run = np.cumsum(hv * (np.sqrt(bundle.alpha) * bundle.increments),
+                          axis=1)
+        return Moments.of(integral), Moments.of(np.abs(m_run).max(axis=1) ** 2)
+
+    stats = mc.sweep(family, n_paths, n_steps, seed, fold)
+    h_norm, h_se = max((s[0].root(2) for s in stats), key=lambda r: r[0])
+    m_norm, m_se = max((s[1].root(2) for s in stats), key=lambda r: r[0])
     config = {"check": "bdg", "integrand": h.name, "n_paths": n_paths,
               "n_steps": n_steps, "seed": seed,
               "family": [c.label for c in family],
@@ -192,35 +163,28 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
                   seed: int) -> list:
     """Energy estimates: E[K_1^2] <= 54 E[sup Y^2] per control (strict, no
     slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C."""
-    sub = derive_seed(seed, "apriori")
-    worst = None
-    h2 = k2 = y2 = 0.0
-    for control in family:
-        bundle = mc.simulate(control, n_paths, n_steps, sub)
+    def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
         inc = dec.included
-        k1sq = dec.k[inc, -1] ** 2
-        supy = np.abs(dec.y[inc]).max(axis=1) ** 2
         hint = ((bundle.alpha * dec.h[inc, :-1] ** 2) * bundle.dt).sum(axis=1)
-        n = inc.sum()
-        margin = APRIORI_K_CONSTANT * supy.mean() - k1sq.mean()
-        if worst is None or margin < worst[0]:
-            worst = (margin, control.label, float(k1sq.mean()),
-                     float(supy.mean()),
-                     float(k1sq.std(ddof=1) / math.sqrt(n)),
-                     float(supy.std(ddof=1) / math.sqrt(n)))
-        h2 = max(h2, float(hint.mean()))
-        k2 = max(k2, float(k1sq.mean()))
-        y2 = max(y2, float(supy.mean()))
-    _, label, k1m, supym, k1se, supyse = worst
+        return (Moments.of(dec.k[inc, -1] ** 2),
+                Moments.of(np.abs(dec.y[inc]).max(axis=1) ** 2),
+                Moments.of(hint))
+
+    stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "apriori"),
+                     fold)
+    worst = min(range(len(stats)), key=lambda j: (
+        APRIORI_K_CONSTANT * stats[j][1].mean - stats[j][0].mean))
+    k1sq, supy, _ = stats[worst]
+    k2, y2, h2 = (max(s[i].mean for s in stats) for i in range(3))
     config = {"check": "apriori", "payoff": payoff.source(),
               "band": [band.lower_scalar, band.upper_scalar],
               "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
               "family": [c.label for c in family]}
     reports = [InequalityReport(
-        f"apriori-k[{label}]", k1m, APRIORI_K_CONSTANT * supym,
-        APRIORI_K_CONSTANT, 0.0,
-        {"k1_sq": k1se, "sup_y_sq": supyse}, config)]
+        f"apriori-k[{family.controls[worst].label}]", k1sq.mean,
+        APRIORI_K_CONSTANT * supy.mean, APRIORI_K_CONSTANT, 0.0,
+        {"k1_sq": k1sq.stderr, "sup_y_sq": supy.stderr}, config)]
     left = math.sqrt(h2) + math.sqrt(k2)
     right = APRIORI_AGGREGATE_CONSTANT * math.sqrt(y2)
     reports.append(InequalityReport(
@@ -239,32 +203,23 @@ def _delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps, seed,
     """
     f1 = conditional_expectation(payoff1, band, grid)
     f2 = conditional_expectation(payoff2, band, grid)
-    sub = derive_seed(seed, "difference-paths")
-    dy2 = dh2 = dk2 = 0.0
-    se_dy = 0.0
-    grid_idx = np.unique(np.concatenate([
-        np.round(np.linspace(0, n_steps, t_nodes)).astype(int),
-        np.round(np.asarray(payoff1.times) * n_steps).astype(int)]))
-    for control in family:
-        bundle = mc.simulate(control, n_paths, n_steps, sub)
+    grid_idx = mc.sup_grid(payoff1.times, n_steps, t_nodes)
+
+    def fold(_, bundle):
         d1 = extract(payoff1, band, f1, bundle)
         d2 = extract(payoff2, band, f2, bundle)
         inc = d1.included & d2.included
-        dy = np.abs(d1.y[inc][:, grid_idx] - d2.y[inc][:, grid_idx]).max(axis=1) ** 2
-        dk = np.abs(d1.k[inc] - d2.k[inc]).max(axis=1) ** 2
+        dy = np.abs(d1.y[inc][:, grid_idx] - d2.y[inc][:, grid_idx]).max(axis=1)
+        dk = np.abs(d1.k[inc] - d2.k[inc]).max(axis=1)
         dh = (((d1.h[inc, :-1] - d2.h[inc, :-1]) ** 2
                * bundle.alpha) * bundle.dt).sum(axis=1)
-        if dy.mean() > dy2:
-            dy2 = float(dy.mean())
-            se_dy = float(dy.std(ddof=1) / math.sqrt(len(dy)))
-        dh2 = max(dh2, float(dh.mean()))
-        dk2 = max(dk2, float(dk.mean()))
-    return (math.sqrt(dy2), _half_se(se_dy, dy2),
-            math.sqrt(dh2), math.sqrt(dk2))
+        return Moments.of(dy ** 2), Moments.of(dh), Moments.of(dk ** 2)
 
-
-def _half_se(se_mean, mean):
-    return se_mean / (2.0 * math.sqrt(mean)) if mean > 0 else math.sqrt(se_mean)
+    stats = mc.sweep(family, n_paths, n_steps,
+                     derive_seed(seed, "difference-paths"), fold)
+    dy, dy_se = max(stats, key=lambda s: s[0].mean)[0].root(2)
+    dh2, dk2 = (max(s[i].mean for s in stats) for i in (1, 2))
+    return dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)
 
 
 def difference_check(payoff1: PayoffSpec, payoff2: PayoffSpec, band: VolBand,
@@ -363,17 +318,10 @@ def doob_check(payoff: PayoffSpec, p: float, band: VolBand,
                             derive_seed(seed, "doob-lhs"))
     # p-th moment norm: sup over the family of E|xi|^p, evaluated at the
     # monitoring dates only
-    best = (0.0, 0.0)
-    for control in family:
-        bundle = mc.simulate(control, n_paths, n_steps,
-                             derive_seed(seed, "doob-rhs"))
-        xi_p = np.abs(payoff.evaluate(
-            bundle.monitor_values(payoff.times))) ** p
-        m = float(xi_p.mean())
-        if m > best[0]:
-            best = (m, float(xi_p.std(ddof=1) / math.sqrt(len(xi_p))))
-    rhs = best[0] ** (1.0 / p) if best[0] > 0 else 0.0
-    rhs_se = best[1] / (p * best[0] ** (1.0 - 1.0 / p)) if best[0] > 0 else 0.0
+    stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "doob-rhs"),
+                     lambda _, bundle: (Moments.of(np.abs(payoff.evaluate(
+                         bundle.monitor_values(payoff.times))) ** p),))
+    rhs, rhs_se = max((m for m, in stats), key=lambda m: m.mean).root(p)
     config = {"check": "doob", "payoff": payoff.source(), "p": p,
               "band": [band.lower_scalar, band.upper_scalar],
               "n_paths": n_paths, "n_steps": n_steps, "seed": seed,

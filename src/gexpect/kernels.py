@@ -1,22 +1,17 @@
 """Kernel dispatch: compiled extension when built, numpy reference otherwise.
 
-Set GEXPECT_PURE_PYTHON=1 to force the reference backend (used by the
-benchmark and the backend-agreement tests).
+Each kernel takes `impl=` to run a given backend; the backend-agreement
+tests and benchmarks/bench_kernels.py choose one that way.
 """
-
-import os
 
 import numpy as np
 
 from . import _core_py as reference
 
-if os.environ.get("GEXPECT_PURE_PYTHON"):
+try:
+    from . import _core as _impl
+except ImportError:
     _impl = reference
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = reference
 
 COMPILED = _impl is not reference
 

@@ -12,13 +12,16 @@ corresponding band value, and callers pair it with the PDE reference.
 
 Randomness contract: path draws come in fixed 4096-path blocks seeded by
 (seed, block index), so a path's increments are a pure function of
-(seed, path index) - stable under path-count growth and parallel scheduling.
+(seed, path index).  Every family estimate is one `sweep`: each block is
+drawn once and shared by every control, and partials merge in block order,
+so results do not depend on thread count and memory not on path count.
 """
 
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -54,15 +57,6 @@ def iter_increment_blocks(seed: int, n_paths: int, n_steps: int, dt: float,
         shape = (PATH_BLOCK, n_steps) if d == 1 else (PATH_BLOCK, n_steps, d)
         dw = _block_rng(seed, b).standard_normal(shape) * scale
         yield lo, hi, dw[:hi - lo]
-
-
-def map_controls(fn, controls, degree: int = 1):
-    """Apply fn to each control; results in submission order (deterministic
-    regardless of completion order)."""
-    if degree is None or degree <= 1 or len(controls) <= 1:
-        return [fn(c) for c in controls]
-    with ThreadPoolExecutor(max_workers=min(degree, len(controls))) as pool:
-        return list(pool.map(fn, controls))
 
 
 class ControlProcess:
@@ -281,50 +275,119 @@ class PathBundle:
                                 repr(float(self.qv[k])), repr(float(alpha_t[k]))])
 
 
-def simulate(control: ControlProcess, n_paths: int, n_steps: int,
-             seed: int, band: VolBand | None = None) -> PathBundle:
-    """Materialize a full bundle (use the block iterator for huge runs)."""
+def _check_grid(controls, n_paths: int, n_steps: int):
     if n_paths < 1 or n_steps < 1:
         raise ValueError("need n_paths >= 1 and n_steps >= 1")
+    for c in controls:
+        bp = np.round(c.breakpoints * n_steps)
+        if np.abs(c.breakpoints * n_steps - bp).max() > 1e-9 * n_steps:
+            raise ValueError(f"control {c.label!r} breakpoints off the grid")
+
+
+def _bundle(control: ControlProcess, seed: int, dW: np.ndarray) -> PathBundle:
+    """Paths of one control driven by increments dW, (N, M) or (N, M, d)."""
+    n_paths, n_steps = dW.shape[:2]
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    alpha = control.step_values(times[:-1])       # (M,) or (M, d, d)
+    paths = np.empty((n_paths, n_steps + 1) + dW.shape[2:])
+    paths[:, 0] = 0.0
+    if control.d == 1:
+        np.multiply(np.sqrt(alpha), dW, out=paths[:, 1:])
+    else:
+        w, v = np.linalg.eigh(alpha)
+        root = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        paths[:, 1:] = np.einsum("kij,nkj->nki", root @ v.swapaxes(1, 2), dW)
+    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
+    qv = np.zeros((n_steps + 1,) + alpha.shape[1:])
+    np.cumsum(alpha * (1.0 / n_steps), axis=0, out=qv[1:])
+    return PathBundle(control, seed, times, dW, paths, alpha, qv)
+
+
+def simulate(control: ControlProcess, n_paths: int, n_steps: int,
+             seed: int, band: VolBand | None = None) -> PathBundle:
+    """Materialize a full bundle (`sweep` folds large runs block by block)."""
     if band is not None:
         control.validate(band)
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    dt = 1.0 / n_steps
-    grid_bp = np.round(control.breakpoints * n_steps)
-    if np.abs(control.breakpoints * n_steps - grid_bp).max() > 1e-9 * n_steps:
-        raise ValueError("control breakpoints must lie on the path grid")
-    if control.d != 1:
-        return _simulate_multi(control, n_paths, n_steps, seed, times, dt)
-    alpha = control.step_values(times[:-1])
-    vol = np.sqrt(alpha)
-    dW = np.empty((n_paths, n_steps))
-    for lo, hi, blk in iter_increment_blocks(seed, n_paths, n_steps, dt):
-        dW[lo:hi] = blk
-    paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = 0.0
-    np.cumsum(vol * dW, axis=1, out=paths[:, 1:])
-    qv = np.empty(n_steps + 1)
-    qv[0] = 0.0
-    np.cumsum(alpha * dt, out=qv[1:])
-    return PathBundle(control, seed, times, dW, paths, alpha, qv)
+    _check_grid([control], n_paths, n_steps)
+    dW = np.concatenate([blk for _, _, blk in iter_increment_blocks(
+        seed, n_paths, n_steps, 1.0 / n_steps, control.d)])
+    return _bundle(control, seed, dW)
 
 
-def _simulate_multi(control, n_paths, n_steps, seed, times, dt):
-    d = control.d
-    alpha = control.step_values(times[:-1])          # (M, d, d)
-    roots = np.empty_like(alpha)
-    for k, a in enumerate(alpha):
-        w, v = np.linalg.eigh(a)
-        roots[k] = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    dW = np.empty((n_paths, n_steps, d))
-    for lo, hi, blk in iter_increment_blocks(seed, n_paths, n_steps, dt, d):
-        dW[lo:hi] = blk
-    incr = np.einsum("kij,nkj->nki", roots, dW)
-    paths = np.concatenate([np.zeros((n_paths, 1, d)),
-                            np.cumsum(incr, axis=1)], axis=1)
-    qv = np.concatenate([np.zeros((1, d, d)),
-                         np.cumsum(alpha * dt, axis=0)], axis=0)
-    return PathBundle(control, seed, times, dW, paths, alpha, qv)
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean, centred sum of squares, min and max of samples; blocks
+    merge pairwise (Chan, Golub & LeVeque), one block is numpy's exactly."""
+
+    n: int = 0
+    mean: float = math.nan
+    m2: float = 0.0
+    lo: float = math.inf
+    hi: float = -math.inf
+
+    @classmethod
+    def of(cls, samples) -> "Moments":
+        x = np.ravel(samples)
+        if not x.size:
+            return cls()
+        d = x - x.mean()
+        return cls(x.size, float(x.mean()), float(np.sum(d * d)),
+                   float(x.min()), float(x.max()))
+
+    def merge(self, other: "Moments") -> "Moments":
+        if not (self.n and other.n):
+            return other if other.n else self
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return Moments(n, self.mean + delta * other.n / n,
+                       self.m2 + other.m2 + delta * delta * self.n * other.n / n,
+                       min(self.lo, other.lo), max(self.hi, other.hi))
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean: std(ddof=1) / sqrt(n)."""
+        return math.sqrt(self.m2 / max(self.n - 1, 1)) / math.sqrt(self.n)
+
+    def root(self, p: float):
+        """mean^(1/p) with its delta-method standard error."""
+        if self.mean <= 0:
+            return 0.0, self.stderr
+        return (self.mean ** (1.0 / p),
+                self.stderr / (p * self.mean ** (1.0 - 1.0 / p)))
+
+
+def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
+          fold, degree: int = 1) -> list:
+    """Fold every control over common path blocks: each block is drawn once,
+    each control's PathBundle is built from it as `simulate` builds it, and
+    `fold(control_index, bundle)` returns a tuple of partials (objects with
+    a `merge` method).  They merge in block order, so the per-control
+    results are bit-identical for any `degree` (blocks folded at once)."""
+    _check_grid(family, n_paths, n_steps)
+
+    def fold_block(block):
+        return [fold(j, _bundle(c, seed, block[2]))
+                for j, c in enumerate(family)]
+
+    blocks = iter_increment_blocks(seed, n_paths, n_steps, 1.0 / n_steps,
+                                   family.band.d)
+    totals = None
+    with ThreadPoolExecutor(max_workers=max(degree, 1)) as pool:
+        run = pool.map if degree > 1 else map
+        while batch := list(islice(blocks, max(degree, 1))):
+            for partials in run(fold_block, batch):
+                totals = partials if totals is None else [
+                    tuple(a.merge(b) for a, b in zip(t, p))
+                    for t, p in zip(totals, partials)]
+    return totals
+
+
+def sup_grid(monitor_times, n_steps: int, t_nodes: int = 17) -> np.ndarray:
+    """Step indices of a time sup: t_nodes even nodes plus the monitoring
+    dates (a lower bound of the continuous-time sup)."""
+    return np.unique(np.concatenate([
+        np.round(np.linspace(0, n_steps, t_nodes)).astype(int),
+        np.round(np.asarray(monitor_times) * n_steps).astype(int)]))
 
 
 @dataclass
@@ -342,9 +405,6 @@ class DualResult:
     argmax: ControlProcess
     table: list
 
-    def row(self, label: str) -> DualRow:
-        return next(r for r in self.table if r.label == label)
-
 
 def dual_value(payoff: PayoffSpec, family: ControlFamily, n_paths: int,
                n_steps: int, seed: int) -> DualResult:
@@ -355,34 +415,13 @@ def dual_value(payoff: PayoffSpec, family: ControlFamily, n_paths: int,
     """
     if family.band.d != 1:
         raise ValueError("dual values of cylinder payoffs are d=1 only")
-    mon = np.round(np.asarray(payoff.times) * n_steps).astype(int)
-    if np.abs(np.asarray(payoff.times) * n_steps - mon).max() > 1e-9 * n_steps:
-        raise ValueError("monitoring times must lie on the path grid")
-    dt = 1.0 / n_steps
-    step_times = np.arange(n_steps) * dt
-    vols = [np.sqrt(c.step_values(step_times)) for c in family]
-    for c in family:
-        bp = np.round(c.breakpoints * n_steps)
-        if np.abs(c.breakpoints * n_steps - bp).max() > 1e-9 * n_steps:
-            raise ValueError(f"control {c.label!r} breakpoints off the grid")
-    sums = np.zeros(len(family))
-    sq_sums = np.zeros(len(family))
-    for lo, hi, dw in iter_increment_blocks(seed, n_paths, n_steps, dt):
-        for j, vol in enumerate(vols):
-            scaled = vol * dw
-            np.cumsum(scaled, axis=1, out=scaled)
-            monitored = np.where(mon[None, :] > 0,
-                                 scaled[:, np.maximum(mon - 1, 0)], 0.0)
-            xi = payoff.evaluate(monitored)
-            sums[j] += xi.sum()
-            sq_sums[j] += (xi * xi).sum()
-    means = sums / n_paths
-    variances = np.maximum(sq_sums / n_paths - means ** 2, 0.0)
-    stderrs = np.sqrt(variances / max(n_paths - 1, 1))
-    table = [DualRow(c.label, float(m), float(se), n_paths)
-             for c, m, se in zip(family, means, stderrs)]
-    best = int(np.argmax(means))
-    return DualResult(float(means[best]), float(stderrs[best]),
+
+    stats = sweep(family, n_paths, n_steps, seed, lambda _, bundle: (
+        Moments.of(payoff.evaluate(bundle.monitor_values(payoff.times))),))
+    table = [DualRow(c.label, m.mean, m.stderr, n_paths)
+             for c, (m,) in zip(family, stats)]
+    best = max(range(len(table)), key=lambda j: table[j].mean)
+    return DualResult(table[best].mean, table[best].stderr,
                       family.controls[best], table)
 
 
@@ -416,14 +455,6 @@ class NormEstimate:
     per_control: list   # (label, value, stderr)
 
 
-def _power_mean(samples: np.ndarray, p: float):
-    m = float(np.mean(samples))
-    se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-    value = m ** (1.0 / p) if m > 0 else 0.0
-    dse = se / (p * m ** (1.0 - 1.0 / p)) if m > 0 else se
-    return value, dse
-
-
 def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
                    field, n_paths: int, n_steps: int, seed: int,
                    t_nodes: int = 17) -> NormEstimate:
@@ -438,21 +469,16 @@ def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
     abs_payoff = payoff.absolute()
     if field.payoff is not None and field.payoff.expr != abs_payoff.expr:
         raise ValueError("field must be solved for the absolute payoff")
-    grid_idx = np.unique(np.concatenate([
-        np.round(np.linspace(0, n_steps, t_nodes)).astype(int),
-        np.round(np.asarray(payoff.times) * n_steps).astype(int)]))
-    rows = []
-    for control in family:
-        bundle = simulate(control, n_paths, n_steps, seed)
-        sup_vals = np.zeros(bundle.n_paths)
-        for k in grid_idx:
-            vals, _ = conditional_supremum(abs_payoff, field, bundle,
-                                           bundle.times[k])
-            np.maximum(sup_vals, np.abs(vals), out=sup_vals)
-        v, se = _power_mean(sup_vals ** p, p)
-        rows.append((control.label, v, se))
-    best = max(range(len(rows)), key=lambda j: rows[j][1])
-    return NormEstimate(rows[best][1], rows[best][2], rows)
+    grid_idx = sup_grid(payoff.times, n_steps, t_nodes)
+
+    def fold(_, bundle):
+        reads = [conditional_supremum(abs_payoff, field, bundle, t)[0]
+                 for t in bundle.times[grid_idx]]
+        return Moments.of(np.abs(reads).max(axis=0) ** p),
+
+    stats = sweep(family, n_paths, n_steps, seed, fold)
+    rows = [(c.label, *m.root(p)) for c, (m,) in zip(family, stats)]
+    return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
 
 
 def lp_norm(payoff, p, family, field, n_paths, n_steps, seed,
@@ -471,10 +497,9 @@ def hp_norm_detail(h_per_bundle, bundles, p: float) -> NormEstimate:
         if h.shape != (bundle.n_paths, bundle.n_steps):
             raise ValueError("integrand samples misaligned with bundle steps")
         integral = ((bundle.alpha * h * h) * bundle.dt).sum(axis=1)
-        v, se = _power_mean(integral ** (p / 2.0), p)
-        rows.append((bundle.control.label, v, se))
-    best = max(range(len(rows)), key=lambda j: rows[j][1])
-    return NormEstimate(rows[best][1], rows[best][2], rows)
+        rows.append((bundle.control.label,
+                     *Moments.of(integral ** (p / 2.0)).root(p)))
+    return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
 
 
 def hp_norm(h_per_bundle, bundles, p: float) -> float:
@@ -489,10 +514,8 @@ def sp_norm_detail(y_per_bundle, bundles, p: float) -> NormEstimate:
         if y.shape != (bundle.n_paths, bundle.n_steps + 1):
             raise ValueError("process samples misaligned with bundle grid")
         sup = np.abs(y).max(axis=1)
-        v, se = _power_mean(sup ** p, p)
-        rows.append((bundle.control.label, v, se))
-    best = max(range(len(rows)), key=lambda j: rows[j][1])
-    return NormEstimate(rows[best][1], rows[best][2], rows)
+        rows.append((bundle.control.label, *Moments.of(sup ** p).root(p)))
+    return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
 
 
 def sp_norm(y_per_bundle, bundles, p: float) -> float:

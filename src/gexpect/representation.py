@@ -17,14 +17,15 @@ K is non-negative for every control inside the band (that is the defining
 inequality of the band form), so K is non-decreasing up to rounding.
 
 Paths that leave the spatial truncation are flagged and excluded from
-aggregates.
+aggregates; a control with no included path is a numerical failure.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .montecarlo import ControlFamily, PathBundle, map_controls, simulate
+from .errors import NumericalError
+from .montecarlo import ControlFamily, Moments, PathBundle, sweep
 from .nonlinearity import VolBand, eval_g_scalar
 from .payoff import PayoffSpec
 from .pde import ValueField, conditional_expectation, g_expectation
@@ -134,12 +135,28 @@ def terminal_defect(dec: Decomposition, bundle: PathBundle) -> float:
     return float(gap.max()) if gap.size else 0.0
 
 
+@dataclass(frozen=True)
+class Rows:
+    """The first `limit` rows of per-path arrays, merged in path order."""
+
+    limit: int
+    arrays: tuple
+
+    def merge(self, other: "Rows") -> "Rows":
+        pairs = zip(self.arrays, other.arrays)
+        return Rows(self.limit, tuple(np.concatenate(p)[:self.limit] for p in pairs))
+
+
 @dataclass
 class GapRow:
     label: str
     mean_neg_k1: float
     stderr: float
     excluded: int
+    residual_rms: float      # this and the next two: over included paths
+    min_dk: float
+    terminal_defect: float
+    head: Decomposition = dc_field(compare=False, repr=False)  # first paths
 
 
 @dataclass
@@ -151,24 +168,38 @@ class GapResult:
 
 def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
                     family: ControlFamily, n_paths: int, n_steps: int,
-                    seed: int, degree: int = 1) -> GapResult:
+                    seed: int, degree: int = 1,
+                    keep_rows: int = 0) -> GapResult:
     """sup over the family of E[-K_1]: the discrete martingale-gap of -K.
 
     Values are <= 0 up to Monte Carlo noise; a value near zero attained by
     some control certifies the martingale property of -K at the finite
-    family's resolution.
+    family's resolution.  The same sweep gives each row its residual RMS,
+    smallest K increment, terminal defect and first keep_rows paths.
     """
-    def one(control):
-        bundle = simulate(control, n_paths, n_steps, seed)
+    def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
-        neg_k1 = -dec.k[dec.included, -1]
-        return GapRow(control.label, float(neg_k1.mean()),
-                      float(neg_k1.std(ddof=1) / np.sqrt(len(neg_k1))),
-                      int(dec.excluded.sum()))
+        inc = dec.included
+        return (Moments.of(-dec.k[inc, -1]),
+                Moments.of(residual(dec)[inc] ** 2),
+                Moments.of(np.diff(dec.k[inc], axis=1).min(axis=1)),
+                Moments.of(terminal_defect(dec, bundle)),
+                # copies, so that the block's full arrays can be freed
+                Rows(keep_rows, tuple(np.array(a[:keep_rows]) for a in (
+                    dec.y, dec.h, dec.k, dec.int_h_dx, dec.excluded))))
 
-    rows = map_controls(one, list(family), degree)
-    best = max(range(len(rows)), key=lambda j: rows[j].mean_neg_k1)
-    return GapResult(rows, rows[best].mean_neg_k1, rows[best].label)
+    stats = sweep(family, n_paths, n_steps, seed, fold, degree)
+    for c, (neg_k1, *_) in zip(family, stats):
+        if not neg_k1.n:
+            raise NumericalError(f"all paths excluded under {c.label}: "
+                                 "they leave the truncation, widen x_max")
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    rows = [GapRow(c.label, neg_k1.mean, neg_k1.stderr, n_paths - neg_k1.n,
+                   res_sq.root(2)[0], dk.lo, terminal.hi,
+                   Decomposition(payoff, c.label, times, *head.arrays))
+            for c, (neg_k1, res_sq, dk, terminal, head) in zip(family, stats)]
+    best = max(rows, key=lambda r: r.mean_neg_k1)
+    return GapResult(rows, best.mean_neg_k1, best.label)
 
 
 @dataclass
@@ -190,12 +221,12 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
     path; the evidence record carries the value asymmetry E[xi] + E[-xi],
     which must vanish for genuinely two-sided payoffs.
     """
-    k_max = 0.0
-    for control in family:
-        bundle = simulate(control, n_paths, n_steps, seed)
+    def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
-        if dec.included.any():
-            k_max = max(k_max, float(np.abs(dec.k[dec.included]).max()))
+        return Moments.of(np.abs(dec.k[dec.included]).max(axis=1)),
+
+    stats = sweep(family, n_paths, n_steps, seed, fold)
+    k_max = max(0.0, *(m.hi for m, in stats))
     value = field.value(0.0, (), 0.0)
     grid = field.grid
     neg_field = conditional_expectation(payoff.negated(), band, grid)

@@ -4,6 +4,7 @@ import pytest
 
 import gexpect as gx
 from gexpect.cli import RunConfig, main
+from gexpect.representation import terminal_defect
 
 BASE = """\
 [band]
@@ -236,3 +237,41 @@ def test_family_file_config(tmp_path, band12):
     assert main(["price", "--config", str(path), "--quiet"]) == 0
     payload = json.loads((out / "price.json").read_text())
     assert len(payload["dual_table"]) == 3
+
+
+def test_represent_all_paths_excluded_exit_2(tmp_path, capsys):
+    # every path of some control leaves the truncation: a numerical
+    # failure, not a crash (seed and family are the config defaults)
+    path, _ = write_config(tmp_path, grid__n_x=41, grid__x_max=0.5,
+                           mc__n_paths=64, mc__n_steps=32,
+                           mc__seed=20100920, family__constant_controls=9)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_represent_rows_match_full_extraction(tmp_path):
+    # the rows and diagnostics folded per path block equal a full
+    # simulate + extract of the argmax control; the exported rows span two
+    # blocks and some paths leave the truncation
+    path, out = write_config(tmp_path, payoff__expression="sq(x2 - x1)",
+                             payoff__times="0.5,1", grid__x_max=3.0,
+                             mc__n_paths=4146, mc__n_steps=8,
+                             family__constant_controls=3,
+                             run__csv_paths=4100)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 0
+    cfg = RunConfig.from_file(path)
+    summary = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    band, payoff = cfg.band(), cfg.payoff()
+    field = gx.conditional_expectation(payoff, band, cfg.grid())
+    control = next(c for c in cfg.family() if c.label == summary["control"])
+    bundle = gx.simulate(control, cfg.n_paths, cfg.n_steps,
+                         gx.derive_seed(cfg.seed, "represent"))
+    dec = gx.extract(payoff, band, field, bundle)
+    ref = tmp_path / "reference.csv"
+    dec.to_csv(ref, max_paths=cfg.csv_paths, fingerprint=cfg.fingerprint())
+    assert (out / "decomposition.csv").read_bytes() == ref.read_bytes()
+    assert 0.0 < summary["exclusion_rate"] == dec.exclusion_rate
+    assert summary["residual_rms"] == pytest.approx(gx.residual_rms(dec),
+                                                    rel=1e-12)
+    assert summary["min_dk"] == gx.monotonicity(dec)
+    assert summary["terminal_defect"] == terminal_defect(dec, bundle)

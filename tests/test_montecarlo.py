@@ -275,3 +275,37 @@ def test_bundle_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "path_id,t,X,qv,alpha"
     assert len(lines) == 1 + 2 * 9
+
+
+def _power_mean_reference(samples, p):
+    # the per-control estimator the moments accumulator replaced
+    m = float(np.mean(samples))
+    se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+    value = m ** (1.0 / p) if m > 0 else 0.0
+    dse = se / (p * m ** (1.0 - 1.0 / p)) if m > 0 else se
+    return value, dse
+
+
+def test_moments_merge_matches_numpy():
+    rng = np.random.default_rng(101)
+    blocks = [rng.lognormal(size=n) for n in (4096, 4096, 100, 1)]
+    merged = mc.Moments.of(blocks[0])
+    for b in blocks[1:]:
+        merged = merged.merge(mc.Moments.of(b))
+    x = np.concatenate(blocks)
+    assert merged.n == len(x)
+    assert merged.mean == pytest.approx(x.mean(), rel=1e-12)
+    assert math.sqrt(merged.m2 / (merged.n - 1)) == pytest.approx(
+        x.std(ddof=1), rel=1e-12)
+    assert (merged.lo, merged.hi) == (x.min(), x.max())
+    for p in (1.0, 2.0, 4.0):
+        value, se = merged.root(p)
+        ref_value, ref_se = _power_mean_reference(x, p)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
+    # one block is numpy's estimate exactly; an empty block merges away
+    one = mc.Moments.of(blocks[0])
+    assert one.mean == blocks[0].mean()
+    assert one.stderr == blocks[0].std(ddof=1) / math.sqrt(4096)
+    assert one.merge(mc.Moments.of([])) == one
+    assert mc.Moments.of(np.zeros(10)).root(2.0) == (0.0, 0.0)

@@ -179,3 +179,17 @@ def test_decomposition_csv(tmp_path, band12, sq_setup):
     lines = out.read_text().splitlines()
     assert lines[0] == "path_id,t,Y,H,K,int_HdX,residual"
     assert len(lines) == 1 + 3 * 17
+
+
+def test_gap_rows_independent_of_degree(band12, field_cache):
+    # two full path blocks and a partial one, folded on one and two threads
+    payoff = gx.PayoffSpec.parse("call(x1, 0)")
+    fam = gx.ControlFamily.constants(band12, 3)
+    n_paths = 2 * mc.PATH_BLOCK + 100
+    serial = rep.gmartingale_gap(payoff, band12, field_cache("call(x1, 0)"),
+                                 fam, n_paths, 16, seed=47, degree=1)
+    threaded = rep.gmartingale_gap(payoff, band12, field_cache("call(x1, 0)"),
+                                   fam, n_paths, 16, seed=47, degree=2)
+    assert serial.rows == threaded.rows
+    assert (serial.sup, serial.argmax_label) == (threaded.sup,
+                                                 threaded.argmax_label)
