@@ -2,11 +2,13 @@
 """Timing comparison of the compiled kernels against the numpy fallback.
 
 Workloads mirror the engine's hot paths: the explicit backward march at the
-default pricing resolution (single row and a nested parameter block), the
-bilinear kernel (kept as the reference the field read is tested against),
-and `ValueField.read_along`, the fused numpy read of value, gradient and
-second difference that decomposition extraction runs, on a one-date and a
-two-date field.  The fused read has no compiled variant.
+default pricing resolution (a single row, and the 401-row nested parameter
+block of a two-date payoff at degree 1 and 2, i.e. in one slab or in two
+row slabs on two threads), the bilinear kernel (kept as the reference the
+field read is tested against), and `ValueField.read_along`, the fused
+numpy read of value, gradient and second difference that decomposition
+extraction runs, on a one-date and a two-date field.  The fused read has no
+compiled variant.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -35,7 +37,7 @@ def _time(fn, repeat):
     return best
 
 
-def bench_march(impl, n_rows, n_x, n_steps, repeat):
+def bench_march(impl, n_rows, n_x, n_steps, repeat, degree=1):
     rng = np.random.default_rng(0)
     base = np.ascontiguousarray(rng.standard_normal((n_rows, n_x)))
     steps = np.array([n_steps], dtype=np.intp)
@@ -46,7 +48,7 @@ def bench_march(impl, n_rows, n_x, n_steps, repeat):
     def run():
         work = base.copy()
         kernels.march_explicit_1d(work, 1.0, 2.0, dt, dx, n_steps, steps,
-                                  out, impl=impl)
+                                  out, impl=impl, degree=degree)
 
     return _time(run, repeat)
 
@@ -90,8 +92,10 @@ def main():
     cases = [
         ("march 1 row, n_x=401, 1563 steps",
          lambda impl: bench_march(impl, 1, 401, 1563, args.repeat)),
-        ("march 401 rows, n_x=401, 782 steps",
+        ("march 401 rows, n_x=401, 782 steps, degree 1",
          lambda impl: bench_march(impl, 401, 401, 782, args.repeat)),
+        ("march 401 rows, n_x=401, 782 steps, degree 2",
+         lambda impl: bench_march(impl, 401, 401, 782, args.repeat, 2)),
         ("bilinear read, 1e6 queries, field 1564x401",
          lambda impl: bench_read(impl, 1_000_000, 1564, 401, args.repeat)),
     ]
@@ -101,16 +105,16 @@ def main():
         ("read_along, 2.1M queries, 2-date sq(x2-x1)",
          lambda: bench_read_along("sq(x2 - x1)", (0.5, 1.0), args.repeat)),
     ]
-    print(f"{'workload':44s} {'reference':>11s} {'compiled':>11s} {'speedup':>8s}")
+    print(f"{'workload':48s} {'reference':>11s} {'compiled':>11s} {'speedup':>8s}")
     for label, bench in numpy_only:
-        print(f"{label:44s} {bench() * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
+        print(f"{label:48s} {bench() * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
     for label, bench in cases:
         ref = bench(reference)
         if compiled is None:
-            print(f"{label:44s} {ref * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
+            print(f"{label:48s} {ref * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
             continue
         com = bench(compiled)
-        print(f"{label:44s} {ref * 1e3:9.1f}ms {com * 1e3:9.1f}ms "
+        print(f"{label:48s} {ref * 1e3:9.1f}ms {com * 1e3:9.1f}ms "
               f"{ref / com:7.1f}x")
     if compiled is None:
         print("\ncompiled kernel not built; showing the fallback only")

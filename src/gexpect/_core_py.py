@@ -6,25 +6,54 @@ identical so both backends produce bit-equal results.
 
 import numpy as np
 
+_ROWS = 128  # rows marched together: a chunk and its scratch stay in cache
 
-def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out):
+
+def scratch(n_rows, n_x):
+    """Work arrays of a march of an (n_rows, n_x) block."""
+    shape = (min(n_rows, _ROWS), n_x - 2)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
+def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out,
+                      work=None):
     """March `values` (n_rows, n_x) backward `n_steps` explicit steps in place.
 
     Interior nodes pick up dt * g(second difference) with
     g(gamma) = 0.5*(a_upper*gamma) for gamma > 0 else 0.5*(a_lower*gamma);
     boundary nodes are frozen (second difference forced to zero).
     Snapshots are copied into out[j] after step store_steps[j].
+
+    Rows never interact, so each chunk of _ROWS rows runs through every
+    step on its own, in the arrays of `work` (from `scratch`, allocated here
+    when not given).
     """
     dx2 = dx * dx
-    ns = 0
     n_store = len(store_steps)
-    for step in range(1, n_steps + 1):
-        gamma = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / dx2
-        g = np.where(gamma > 0.0, 0.5 * (a_upper * gamma), 0.5 * (a_lower * gamma))
-        values[:, 1:-1] += dt * g
-        if ns < n_store and store_steps[ns] == step:
-            out[ns] = values
-            ns += 1
+    work = work or scratch(*values.shape)
+    for start in range(0, values.shape[0], _ROWS):
+        rows = values[start:start + _ROWS]
+        snaps = out[:, start:start + _ROWS]
+        left, cur, right = rows[:, :-2], rows[:, 1:-1], rows[:, 2:]
+        gamma, g, convex = (w[:len(rows)] for w in work)
+        ns = 0
+        for step in range(1, n_steps + 1):
+            # gamma = (right - 2.0 * cur + left) / dx2
+            np.multiply(cur, 2.0, out=gamma)
+            np.subtract(right, gamma, out=gamma)
+            np.add(gamma, left, out=gamma)
+            np.divide(gamma, dx2, out=gamma)
+            # g = 0.5 * (a * gamma), a = a_upper where gamma > 0.0
+            np.greater(gamma, 0.0, out=convex)
+            np.multiply(gamma, a_lower, out=g)
+            np.multiply(gamma, a_upper, out=g, where=convex)
+            np.multiply(g, 0.5, out=g)
+            # cur + dt * g
+            np.multiply(g, dt, out=g)
+            np.add(cur, g, out=cur)
+            if ns < n_store and store_steps[ns] == step:
+                snaps[ns] = rows
+                ns += 1
 
 
 def bilinear_read(times, x0, dx, field, qt, qx, out):

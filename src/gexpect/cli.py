@@ -263,7 +263,7 @@ def cmd_price(cfg: RunConfig, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
     try:
-        field = conditional_expectation(payoff, band, grid)
+        field = conditional_expectation(payoff, band, grid, cfg.degree())
         value = field.value(0.0, (), 0.0)
         if not np.isfinite(value):
             raise NumericalError("solved value is not finite")
@@ -272,7 +272,7 @@ def cmd_price(cfg: RunConfig, quiet: bool = False) -> int:
         coarse = _odd(max(5, (cfg.n_x - 1) // 4 + 1))
         grids = [SpaceTimeGrid(n, cfg.x_max, cfg.cfl_fraction)
                  for n in (coarse, mid, cfg.n_x)]
-        table = refine_study(payoff, band, grids)
+        table = refine_study(payoff, band, grids, finest=value)
         dual = mc.dual_value(payoff, cfg.family(), cfg.n_paths, cfg.n_steps,
                              mc.derive_seed(cfg.seed, "price-dual"))
     except NumericalError as exc:
@@ -322,14 +322,15 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
     family = cfg.family()
     seed = mc.derive_seed(cfg.seed, "represent")
+    degree = cfg.degree()
     try:
-        field = conditional_expectation(payoff, band, grid)
+        field = conditional_expectation(payoff, band, grid, degree)
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
-                                  cfg.n_steps, seed, degree=cfg.degree(),
+                                  cfg.n_steps, seed, degree=degree,
                                   keep_rows=cfg.csv_paths)
         sym = rep.is_symmetric(payoff, band, field, family, tol=1e-8,
                                n_paths=min(cfg.n_paths, 2048),
-                               n_steps=cfg.n_steps, seed=seed)
+                               n_steps=cfg.n_steps, seed=seed, degree=degree)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

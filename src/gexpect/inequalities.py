@@ -24,7 +24,7 @@ from .montecarlo import ControlFamily, Moments, derive_seed
 from .nonlinearity import VolBand
 from .payoff import Expr, PayoffSpec
 from .pde import SpaceTimeGrid, ValueField, conditional_expectation, solve_interval
-from .representation import extract
+from .representation import extract, require_included
 
 # frozen aggregate constants from the energy-argument chain:
 # E[K_1^2] <= 54 E[sup Y^2]  and  E[int a H^2] <= 16 E[sup Y^2]
@@ -162,7 +162,8 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
                   family: ControlFamily, n_paths: int, n_steps: int,
                   seed: int) -> list:
     """Energy estimates: E[K_1^2] <= 54 E[sup Y^2] per control (strict, no
-    slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C."""
+    slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C.  A
+    control with no path inside the truncation raises NumericalError."""
     def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
         inc = dec.included
@@ -173,6 +174,7 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
 
     stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "apriori"),
                      fold)
+    require_included(family, stats)
     worst = min(range(len(stats)), key=lambda j: (
         APRIORI_K_CONSTANT * stats[j][1].mean - stats[j][0].mean))
     k1sq, supy, _ = stats[worst]
@@ -217,33 +219,41 @@ def _delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps, seed,
 
     stats = mc.sweep(family, n_paths, n_steps,
                      derive_seed(seed, "difference-paths"), fold)
+    require_included(family, stats)
     dy, dy_se = max(stats, key=lambda s: s[0].mean)[0].root(2)
     dh2, dk2 = (max(s[i].mean for s in stats) for i in (1, 2))
     return dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)
 
 
+def _l2_norm(payoff: PayoffSpec, tag: str, band: VolBand,
+             grid: SpaceTimeGrid, family: ControlFamily, n_paths: int,
+             n_steps: int, seed: int) -> mc.NormEstimate:
+    """Conditional L2 norm of a payoff on the sub-seed `tag`."""
+    f = conditional_expectation(payoff.absolute(), band, grid)
+    return mc.lp_norm_detail(payoff, 2.0, family, f, n_paths, n_steps,
+                             derive_seed(seed, tag))
+
+
 def difference_check(payoff1: PayoffSpec, payoff2: PayoffSpec, band: VolBand,
                      grid: SpaceTimeGrid, family: ControlFamily,
-                     n_paths: int, n_steps: int, seed: int) -> list:
+                     n_paths: int, n_steps: int, seed: int,
+                     xi1: mc.NormEstimate | None = None) -> list:
     """Stability of the decomposition in the terminal payoff.
 
     ||dY||_sup <= ||dxi||  and  ||dH|| + ||dK|| <= C* (||dxi|| +
     (||xi1||^1/2 + ||xi2||^1/2) ||dxi||^1/2) with the frozen calibrated C*.
+    xi1, when given, is payoff1's norm from `_l2_norm(payoff1,
+    "difference-xi1", ...)` on the same arguments, shared between checks.
     """
     if payoff1.times != payoff2.times:
         raise ValueError("difference check needs matching monitoring dates")
     delta = PayoffSpec(Expr("sub", payoff1.expr, payoff2.expr), payoff1.times)
-
-    def l2p(p, tag):
-        f = conditional_expectation(p.absolute(), band, grid)
-        return mc.lp_norm_detail(p, 2.0, family, f, n_paths, n_steps,
-                                 derive_seed(seed, tag))
-
-    dxi = l2p(delta, "difference-dxi")
-    xi1 = l2p(payoff1, "difference-xi1")
-    xi2 = l2p(payoff2, "difference-xi2")
-    dy, dy_se, dh, dk = _delta_norms(payoff1, payoff2, band, grid, family,
-                                     n_paths, n_steps, seed)
+    args = (band, grid, family, n_paths, n_steps, seed)
+    dxi = _l2_norm(delta, "difference-dxi", *args)
+    if xi1 is None:
+        xi1 = _l2_norm(payoff1, "difference-xi1", *args)
+    xi2 = _l2_norm(payoff2, "difference-xi2", *args)
+    dy, dy_se, dh, dk = _delta_norms(payoff1, payoff2, *args)
     config = {"check": "difference", "payoff1": payoff1.source(),
               "payoff2": payoff2.source(),
               "band": [band.lower_scalar, band.upper_scalar],
@@ -381,13 +391,12 @@ def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
         return apriori_check(payoff, band, field, family, n_paths,
                              n_steps, seed)
     if name == "difference":
-        reports = difference_check(payoff, payoff.shifted(0.1), band, grid,
-                                   family, n_paths, n_steps, seed)
+        args = (band, grid, family, n_paths, n_steps, seed)
+        xi1 = _l2_norm(payoff, "difference-xi1", *args)
         scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
                             payoff.times)
-        reports += difference_check(payoff, scaled, band, grid, family,
-                                    n_paths, n_steps, seed)
-        return reports
+        return [r for other in (payoff.shifted(0.1), scaled)
+                for r in difference_check(payoff, other, *args, xi1=xi1)]
     if name == "tower":
         lifted = payoff if payoff.n > 1 else payoff.with_prepended_time(0.5)
         return [tower_check(lifted, band, grid, lifted.times[0])]

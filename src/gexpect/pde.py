@@ -13,6 +13,9 @@ which is monotone under the step bound dt <= dx^2 / a_upper and therefore
 converges to the (viscosity) solution on refinement.  At the spatial
 truncation +-x_max the second difference is forced to zero, so the equation
 degenerates to du/dt = 0 there (Lipschitz payoffs are asymptotically affine).
+Rows of a march block (one per history node) never interact, so a block is
+marched in contiguous row slabs on up to `degree` threads, with results
+bit-identical for any degree.
 
 Payoffs on several monitoring dates are solved interval by interval: the
 last-interval solution is restarted at each earlier date with the diagonal
@@ -120,8 +123,9 @@ def _store_steps(n_steps: int, param_dim: int, interior: int) -> np.ndarray:
 
 
 def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
-                   interval) -> IntervalField:
-    """March terminal_data (..., n_x) backward over interval = (s, t)."""
+                   interval, degree: int = 1) -> IntervalField:
+    """March terminal_data (..., n_x) backward over interval = (s, t), on
+    up to `degree` threads."""
     if band.d != 1:
         raise ValueError("the PDE solver is implemented for d = 1")
     t0, t1 = float(interval[0]), float(interval[1])
@@ -153,7 +157,8 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     stored = np.empty((n_stored, rows, grid.n_x))
     stored[0] = work
     kernels.march_explicit_1d(work, band.lower_scalar, band.upper_scalar,
-                              dt, grid.dx, n_steps, steps, stored[1:])
+                              dt, grid.dx, n_steps, steps, stored[1:],
+                              degree=degree)
 
     # march order is descending time: stored[j] sits at t1 - steps[j-1]*dt
     times = np.empty(n_stored)
@@ -421,12 +426,14 @@ class ValueField:
 
 
 def conditional_expectation(payoff: PayoffSpec, band: VolBand,
-                            grid: SpaceTimeGrid) -> ValueField:
+                            grid: SpaceTimeGrid,
+                            degree: int = 1) -> ValueField:
     """Solve the nested field so conditional values are readable anywhere.
 
     Marches the last interval first, restarting each earlier one with the
-    node-exact diagonal of its successor.  Rejects more than three
-    monitoring dates (parameter storage grows as n_x^(n-1)).
+    node-exact diagonal of its successor, each march on up to `degree`
+    threads.  Rejects more than three monitoring dates (parameter storage
+    grows as n_x^(n-1)).
     """
     if payoff.n > 3:
         raise ValueError("at most three monitoring dates are supported")
@@ -443,7 +450,7 @@ def conditional_expectation(payoff: PayoffSpec, band: VolBand,
     intervals = [None] * n
     for i in range(n, 0, -1):
         intervals[i - 1] = solve_interval(terminal, band, grid,
-                                          (times[i - 1], times[i]))
+                                          (times[i - 1], times[i]), degree)
         if i > 1:
             first = intervals[i - 1].values[..., 0, :]
             terminal = np.ascontiguousarray(
@@ -477,8 +484,14 @@ class RefineRow:
     order: float | None = None
 
 
-def refine_study(payoff: PayoffSpec, band: VolBand, grids) -> list:
-    """Values and empirical order across a chain of dx-halving grids."""
+def refine_study(payoff: PayoffSpec, band: VolBand, grids,
+                 finest: float | None = None) -> list:
+    """Values and empirical order across a chain of dx-halving grids.
+
+    finest, when given, is the value already solved on grids[-1] (on any
+    param_time_slices: the (0, 0) node read does not depend on them), and
+    that grid is not solved again.
+    """
     grids = list(grids)
     if len(grids) < 3:
         raise ValueError("need at least three grids")
@@ -486,7 +499,10 @@ def refine_study(payoff: PayoffSpec, band: VolBand, grids) -> list:
         ratio = g2.dx / g1.dx
         if not 0.45 <= ratio <= 0.55:
             raise ValueError("grids must halve dx")
-    rows = [RefineRow(g.n_x, g_expectation(payoff, band, g)) for g in grids]
+    values = [g_expectation(payoff, band, g) for g in grids[:-1]]
+    values.append(g_expectation(payoff, band, grids[-1])
+                  if finest is None else finest)
+    rows = [RefineRow(g.n_x, v) for g, v in zip(grids, values)]
     for prev, row in zip(rows, rows[1:]):
         row.diff = row.value - prev.value
     for r0, r1 in zip(rows[1:], rows[2:]):

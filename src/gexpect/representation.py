@@ -159,6 +159,16 @@ class GapRow:
     head: Decomposition = dc_field(compare=False, repr=False)  # first paths
 
 
+def require_included(family: ControlFamily, stats):
+    """Raise NumericalError for a control none of whose paths stayed inside
+    the truncation; stats holds each control's partials from `sweep`, the
+    first of them a Moments over its included paths."""
+    for c, (included, *_) in zip(family, stats):
+        if not included.n:
+            raise NumericalError(f"all paths excluded under {c.label}: "
+                                 "they leave the truncation, widen x_max")
+
+
 @dataclass
 class GapResult:
     rows: list
@@ -189,10 +199,7 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
                     dec.y, dec.h, dec.k, dec.int_h_dx, dec.excluded))))
 
     stats = sweep(family, n_paths, n_steps, seed, fold, degree)
-    for c, (neg_k1, *_) in zip(family, stats):
-        if not neg_k1.n:
-            raise NumericalError(f"all paths excluded under {c.label}: "
-                                 "they leave the truncation, widen x_max")
+    require_included(family, stats)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     rows = [GapRow(c.label, neg_k1.mean, neg_k1.stderr, n_paths - neg_k1.n,
                    res_sq.root(2)[0], dk.lo, terminal.hi,
@@ -214,12 +221,13 @@ class SymmetryEvidence:
 
 def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
                  family: ControlFamily, tol: float, n_paths: int,
-                 n_steps: int, seed: int) -> SymmetryEvidence:
+                 n_steps: int, seed: int, degree: int = 1) -> SymmetryEvidence:
     """Classify the conditional-value process as a two-sided martingale.
 
     True iff the monitor K stays below tol over every family control and
     path; the evidence record carries the value asymmetry E[xi] + E[-xi],
-    which must vanish for genuinely two-sided payoffs.
+    which must vanish for genuinely two-sided payoffs.  The negated
+    payoff's field is marched on up to `degree` threads.
     """
     def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
@@ -229,7 +237,7 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
     k_max = max(0.0, *(m.hi for m, in stats))
     value = field.value(0.0, (), 0.0)
     grid = field.grid
-    neg_field = conditional_expectation(payoff.negated(), band, grid)
+    neg_field = conditional_expectation(payoff.negated(), band, grid, degree)
     value_neg = g_expectation(payoff.negated(), band, grid, neg_field)
     return SymmetryEvidence(k_max <= tol, k_max, tol, value, value_neg,
                             value + value_neg)

@@ -249,6 +249,17 @@ def test_represent_all_paths_excluded_exit_2(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
+    # as above: a control with no included path fails the suite instead of
+    # dropping out of its sup
+    path, _ = write_config(tmp_path, grid__n_x=41, grid__x_max=0.5,
+                           mc__n_paths=64, mc__n_steps=32,
+                           mc__seed=20100920, family__constant_controls=9)
+    assert main(["verify", "--config", str(path), "--suite", "apriori",
+                 "--quiet"]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
 def test_represent_rows_match_full_extraction(tmp_path):
     # the rows and diagnostics folded per path block equal a full
     # simulate + extract of the argmax control; the exported rows span two

@@ -5,6 +5,7 @@ import pytest
 
 import gexpect as gx
 from gexpect import inequalities as ineq
+from gexpect.errors import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,16 @@ def test_apriori_linear_trivial(band12, grid201, fam5, field_cache):
     r_k, r_agg = ineq.apriori_check(payoff, band12, field_cache("x1"), fam5,
                                     500, 128, seed=53)
     assert r_k.left <= 1e-12 and r_k.passed and r_agg.passed
+
+
+def test_delta_norms_all_paths_excluded_raise(band12):
+    # no path of some control stays inside x_max = 0.5
+    grid = gx.SpaceTimeGrid(n_x=41, x_max=0.5)
+    family = gx.ControlFamily.constants(band12, 9)
+    payoff = gx.PayoffSpec.parse("sq(x1)")
+    with pytest.raises(NumericalError, match="all paths excluded"):
+        ineq._delta_norms(payoff, payoff.shifted(0.1), band12, grid, family,
+                          64, 32, 20100920)
 
 
 def test_difference_identical_payoffs(band12, grid201, fam5):

@@ -28,6 +28,38 @@ def test_march_backends_bit_identical():
     assert np.array_equal(o1, o2)
 
 
+def _old_march(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out):
+    # the per-step numpy loop the chunked reference replaced, kept verbatim
+    dx2 = dx * dx
+    ns = 0
+    n_store = len(store_steps)
+    for step in range(1, n_steps + 1):
+        gamma = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / dx2
+        g = np.where(gamma > 0.0, 0.5 * (a_upper * gamma), 0.5 * (a_lower * gamma))
+        values[:, 1:-1] += dt * g
+        if ns < n_store and store_steps[ns] == step:
+            out[ns] = values
+            ns += 1
+
+
+@pytest.mark.parametrize("store", [[], [5, 20, 56], [57]],
+                         ids=["none", "interior", "last"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [1, 2, 63, 64, 65, 127, 128, 129, 401])
+def test_march_bit_equal_to_old_loop(n_rows, degree, store):
+    # row chunks (128 rows) and thread slabs (>= 32 rows each) must not
+    # change a bit of the values or the snapshots
+    base = np.random.default_rng(n_rows).standard_normal((n_rows, 41))
+    steps = np.array(store, dtype=np.intp)
+    want, want_out = base.copy(), np.full((len(steps), n_rows, 41), np.nan)
+    _old_march(want, 0.7, 1.9, 4e-4, 0.05, 57, steps, want_out)
+    got, got_out = base.copy(), np.full_like(want_out, np.nan)
+    kernels.march_explicit_1d(got, 0.7, 1.9, 4e-4, 0.05, 57, steps, got_out,
+                              degree=degree)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_out, want_out)
+
+
 def test_march_boundary_frozen():
     values = np.ascontiguousarray(np.random.default_rng(1).standard_normal((2, 21)))
     edges = values[:, [0, -1]].copy()

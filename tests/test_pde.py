@@ -182,6 +182,29 @@ def test_refine_study_affine_zero_diffs(band12):
     assert abs(rows[1].diff) <= 1e-12 and abs(rows[2].diff) <= 1e-12
 
 
+def test_refine_study_reuses_finest_value(band12):
+    # the caller's value on the finest grid, solved with any
+    # param_time_slices and thread count, is the value a fresh solve gives
+    payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
+    grids = [gx.SpaceTimeGrid(n, 4.0) for n in (51, 101, 201)]
+    fresh = gx.refine_study(payoff, band12, grids)
+    for slices, degree in ((32, 1), (7, 2)):
+        grid = gx.SpaceTimeGrid(201, 4.0, param_time_slices=slices)
+        value = gx.conditional_expectation(payoff, band12, grid,
+                                           degree).value(0.0, (), 0.0)
+        assert value == fresh[-1].value
+        assert gx.refine_study(payoff, band12, grids, finest=value) == fresh
+
+
+def test_nested_field_independent_of_degree(band12, grid201):
+    payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
+    one = gx.conditional_expectation(payoff, band12, grid201, degree=1)
+    two = gx.conditional_expectation(payoff, band12, grid201, degree=2)
+    for a, b in zip(one.intervals, two.intervals, strict=True):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.values, b.values)
+
+
 def test_refine_study_validation(band12):
     with pytest.raises(ValueError):
         gx.refine_study(gx.PayoffSpec.parse("x1"), band12,
