@@ -6,9 +6,14 @@ default pricing resolution (a single row, and the 401-row nested parameter
 block of a two-date payoff at degree 1 and 2, i.e. in one slab or in two
 row slabs on two threads), the bilinear kernel (kept as the reference the
 field read is tested against), and `ValueField.read_along`, the fused
-numpy read of value, gradient and second difference that decomposition
-extraction runs, on a one-date and a two-date field.  The fused read has no
-compiled variant.
+numpy read of value, gradient and second difference.  The read runs on a
+one-date field (`sq(x1)`, no parameter axis) and on a two-date field
+(`sq(x2 - x1)`, whose second interval carries the first date as a parameter
+axis), each at 8192 paths x 257 grid times (2.1M queries) and in both of
+its forms: flat, one time, position and history per query (broadcast
+times, repeated history), and path grid, the (N, M) paths with one time
+per column, which is what decomposition extraction runs.  Both forms give
+the same bits.  The read has no compiled variant.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -67,20 +72,25 @@ def bench_read(impl, n_queries, n_t, n_x, repeat):
     return _time(run, repeat)
 
 
-def bench_read_along(source, times, repeat, n_paths=8192, n_steps=256):
-    """Extraction-shaped read: every grid time of every path, path-major."""
+def bench_read_along(source, times, repeat, grid_form, n_paths=8192,
+                     n_steps=256):
+    """Extraction-shaped read: every grid time of every path, path-major,
+    as flat queries or as one path-grid read."""
     band = gx.VolBand.scalar(1.0, 2.0)
     grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
     payoff = gx.PayoffSpec.parse(source, times)
     field = gx.conditional_expectation(payoff, band, grid)
     bundle = gx.simulate(gx.ControlProcess.constant(1.5), n_paths, n_steps,
                          seed=1)
+    hist = bundle.history(payoff)
+    if grid_form:
+        return _time(lambda: field.read_along(bundle.times, bundle.paths,
+                                              hist), repeat)
     m1 = bundle.paths.shape[1]
     qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
     qx = bundle.paths.ravel()
-    hist = None
-    if payoff.n > 1:
-        hist = np.repeat(bundle.monitor_values(payoff.times[:-1]), m1, axis=0)
+    if hist is not None:
+        hist = np.repeat(hist, m1, axis=0)
     return _time(lambda: field.read_along(qt, qx, hist), repeat)
 
 
@@ -99,15 +109,14 @@ def main():
         ("bilinear read, 1e6 queries, field 1564x401",
          lambda impl: bench_read(impl, 1_000_000, 1564, 401, args.repeat)),
     ]
-    numpy_only = [
-        ("read_along, 2.1M queries, 1-date sq(x1)",
-         lambda: bench_read_along("sq(x1)", (1.0,), args.repeat)),
-        ("read_along, 2.1M queries, 2-date sq(x2-x1)",
-         lambda: bench_read_along("sq(x2 - x1)", (0.5, 1.0), args.repeat)),
-    ]
+    reads = [("1-date sq(x1)", "sq(x1)", (1.0,)),
+             ("2-date sq(x2-x1)", "sq(x2 - x1)", (0.5, 1.0))]
     print(f"{'workload':48s} {'reference':>11s} {'compiled':>11s} {'speedup':>8s}")
-    for label, bench in numpy_only:
-        print(f"{label:48s} {bench() * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
+    for label, source, dates in reads:
+        for form in ("flat", "grid"):
+            best = bench_read_along(source, dates, args.repeat, form == "grid")
+            print(f"{f'read_along {form}, 2.1M queries, {label}':48s} "
+                  f"{best * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
     for label, bench in cases:
         ref = bench(reference)
         if compiled is None:

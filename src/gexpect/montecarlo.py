@@ -259,6 +259,13 @@ class PathBundle:
     def monitor_values(self, monitor_times) -> np.ndarray:
         return self.paths[:, self.monitor_indices(monitor_times)]
 
+    def history(self, payoff: PayoffSpec):
+        """The values at payoff's monitoring dates before the last, one row
+        per path (a field read's history), or None for a single date."""
+        if payoff.n == 1:
+            return None
+        return self.monitor_values(payoff.times[:-1])
+
     def to_csv(self, path, max_paths: int | None = None):
         import csv
 
@@ -440,11 +447,9 @@ def conditional_supremum(payoff: PayoffSpec, field, bundle: PathBundle,
     if k == bundle.n_steps:
         return payoff.evaluate(bundle.monitor_values(payoff.times)), \
             np.zeros(bundle.n_paths, dtype=bool)
-    hist = None
-    if payoff.n > 1:
-        hist = bundle.monitor_values(payoff.times[:-1])
-    qt = np.full(bundle.n_paths, times[k])
-    values, clamped = field.read_along(qt, bundle.paths[:, k], hist)
+    values, clamped = field.read_along(times[k:k + 1],
+                                       bundle.paths[:, k:k + 1],
+                                       bundle.history(payoff))
     return values[:, 0], clamped
 
 
@@ -462,7 +467,9 @@ def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
 
     `field` must be solved for payoff.absolute(); the time sup runs over a
     t_nodes-point grid joined with the monitoring dates (lower bound of the
-    continuous-time sup, as documented).
+    continuous-time sup, as documented).  Per block, the grid times before
+    t = 1 are read in one path-grid read, and t = 1 evaluates the payoff,
+    as conditional_supremum does.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -470,11 +477,15 @@ def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
     if field.payoff is not None and field.payoff.expr != abs_payoff.expr:
         raise ValueError("field must be solved for the absolute payoff")
     grid_idx = sup_grid(payoff.times, n_steps, t_nodes)
+    inner = grid_idx[grid_idx < n_steps]   # t = 1, the last date, reads xi
 
     def fold(_, bundle):
-        reads = [conditional_supremum(abs_payoff, field, bundle, t)[0]
-                 for t in bundle.times[grid_idx]]
-        return Moments.of(np.abs(reads).max(axis=0) ** p),
+        reads, _ = field.read_along(bundle.times[inner],
+                                    bundle.paths[:, inner],
+                                    bundle.history(abs_payoff))
+        sup = np.abs(reads[:, 0]).reshape(bundle.n_paths, len(inner)).max(1)
+        xi = abs_payoff.evaluate(bundle.monitor_values(abs_payoff.times))
+        return Moments.of(np.maximum(sup, np.abs(xi)) ** p),
 
     stats = sweep(family, n_paths, n_steps, seed, fold)
     rows = [(c.label, *m.root(p)) for c, (m,) in zip(family, stats)]

@@ -24,11 +24,18 @@ with the spatial grid, so the diagonal is a node-exact read.  Solved fields
 store every time step when no parameter axes are present and a strided
 subset otherwise.
 
-Fields are read in one pass: each query is bracketed once (time by search,
-space and history arithmetically on the uniform x grid), and the value, the
-gradient and the second difference all come from the same four-node value
-stencil, interpolated multilinearly.  Queries are read in fixed chunks, so
-the read's scratch memory does not grow with the query count.
+Fields are read in one pass, in one of two forms.  A flat read takes one
+time, position and history per query: each query is bracketed once (time
+by search, space and history arithmetically on the uniform x grid), and the
+value, the gradient and the second difference all come from the same
+four-node value stencil, interpolated multilinearly.  A path-grid read
+takes paths (N, M) and one time per column: each column's time is
+bracketed once, intervals without parameter axes gather each query's cell
+from a table of node values and differences built per batch of columns,
+and nested intervals go through the flat read in blocks of whole paths.
+Both forms give the same bits for the same queries, and both read in fixed
+chunks (of queries, or of columns), so the read's scratch memory does not
+grow with the query count.
 """
 
 import math
@@ -46,6 +53,7 @@ from .payoff import PayoffSpec
 
 _MAGIC = b"GXVF1\n"
 _CHUNK = 1 << 16                  # queries per read pass
+_BATCH = 16                       # path-grid columns per cell table
 _COLUMNS = {"value": 0, "gradient": 1, "hessian": 2}
 
 
@@ -84,15 +92,6 @@ class SpaceTimeGrid:
     def steps_for(self, band: VolBand, t0: float, t1: float) -> int:
         dt_max = self.cfl_fraction * self.dx ** 2 / band.upper_scalar
         return max(1, int(math.ceil((t1 - t0) / dt_max - 1e-12)))
-
-    def refined(self) -> "SpaceTimeGrid":
-        return SpaceTimeGrid(2 * self.n_x - 1, self.x_max, self.cfl_fraction,
-                             self.param_time_slices, self.memory_limit)
-
-    @classmethod
-    def default_for(cls, band: VolBand, n_x: int = 401) -> "SpaceTimeGrid":
-        # eight terminal standard deviations of the widest diffusion
-        return cls(n_x=n_x, x_max=8.0 * max(1.0, math.sqrt(band.upper_scalar)))
 
 
 @dataclass
@@ -199,6 +198,15 @@ def _bracket_nodes(q, nodes, dx):
     return ix, (q - nodes[ix]) / (nodes[ix + 1] - nodes[ix])
 
 
+def _bracket_time(times, qt):
+    """Row index and in-row weight of times qt on the ascending times."""
+    it = np.searchsorted(times, qt, side="right") - 1
+    np.clip(it, 0, len(times) - 2, out=it)
+    wt = (qt - times[it]) / (times[it + 1] - times[it])
+    np.clip(wt, 0.0, 1.0, out=wt)
+    return it, wt
+
+
 def _lerp(a, b, w):
     return a * (1.0 - w) + b * w
 
@@ -212,6 +220,23 @@ def _node_derivatives(v, dx):
     grad[..., 0] = _one_sided(v[..., 0], v[..., 1], dx)
     grad[..., -1] = _one_sided(v[..., -2], v[..., -1], dx)
     return grad, hess
+
+
+def _cell_table(values, it, dx):
+    """(12, B * (n_x - 1)) table of the x cells of rows it and it + 1 of
+    values (n_t, n_x), B = len(it).  Entry (6r + 2q + e, b * (n_x - 1) + i)
+    is quantity q (value, gradient, second difference) of row it[b] + r at
+    node i + e, so a cell's even entries sit at its left node."""
+    rows = values[np.stack((it, it + 1))]                       # (2, B, n_x)
+    nodes = np.stack((rows, *_node_derivatives(rows, dx)), axis=1)
+    return np.stack((nodes[..., :-1], nodes[..., 1:]), axis=2).reshape(12, -1)
+
+
+def _as_slice(cols):
+    """cols (ascending) as a slice when they are one run, else unchanged."""
+    if len(cols) and cols[-1] - cols[0] == len(cols) - 1:
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
 
 
 class ValueField:
@@ -251,12 +276,8 @@ class ValueField:
         times qt (inside it), positions qx and history hist (K, param_dim)."""
         n, dx = len(self.x), self.dx
         flat = iv.values.reshape(-1)
-        times = iv.times
-        n_t = len(times)
-        it = np.searchsorted(times, qt, side="right") - 1
-        np.clip(it, 0, n_t - 2, out=it)
-        wt = (qt - times[it]) / (times[it + 1] - times[it])
-        np.clip(wt, 0.0, 1.0, out=wt)
+        n_t = len(iv.times)
+        it, wt = _bracket_time(iv.times, qt)
         if iv.param_dim:
             # exact on nodes, where tower checks read nested intervals
             ix, fx = _bracket_nodes(qx, self.x, dx)
@@ -297,21 +318,102 @@ class ValueField:
             vals = [_lerp(a, b, fp) for a, b in zip(vals[::2], vals[1::2])]
         return vals[0]
 
-    def read_along(self, t, x, history=None):
-        """Vectorized field read at (t_k, history_k, x_k).
+    def _read_columns(self, iv: IntervalField, qt, cols, x, out):
+        """Grid read of interval iv, which has no parameter axis, in the
+        columns cols of paths x (N, M) at times qt (one per column), into
+        out (3, N, M).
 
-        t, x: (K,); history: (K, >= n-1) monitored values (columns beyond an
-        interval's parameter count are ignored).  Returns (values, clamped):
-        values is (K, 3) with columns value, gradient and second difference;
-        clamped flags queries outside the spatial truncation.
+        Each column's time is bracketed once.  A batch of columns builds the
+        cell table of its time rows (the node differences there equal the
+        stencil of _read_interval, edges included), each query takes one
+        12-wide cell of it, and the lerps are those of _read_interval, in
+        its order: space first, then time."""
+        n, dx = len(self.x), self.dx
+        it, wt = _bracket_time(iv.times, qt)
+        cell_buf = np.empty(12 * x.shape[0] * min(_BATCH, len(cols)))
+        for start in range(0, len(cols), _BATCH):
+            batch = slice(start, start + _BATCH)
+            cb = _as_slice(cols[batch])
+            ix, fx = _bracket(x[:, cb], -self.x_max, dx, n)
+            ix += (n - 1) * np.arange(ix.shape[1])
+            cells = cell_buf[:12 * ix.size].reshape(12, *ix.shape)
+            # ix lies inside the table, so "clip" only skips the bounds check
+            np.take(_cell_table(iv.values, it[batch], dx), ix, axis=1,
+                    out=cells, mode="clip")
+            left, right = cells[0::2], cells[1::2]
+            left *= 1.0 - fx
+            right *= fx
+            left += right
+            early, late = left[:3], left[3:]
+            early *= 1.0 - wt[batch]
+            late *= wt[batch]
+            early += late
+            out[:, :, cb] = early
+
+    def _read_rows(self, iv: IntervalField, qt, cols, x, hist, out, clamped):
+        """Grid read of nested interval iv in the columns cols of paths x
+        at times qt, into out: blocks of whole paths, about _CHUNK queries
+        each, go through _read_interval with each path's history."""
+        h = hist[:, :iv.param_dim]
+        clamped[:, cols] |= (np.abs(h) > self.x_max + 1e-12).any(1)[:, None]
+        n_cols = len(qt)
+        step = max(1, _CHUNK // n_cols)
+        for start in range(0, x.shape[0], step):
+            rows = slice(start, start + step)
+            qx = x[rows, cols].ravel()
+            n_block = len(qx) // n_cols
+            vals = self._read_interval(iv, np.tile(qt, n_block), qx,
+                                       np.repeat(h[rows], n_cols, axis=0))
+            out[:, rows, cols] = vals.reshape(3, n_block, n_cols)
+
+    def _read_grid(self, t, x, hist):
+        n_rows, n_cols = x.shape
+        if hist is not None and (hist.ndim != 2 or len(hist) != n_rows):
+            raise ValueError("history must have one row per path")
+        out = np.empty((3, n_rows, n_cols))
+        clamped = np.empty((n_rows, n_cols), dtype=bool)
+        step = max(1, _CHUNK // max(n_cols, 1))
+        for start in range(0, n_rows, step):
+            rows = slice(start, start + step)
+            clamped[rows] = np.abs(x[rows]) > self.x_max + 1e-12
+        part = np.searchsorted(self.boundaries[1:-1], t, side="right")
+        for i, iv in enumerate(self.intervals):
+            cols = np.flatnonzero(part == i)
+            if not len(cols):
+                continue
+            qt = np.clip(t[cols], iv.t_start, iv.t_end)
+            if not iv.param_dim:
+                self._read_columns(iv, qt, cols, x, out)
+            elif hist is None:
+                raise ValueError("history required for nested intervals")
+            else:
+                self._read_rows(iv, qt, _as_slice(cols), x, hist, out,
+                                clamped)
+        return out.reshape(3, -1).T, clamped.reshape(-1)
+
+    def read_along(self, t, x, history=None):
+        """Vectorized field read, in a flat or a path-grid form.
+
+        Flat: t, x (K,) and history (K, >= n-1), one query per entry.
+        Path grid: x (N, M) and t (M,), column j read at time t[j], and
+        history (N, >= n-1), one row per path; its K = N * M queries are
+        x's entries in C order.  History columns beyond an interval's
+        parameter count are ignored.  Both return (values, clamped):
+        values is (K, 3) with columns value, gradient and second
+        difference; clamped flags queries outside the spatial truncation,
+        in x or in the history read.  The grid form gives bit for bit the
+        flat form's result on the same queries.
         """
-        t = np.asarray(t, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        hist = None if history is None else np.asarray(history, dtype=float)
+        if x.ndim == 2 and t.ndim == 1 and t.shape[0] == x.shape[1]:
+            return self._read_grid(t, x, hist)
+        t, x = t.ravel(), x.ravel()
         if t.shape != x.shape:
             raise ValueError("t and x must have matching shapes")
         out = np.empty((3, t.shape[0]))
         clamped = np.empty(t.shape[0], dtype=bool)
-        hist = None if history is None else np.asarray(history, dtype=float)
         for start in range(0, t.shape[0], _CHUNK):
             chunk = slice(start, start + _CHUNK)
             clamped[chunk] = np.abs(x[chunk]) > self.x_max + 1e-12

@@ -83,25 +83,29 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
     if bundle.paths.ndim != 2:
         raise ValueError("decomposition extraction is d=1 only")
     n_paths, m1 = bundle.paths.shape
-    hist = None
-    if payoff.n > 1:
-        mon = bundle.monitor_values(payoff.times[:-1])
-        hist = np.repeat(mon, m1, axis=0)
-    qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
-
-    read, _ = field.read_along(qt, bundle.paths.ravel(), hist)
-    del qt, hist    # free the queries before the (N, M) temporaries below
+    read, _ = field.read_along(bundle.times, bundle.paths,
+                               bundle.history(payoff))
     y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
     gamma = d2u[:, :-1]
 
     lo, up = band.lower_scalar, band.upper_scalar
-    integrand = eval_g_scalar(gamma, lo, up) - 0.5 * (bundle.alpha * gamma)
+    # (g(gamma) - 0.5 * (alpha * gamma)) * dt and h * dX, each formed in
+    # place, so that few (N, M) temporaries are alive at once
+    integrand = eval_g_scalar(gamma, lo, up)
+    half = bundle.alpha * gamma
+    half *= 0.5
+    integrand -= half
+    del half
+    integrand *= bundle.dt
     k = np.zeros((n_paths, m1))
-    np.cumsum(integrand * bundle.dt, axis=1, out=k[:, 1:])
+    np.cumsum(integrand, axis=1, out=k[:, 1:])
+    del integrand
 
+    h_dx = np.diff(bundle.paths, axis=1)
+    h_dx *= h[:, :-1]
     int_h_dx = np.zeros((n_paths, m1))
-    np.cumsum(h[:, :-1] * np.diff(bundle.paths, axis=1), axis=1,
-              out=int_h_dx[:, 1:])
+    np.cumsum(h_dx, axis=1, out=int_h_dx[:, 1:])
+    del h_dx
 
     cutoff = field.x_max - exit_margin_nodes * field.dx
     excluded = np.abs(bundle.paths).max(axis=1) > cutoff
@@ -111,8 +115,10 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
 
 def residual(dec: Decomposition) -> np.ndarray:
     """Per-path sup over t of |Y_t - Y_0 - int H dX + K_t|."""
-    defect = dec.y - dec.y[:, :1] - dec.int_h_dx + dec.k
-    return np.abs(defect).max(axis=1)
+    defect = dec.y - dec.y[:, :1]
+    defect -= dec.int_h_dx
+    defect += dec.k
+    return np.abs(defect, out=defect).max(axis=1)
 
 
 def residual_rms(dec: Decomposition) -> float:

@@ -373,3 +373,81 @@ def test_csv_export(tmp_path, band12):
     assert lines[0] == "t,x,v,dv,d2v"
     n_t = len(field.intervals[0].times)
     assert len(lines) == 1 + n_t * 21
+
+
+def _assert_grid_read_is_flat_read(field, t, x, hist=None):
+    """The path-grid form of read_along against its flat form over the same
+    queries, bit for bit; returns the clamped flags."""
+    got, got_clamped = field.read_along(t, x, hist)
+    flat_hist = None if hist is None else np.repeat(hist, x.shape[1], axis=0)
+    want, want_clamped = field.read_along(np.broadcast_to(t, x.shape).ravel(),
+                                          x.ravel(), flat_hist)
+    assert got.shape == (x.size, 3)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_clamped, want_clamped)
+    return got_clamped.reshape(x.shape)
+
+
+def _grid_positions(rng, field, shape):
+    """Positions inside the truncation, past +-x_max and in the edge cells
+    ix = 0 and ix = n_x - 2, plus nodes."""
+    x_max, dx = field.x_max, field.dx
+    pool = np.concatenate([
+        rng.uniform(-x_max, x_max, 400),
+        rng.uniform(x_max, x_max + 3.0, 40),
+        -rng.uniform(x_max, x_max + 3.0, 40),
+        -x_max + rng.uniform(0.0, dx, 40),
+        x_max - rng.uniform(0.0, dx, 40),
+        field.x[::40],
+    ])
+    return rng.choice(pool, shape)
+
+
+@pytest.mark.parametrize("n_paths", [1, 4096 + 100])
+@pytest.mark.parametrize("n_times", [2, 17, 257])
+def test_grid_read_bit_equal_to_flat_read(band12, grid401, n_paths, n_times):
+    # n_times - 1 = 16 and 256 fill whole column batches, then one more
+    field = gx.conditional_expectation(gx.PayoffSpec.parse("call(x1, 0.3)"),
+                                       band12, grid401)
+    rng = np.random.default_rng(n_paths + n_times)
+    x = _grid_positions(rng, field, (n_paths, n_times))
+    clamped = _assert_grid_read_is_flat_read(
+        field, np.linspace(0.0, 1.0, n_times), x)
+    if n_paths > 1:
+        assert clamped.any() and not clamped.all()
+        ix = np.floor((x + field.x_max) / field.dx)
+        assert (ix == 0).any() and (ix == len(field.x) - 2).any()
+
+
+def test_grid_read_of_scattered_columns(field_cache):
+    # columns out of order and outside [0, 1]: no column run is a slice
+    field = field_cache("sq(x1)")
+    rng = np.random.default_rng(11)
+    t = rng.permutation(np.concatenate([np.linspace(0.0, 1.0, 40),
+                                        [-0.1, 1.1, 0.5]]))
+    _assert_grid_read_is_flat_read(field, t,
+                                   _grid_positions(rng, field, (300, len(t))))
+
+
+@pytest.mark.parametrize("source,times,n_x,n_times", [
+    ("sq(x2 - x1)", (0.5, 1.0), 201, 17),
+    ("sq(x3 - x2) + abs(x1)", (1 / 3, 2 / 3, 1.0), 61, 25),
+])
+def test_grid_read_bit_equal_on_nested_fields(band12, source, times, n_x,
+                                              n_times):
+    grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
+    field = gx.conditional_expectation(gx.PayoffSpec.parse(source, times),
+                                       band12, grid)
+    rng = np.random.default_rng(n_x)
+    t = np.linspace(0.0, 1.0, n_times)
+    assert set(times[:-1]) <= set(t)          # columns exactly on the dates
+    n_paths = (1 << 16) // n_times + 300      # more than one block of rows
+    x = _grid_positions(rng, field, (n_paths, n_times))
+    hist = rng.normal(0.0, 3.0, (n_paths, len(times) - 1))
+    hist[-20:] *= 5.0                                   # clamped history
+    clamped = _assert_grid_read_is_flat_read(field, t, x, hist)
+    assert clamped[-20:, -1].any()
+    with pytest.raises(ValueError):
+        field.read_along(t, x)
+    with pytest.raises(ValueError):
+        field.read_along(t, x, hist[1:])

@@ -193,3 +193,103 @@ def test_gap_rows_independent_of_degree(band12, field_cache):
     assert serial.rows == threaded.rows
     assert (serial.sup, serial.argmax_label) == (threaded.sup,
                                                  threaded.argmax_label)
+
+
+def _flat_extract(payoff, band, field, bundle, exit_margin_nodes=2):
+    """extract as it read the field before the path-grid read: one flat
+    query per (path, step), with broadcast times and repeated history."""
+    if bundle.paths.ndim != 2:
+        raise ValueError("decomposition extraction is d=1 only")
+    n_paths, m1 = bundle.paths.shape
+    hist = None
+    if payoff.n > 1:
+        mon = bundle.monitor_values(payoff.times[:-1])
+        hist = np.repeat(mon, m1, axis=0)
+    qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
+
+    read, _ = field.read_along(qt, bundle.paths.ravel(), hist)
+    del qt, hist    # free the queries before the (N, M) temporaries below
+    y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
+    gamma = d2u[:, :-1]
+
+    lo, up = band.lower_scalar, band.upper_scalar
+    integrand = gx.eval_g_scalar(gamma, lo, up) - 0.5 * (bundle.alpha * gamma)
+    k = np.zeros((n_paths, m1))
+    np.cumsum(integrand * bundle.dt, axis=1, out=k[:, 1:])
+
+    int_h_dx = np.zeros((n_paths, m1))
+    np.cumsum(h[:, :-1] * np.diff(bundle.paths, axis=1), axis=1,
+              out=int_h_dx[:, 1:])
+
+    cutoff = field.x_max - exit_margin_nodes * field.dx
+    excluded = np.abs(bundle.paths).max(axis=1) > cutoff
+    return rep.Decomposition(payoff, bundle.control.label, bundle.times,
+                             y, h, k, int_h_dx, excluded)
+
+
+@pytest.mark.parametrize("source,times,alpha", [
+    ("call(x1, 0)", (1.0,), 1.3),
+    ("min(abs(x1), 1)", (1.0,), 2.0),
+    ("sq(x2 - x1)", (0.5, 1.0), 1.0),
+])
+def test_extract_bit_equal_to_flat_query_extract(band12, field_cache, source,
+                                                 times, alpha):
+    payoff = gx.PayoffSpec.parse(source, times)
+    field = field_cache(source, times)
+    bundle = gx.simulate(mc.ControlProcess.constant(alpha), 700, 48, seed=29)
+    got = gx.extract(payoff, band12, field, bundle)
+    want = _flat_extract(payoff, band12, field, bundle)
+    for name in ("times", "y", "h", "k", "int_h_dx", "excluded"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    defect = want.y - want.y[:, :1] - want.int_h_dx + want.k
+    assert np.array_equal(rep.residual(got), np.abs(defect).max(axis=1))
+
+
+def _flat_conditional_supremum(payoff, field, bundle, t):
+    """conditional_supremum as it read the field before the path-grid read."""
+    times = bundle.times
+    k = int(np.round(t * bundle.n_steps))
+    if k == bundle.n_steps:
+        return payoff.evaluate(bundle.monitor_values(payoff.times)), \
+            np.zeros(bundle.n_paths, dtype=bool)
+    hist = None
+    if payoff.n > 1:
+        hist = bundle.monitor_values(payoff.times[:-1])
+    qt = np.full(bundle.n_paths, times[k])
+    values, clamped = field.read_along(qt, bundle.paths[:, k], hist)
+    return values[:, 0], clamped
+
+
+@pytest.mark.parametrize("source,times", [
+    ("abs(x1)", (1.0,)),
+    ("abs(x2 - x1)", (0.5, 1.0)),
+])
+def test_conditional_supremum_unchanged(field_cache, source, times):
+    payoff = gx.PayoffSpec.parse(source, times)
+    field = field_cache(source, times)
+    bundle = gx.simulate(mc.ControlProcess.constant(1.5), 500, 32, seed=31)
+    for t in (0.0, 0.5, 1.0):
+        got = gx.conditional_supremum(payoff, field, bundle, t)
+        want = _flat_conditional_supremum(payoff, field, bundle, t)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_lp_norm_unchanged_by_one_grid_read(band12, field_cache):
+    # the old fold: one conditional_supremum call per sup-grid time
+    payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
+    field = field_cache("abs(sq(x2 - x1))", (0.5, 1.0))
+    fam = gx.ControlFamily.constants(band12, 3)
+    n_paths, n_steps, seed = mc.PATH_BLOCK + 100, 32, 37
+    grid_idx = mc.sup_grid(payoff.times, n_steps)
+
+    def fold(_, bundle):
+        reads = [_flat_conditional_supremum(payoff.absolute(), field, bundle,
+                                            t)[0]
+                 for t in bundle.times[grid_idx]]
+        return mc.Moments.of(np.abs(reads).max(axis=0) ** 2.0),
+
+    stats = mc.sweep(fam, n_paths, n_steps, seed, fold)
+    want = [(c.label, *m.root(2.0)) for c, (m,) in zip(fam, stats)]
+    got = mc.lp_norm_detail(payoff, 2.0, fam, field, n_paths, n_steps, seed)
+    assert got.per_control == want
