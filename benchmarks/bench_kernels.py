@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Timing comparison of the compiled kernels against the numpy fallback.
+"""Timings of the numpy kernels and the fused field read.
 
 Workloads mirror the engine's hot paths: the explicit backward march at the
 default pricing resolution (a single row, and the 401-row nested parameter
 block of a two-date payoff at degree 1 and 2, i.e. in one slab or in two
 row slabs on two threads), the bilinear kernel (kept as the reference the
 field read is tested against), and `ValueField.read_along`, the fused
-numpy read of value, gradient and second difference.  The read runs on a
+read of value, gradient and second difference.  The read runs on a
 one-date field (`sq(x1)`, no parameter axis) and on a two-date field
 (`sq(x2 - x1)`, whose second interval carries the first date as a parameter
 axis), each at 8192 paths x 257 grid times (2.1M queries) and in both of
 its forms: flat, one time, position and history per query (broadcast
 times, repeated history), and path grid, the (N, M) paths with one time
 per column, which is what decomposition extraction runs.  Both forms give
-the same bits.  The read has no compiled variant.
+the same bits.  Each line is the best of `--repeat` runs.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -24,13 +24,7 @@ import time
 import numpy as np
 
 import gexpect as gx
-from gexpect import _core_py as reference
 from gexpect import kernels
-
-try:
-    from gexpect import _core as compiled
-except ImportError:
-    compiled = None
 
 
 def _time(fn, repeat):
@@ -42,7 +36,7 @@ def _time(fn, repeat):
     return best
 
 
-def bench_march(impl, n_rows, n_x, n_steps, repeat, degree=1):
+def bench_march(n_rows, n_x, n_steps, repeat, degree=1):
     rng = np.random.default_rng(0)
     base = np.ascontiguousarray(rng.standard_normal((n_rows, n_x)))
     steps = np.array([n_steps], dtype=np.intp)
@@ -53,12 +47,12 @@ def bench_march(impl, n_rows, n_x, n_steps, repeat, degree=1):
     def run():
         work = base.copy()
         kernels.march_explicit_1d(work, 1.0, 2.0, dt, dx, n_steps, steps,
-                                  out, impl=impl, degree=degree)
+                                  out, degree=degree)
 
     return _time(run, repeat)
 
 
-def bench_read(impl, n_queries, n_t, n_x, repeat):
+def bench_read(n_queries, n_t, n_x, repeat):
     rng = np.random.default_rng(1)
     times = np.linspace(0.0, 1.0, n_t)
     field = np.ascontiguousarray(rng.standard_normal((n_t, n_x)))
@@ -66,8 +60,7 @@ def bench_read(impl, n_queries, n_t, n_x, repeat):
     qx = rng.uniform(-8.0, 8.0, n_queries)
 
     def run():
-        kernels.bilinear_read(times, -8.0, 16.0 / (n_x - 1), field, qt, qx,
-                              impl=impl)
+        kernels.bilinear_read(times, -8.0, 16.0 / (n_x - 1), field, qt, qx)
 
     return _time(run, repeat)
 
@@ -101,32 +94,24 @@ def main():
 
     cases = [
         ("march 1 row, n_x=401, 1563 steps",
-         lambda impl: bench_march(impl, 1, 401, 1563, args.repeat)),
+         lambda: bench_march(1, 401, 1563, args.repeat)),
         ("march 401 rows, n_x=401, 782 steps, degree 1",
-         lambda impl: bench_march(impl, 401, 401, 782, args.repeat)),
+         lambda: bench_march(401, 401, 782, args.repeat)),
         ("march 401 rows, n_x=401, 782 steps, degree 2",
-         lambda impl: bench_march(impl, 401, 401, 782, args.repeat, 2)),
+         lambda: bench_march(401, 401, 782, args.repeat, 2)),
         ("bilinear read, 1e6 queries, field 1564x401",
-         lambda impl: bench_read(impl, 1_000_000, 1564, 401, args.repeat)),
+         lambda: bench_read(1_000_000, 1564, 401, args.repeat)),
     ]
     reads = [("1-date sq(x1)", "sq(x1)", (1.0,)),
              ("2-date sq(x2-x1)", "sq(x2 - x1)", (0.5, 1.0))]
-    print(f"{'workload':48s} {'reference':>11s} {'compiled':>11s} {'speedup':>8s}")
+    print(f"{'workload':48s} {'best':>11s}")
     for label, source, dates in reads:
         for form in ("flat", "grid"):
             best = bench_read_along(source, dates, args.repeat, form == "grid")
             print(f"{f'read_along {form}, 2.1M queries, {label}':48s} "
-                  f"{best * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
+                  f"{best * 1e3:9.1f}ms")
     for label, bench in cases:
-        ref = bench(reference)
-        if compiled is None:
-            print(f"{label:48s} {ref * 1e3:9.1f}ms {'n/a':>11s} {'n/a':>8s}")
-            continue
-        com = bench(compiled)
-        print(f"{label:48s} {ref * 1e3:9.1f}ms {com * 1e3:9.1f}ms "
-              f"{ref / com:7.1f}x")
-    if compiled is None:
-        print("\ncompiled kernel not built; showing the fallback only")
+        print(f"{label:48s} {bench() * 1e3:9.1f}ms")
 
 
 if __name__ == "__main__":

@@ -1,86 +1,111 @@
-"""Kernel dispatch: compiled extension when built, numpy reference otherwise.
+"""Numpy kernels: the explicit backward march and the clamped bilinear read.
 
-Each kernel takes `impl=` to run a given backend; the backend-agreement
-tests and benchmarks/bench_kernels.py choose one that way.
+The march is the PDE engine's inner loop; `bilinear_read` is the reference
+arithmetic the field reads in `pde` are tested against.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _core_py as reference
-
-try:
-    from . import _core as _impl
-except ImportError:
-    _impl = reference
-
-COMPILED = _impl is not reference
+_ROWS = 128       # rows marched together: a chunk and its scratch stay in cache
 _SLAB_ROWS = 32   # fewest rows worth a thread of their own
 
 
 def backend() -> str:
-    return "compiled" if COMPILED else "reference"
+    """Name of the kernel backend, recorded in every run's metadata."""
+    return "reference"
+
+
+def _scratch(n_rows, n_x):
+    """Work arrays of a march of an (n_rows, n_x) block."""
+    shape = (min(n_rows, _ROWS), n_x - 2)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out,
-                      impl=None, degree=1):
-    """Backward explicit march of a (n_rows, n_x) block, snapshots into out.
+                      degree=1):
+    """March `values` (n_rows, n_x) backward `n_steps` explicit steps in place.
 
-    store_steps must increase.  With degree > 1 the rows are split into at
-    most `degree` contiguous slabs of at least _SLAB_ROWS rows, marched on
-    as many threads (both backends release the GIL); rows never interact,
-    so the result does not depend on the split.
+    Interior nodes pick up dt * g(second difference) with
+    g(gamma) = 0.5*(a_upper*gamma) for gamma > 0 else 0.5*(a_lower*gamma);
+    boundary nodes are frozen (second difference forced to zero).
+    Snapshots are copied into out[j] after step store_steps[j]; store_steps
+    must increase.
+
+    With degree > 1 the rows are split into at most `degree` contiguous
+    slabs of at least _SLAB_ROWS rows, marched on as many threads (numpy
+    releases the GIL); rows never interact, so the result does not depend
+    on the split.
     """
-    impl = impl or _impl
-    store_steps = np.ascontiguousarray(store_steps, dtype=np.intp)
-    args = (float(a_lower), float(a_upper), float(dt), float(dx))
     n_rows, n_x = values.shape
+    args = (a_lower, a_upper, dt, dx, n_steps, store_steps)
     n_slabs = min(int(degree), n_rows // _SLAB_ROWS)
     if n_slabs < 2:
-        impl.march_explicit_1d(values, *args, int(n_steps), store_steps, out)
+        _march(values, *args, out, _scratch(n_rows, n_x))
         return
-    steps = store_steps[store_steps <= n_steps]
     bounds = [n_rows * i // n_slabs for i in range(n_slabs + 1)]
-    # buffers come from this thread: scratch allocated on the workers stayed
+    # scratch comes from this thread: scratch allocated on the workers stayed
     # in glibc's per-thread arenas and raised represent's peak RSS by up to
     # 54 MB (2-vCPU VM, represent-2date workload)
-    slabs = [(values[lo:hi], out[:, lo:hi], _slab_work(impl, hi - lo, n_x))
+    slabs = [(values[lo:hi], out[:, lo:hi], _scratch(hi - lo, n_x))
              for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=n_slabs) as pool:
-        futures = [pool.submit(_march_slab, impl, rows, args, int(n_steps),
-                               steps, snaps, work)
+        futures = [pool.submit(_march, rows, *args, snaps, work)
                    for rows, snaps, work in slabs]
         for future in futures:
             future.result()
 
 
-def _slab_work(impl, n_rows, n_x):
-    """Buffers of one slab's march: no snapshot steps, an empty out and,
-    for the numpy kernel, its scratch."""
-    work = [np.empty(0, dtype=np.intp), np.empty((0, n_rows, n_x))]
-    if impl is reference:
-        work.append(reference.scratch(n_rows, n_x))
-    return work
+def _march(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out, work):
+    """The march of march_explicit_1d in the arrays of `work` (from
+    `_scratch`): each chunk of _ROWS rows runs through every step on its
+    own, snapshotting into its rows of out, which may be a strided view."""
+    dx2 = dx * dx
+    n_store = len(store_steps)
+    for start in range(0, values.shape[0], _ROWS):
+        rows = values[start:start + _ROWS]
+        snaps = out[:, start:start + _ROWS]
+        left, cur, right = rows[:, :-2], rows[:, 1:-1], rows[:, 2:]
+        gamma, g, convex = (w[:len(rows)] for w in work)
+        ns = 0
+        for step in range(1, n_steps + 1):
+            # gamma = (right - 2.0 * cur + left) / dx2
+            np.multiply(cur, 2.0, out=gamma)
+            np.subtract(right, gamma, out=gamma)
+            np.add(gamma, left, out=gamma)
+            np.divide(gamma, dx2, out=gamma)
+            # g = 0.5 * (a * gamma), a = a_upper where gamma > 0.0
+            np.greater(gamma, 0.0, out=convex)
+            np.multiply(gamma, a_lower, out=g)
+            np.multiply(gamma, a_upper, out=g, where=convex)
+            np.multiply(g, 0.5, out=g)
+            # cur + dt * g
+            np.multiply(g, dt, out=g)
+            np.add(cur, g, out=cur)
+            if ns < n_store and store_steps[ns] == step:
+                snaps[ns] = rows
+                ns += 1
 
 
-def _march_slab(impl, values, args, n_steps, store_steps, out, work):
-    """March a row slab from snapshot to snapshot, copying each into the
-    slab's rows of out: a strided view, which the compiled kernel (typed
-    C-contiguous) cannot take."""
-    done = 0
-    for j, step in enumerate(store_steps):
-        impl.march_explicit_1d(values, *args, int(step - done), *work)
-        out[j] = values
-        done = step
-    impl.march_explicit_1d(values, *args, n_steps - done, *work)
+def bilinear_read(times, x0, dx, field, qt, qx):
+    """Bilinear read of field (n_t, n_x) at query arrays (qt, qx).
 
-
-def bilinear_read(times, x0, dx, field, qt, qx, impl=None):
-    """Clamped bilinear read of field (n_t, n_x) at query arrays (qt, qx)."""
-    impl = impl or _impl
-    qt = np.ascontiguousarray(qt, dtype=np.float64)
-    qx = np.ascontiguousarray(qx, dtype=np.float64)
-    out = np.empty(qt.shape[0], dtype=np.float64)
-    impl.bilinear_read(times, float(x0), float(dx), field, qt, qx, out)
-    return out
+    Times may be non-uniform; space is uniform from x0 with step dx.
+    Queries outside the grid are clamped to it.
+    """
+    qt = np.asarray(qt, dtype=np.float64)
+    qx = np.asarray(qx, dtype=np.float64)
+    nt = times.shape[0]
+    nx = field.shape[1]
+    it = np.searchsorted(times, qt, side="right") - 1
+    np.clip(it, 0, nt - 2, out=it)
+    wt = (qt - times[it]) / (times[it + 1] - times[it])
+    np.clip(wt, 0.0, 1.0, out=wt)
+    xi = (qx - x0) / dx
+    np.clip(xi, 0.0, nx - 1.0, out=xi)
+    ix = np.minimum(xi.astype(np.intp), nx - 2)
+    fx = xi - ix
+    v0 = field[it, ix] * (1.0 - fx) + field[it, ix + 1] * fx
+    v1 = field[it + 1, ix] * (1.0 - fx) + field[it + 1, ix + 1] * fx
+    return v0 * (1.0 - wt) + v1 * wt

@@ -363,9 +363,10 @@ class PayoffSpec:
     """A cylinder payoff phi(W_{t_1}, ..., W_{t_n}) with monitoring dates.
 
     times must be strictly increasing with last equal to 1.  lipschitz and
-    sup_bound may be declared; when omitted they are derived from the tree
-    (sup_bound stays None for unbounded payoffs, in which case sup-norm
-    invariants are skipped downstream).
+    sup_bound may be declared.  A declared lipschitz is validated and carried
+    along but feeds no computation.  sup_bound, when omitted, is derived
+    from the tree (it stays None for unbounded payoffs, in which case
+    sup-norm invariants are skipped downstream).
     """
 
     expr: Expr
@@ -399,11 +400,6 @@ class PayoffSpec:
     @property
     def n(self) -> int:
         return len(self.times)
-
-    def lipschitz_on(self, half_width: float) -> float:
-        if self.lipschitz is not None:
-            return self.lipschitz
-        return self.expr.lipschitz(half_width)
 
     def evaluate(self, samples):
         """Evaluate on samples with monitored values along the last axis."""

@@ -267,10 +267,6 @@ class ValueField:
     def n_intervals(self) -> int:
         return len(self.intervals)
 
-    def interval_index(self, t: float) -> int:
-        inner = self.boundaries[1:-1]
-        return int(np.searchsorted(inner, t, side="right"))
-
     def _read_interval(self, iv: IntervalField, qt, qx, hist) -> np.ndarray:
         """(3, K) value, gradient and second difference of one interval at
         times qt (inside it), positions qx and history hist (K, param_dim)."""

@@ -100,6 +100,7 @@ def test_price_quadratic(tmp_path, capsys):
     assert len(payload["convergence"]) == 3
     meta = json.loads((out / "meta.json").read_text())
     assert meta["fingerprint"] == payload["fingerprint"]
+    assert meta["kernel_backend"] == "reference"
 
 
 def test_price_constant_exact(tmp_path):

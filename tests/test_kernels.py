@@ -2,30 +2,6 @@ import numpy as np
 import pytest
 
 from gexpect import kernels
-from gexpect import _core_py as reference
-
-needs_compiled = pytest.mark.skipif(not kernels.COMPILED,
-                                    reason="compiled kernel not built")
-
-
-def _march_with(impl, seed=0, n_rows=3, n_x=41, n_steps=57):
-    rng = np.random.default_rng(seed)
-    values = np.ascontiguousarray(rng.standard_normal((n_rows, n_x)))
-    steps = np.array([5, 20, 57], dtype=np.intp)
-    out = np.empty((len(steps), n_rows, n_x))
-    kernels.march_explicit_1d(values, 0.7, 1.9, 4e-4, 0.05, n_steps,
-                              steps, out, impl=impl)
-    return values, out
-
-
-@needs_compiled
-def test_march_backends_bit_identical():
-    from gexpect import _core
-
-    v1, o1 = _march_with(_core)
-    v2, o2 = _march_with(reference)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(o1, o2)
 
 
 def _old_march(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out):
@@ -80,23 +56,6 @@ def test_march_snapshots_are_intermediate_states():
     kernels.march_explicit_1d(ten, 1.0, 2.0, 2e-4, 0.08, 10,
                               np.array([], dtype=np.intp), np.empty((0, 1, 31)))
     assert np.array_equal(out[0], ten)
-
-
-def _read_with(impl):
-    times = np.array([0.0, 0.25, 0.7, 1.0])
-    field = np.ascontiguousarray(
-        np.random.default_rng(3).standard_normal((4, 11)))
-    rng = np.random.default_rng(4)
-    qt = rng.uniform(-0.2, 1.2, size=500)
-    qx = rng.uniform(-6.0, 6.0, size=500)
-    return kernels.bilinear_read(times, -5.0, 1.0, field, qt, qx, impl=impl)
-
-
-@needs_compiled
-def test_bilinear_backends_bit_identical():
-    from gexpect import _core
-
-    assert np.array_equal(_read_with(_core), _read_with(reference))
 
 
 def test_bilinear_exact_on_nodes():
