@@ -328,9 +328,8 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
                                   cfg.n_steps, seed, degree=degree,
                                   keep_rows=cfg.csv_paths)
-        sym = rep.is_symmetric(payoff, band, field, family, tol=1e-8,
-                               n_paths=min(cfg.n_paths, 2048),
-                               n_steps=cfg.n_steps, seed=seed, degree=degree)
+        sym = rep.symmetry_evidence(payoff, band, field, family, 1e-8,
+                                    gap.symmetry, degree)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

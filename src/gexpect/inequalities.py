@@ -8,7 +8,12 @@ fingerprint that reproduces the run bit for bit.
 Seed policy: when the two sides of an inequality are independent quantities
 they are estimated on distinct derived sub-seeds; pathwise-coupled chains
 (the two-sided integral bound, the energy estimates) intentionally share
-paths.
+paths.  Estimates that share a seed share one sweep: `run_suite` folds the
+three bdg integrands, the three doob payoffs per side and the two
+difference pairs per sub-seed together, so each path block is drawn, and
+each decomposition extracted, once per block.  The single checks are the
+one-element case of the same code, so both give the same reports bit for
+bit.
 """
 
 import hashlib
@@ -131,31 +136,43 @@ def bdg_check(h: HProcess, family: ControlFamily, n_paths: int, n_steps: int,
     family and paths (the chain is pathwise coupled).  Streams path blocks,
     so n_paths can be large.
     """
+    return _bdg_reports([h], family, n_paths, n_steps, seed)
+
+
+def _bdg_reports(hs, family, n_paths, n_steps, seed) -> list:
+    """`bdg_check` of every integrand in hs, in one sweep of `seed`."""
     if family.band.d != 1:
         raise ValueError("integral-bound check is d=1 only")
 
-    def fold(_, bundle):
-        hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
-        integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
-        m_run = np.cumsum(hv * (np.sqrt(bundle.alpha) * bundle.increments),
-                          axis=1)
-        return Moments.of(integral), Moments.of(np.abs(m_run).max(axis=1) ** 2)
+    def folder(h):
+        def fold(_, bundle):
+            hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
+            integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
+            m_run = np.cumsum(hv * (np.sqrt(bundle.alpha) * bundle.increments),
+                              axis=1)
+            return (Moments.of(integral),
+                    Moments.of(np.abs(m_run).max(axis=1) ** 2))
+        return fold
 
-    stats = mc.sweep(family, n_paths, n_steps, seed, fold)
-    h_norm, h_se = max((s[0].root(2) for s in stats), key=lambda r: r[0])
-    m_norm, m_se = max((s[1].root(2) for s in stats), key=lambda r: r[0])
-    config = {"check": "bdg", "integrand": h.name, "n_paths": n_paths,
-              "n_steps": n_steps, "seed": seed,
-              "family": [c.label for c in family],
-              "band": [family.band.lower_scalar, family.band.upper_scalar]}
-    stderr = {"integrand_norm": h_se, "integral_norm": m_se}
-    slack = 2.0 * (h_se + m_se)
-    return [
-        InequalityReport(f"bdg-lower[{h.name}]", h_norm, m_norm, 1.0, slack,
-                         stderr, config),
-        InequalityReport(f"bdg-upper[{h.name}]", m_norm, 2.0 * h_norm, 2.0,
-                         slack, stderr, config),
-    ]
+    per_h = mc.sweep_each(family, n_paths, n_steps, seed,
+                          [folder(h) for h in hs])
+    reports = []
+    for h, stats in zip(hs, per_h, strict=True):
+        h_norm, h_se = max((s[0].root(2) for s in stats), key=lambda r: r[0])
+        m_norm, m_se = max((s[1].root(2) for s in stats), key=lambda r: r[0])
+        config = {"check": "bdg", "integrand": h.name, "n_paths": n_paths,
+                  "n_steps": n_steps, "seed": seed,
+                  "family": [c.label for c in family],
+                  "band": [family.band.lower_scalar, family.band.upper_scalar]}
+        stderr = {"integrand_norm": h_se, "integral_norm": m_se}
+        slack = 2.0 * (h_se + m_se)
+        reports += [
+            InequalityReport(f"bdg-lower[{h.name}]", h_norm, m_norm, 1.0,
+                             slack, stderr, config),
+            InequalityReport(f"bdg-upper[{h.name}]", m_norm, 2.0 * h_norm,
+                             2.0, slack, stderr, config),
+        ]
+    return reports
 
 
 def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
@@ -203,35 +220,62 @@ def _delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps, seed,
     estimator uses, so both sides of the value inequality discretize the
     continuous-time sup identically.
     """
+    return _delta_norms_each(payoff1, [payoff2], band, grid, family, n_paths,
+                             n_steps, seed, t_nodes)[0]
+
+
+def _delta_norms_each(payoff1, payoffs2, band, grid, family, n_paths,
+                      n_steps, seed, t_nodes=17) -> list:
+    """`_delta_norms` of payoff1 against each of payoffs2, in one sweep.
+
+    payoff1's field is solved once and its decomposition extracted once per
+    block; of it only what the differences read is kept (Y on the sup grid,
+    H before t = 1, K, the inclusion flags), and each payoff2's
+    decomposition is freed before the next is extracted, so at most two are
+    alive at once.
+    """
     f1 = conditional_expectation(payoff1, band, grid)
-    f2 = conditional_expectation(payoff2, band, grid)
+    fields2 = [conditional_expectation(p2, band, grid) for p2 in payoffs2]
     grid_idx = mc.sup_grid(payoff1.times, n_steps, t_nodes)
 
     def fold(_, bundle):
         d1 = extract(payoff1, band, f1, bundle)
-        d2 = extract(payoff2, band, f2, bundle)
-        inc = d1.included & d2.included
-        dy = np.abs(d1.y[inc][:, grid_idx] - d2.y[inc][:, grid_idx]).max(axis=1)
-        dk = np.abs(d1.k[inc] - d2.k[inc]).max(axis=1)
-        dh = (((d1.h[inc, :-1] - d2.h[inc, :-1]) ** 2
-               * bundle.alpha) * bundle.dt).sum(axis=1)
-        return Moments.of(dy ** 2), Moments.of(dh), Moments.of(dk ** 2)
+        y1, h1, k1, inc1 = d1.y[:, grid_idx], d1.h[:, :-1], d1.k, d1.included
+        del d1
+        partials = []
+        for payoff2, f2 in zip(payoffs2, fields2):
+            d2 = extract(payoff2, band, f2, bundle)
+            inc = inc1 & d2.included
+            dy = np.abs(y1[inc] - d2.y[inc][:, grid_idx]).max(axis=1)
+            dk = np.abs(k1[inc] - d2.k[inc]).max(axis=1)
+            dh = (((h1[inc] - d2.h[inc, :-1]) ** 2
+                   * bundle.alpha) * bundle.dt).sum(axis=1)
+            del d2
+            partials.append((Moments.of(dy ** 2), Moments.of(dh),
+                             Moments.of(dk ** 2)))
+        return tuple(partials)
 
     stats = mc.sweep(family, n_paths, n_steps,
                      derive_seed(seed, "difference-paths"), fold)
-    require_included(family, stats)
-    dy, dy_se = max(stats, key=lambda s: s[0].mean)[0].root(2)
-    dh2, dk2 = (max(s[i].mean for s in stats) for i in (1, 2))
-    return dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)
+    norms = []
+    for per_pair in zip(*stats):
+        require_included(family, per_pair)
+        dy, dy_se = max(per_pair, key=lambda s: s[0].mean)[0].root(2)
+        dh2, dk2 = (max(s[i].mean for s in per_pair) for i in (1, 2))
+        norms.append((dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)))
+    return norms
 
 
-def _l2_norm(payoff: PayoffSpec, tag: str, band: VolBand,
-             grid: SpaceTimeGrid, family: ControlFamily, n_paths: int,
-             n_steps: int, seed: int) -> mc.NormEstimate:
-    """Conditional L2 norm of a payoff on the sub-seed `tag`."""
-    f = conditional_expectation(payoff.absolute(), band, grid)
-    return mc.lp_norm_detail(payoff, 2.0, family, f, n_paths, n_steps,
-                             derive_seed(seed, tag))
+def _l2_norms(payoffs, tag: str, band: VolBand, grid: SpaceTimeGrid,
+              family: ControlFamily, n_paths: int, n_steps: int,
+              seed: int) -> list:
+    """Conditional L2 norm of each payoff, all on the sub-seed `tag` in one
+    sweep."""
+    folds = [mc.lp_norm_fold(payoff, 2.0, conditional_expectation(
+        payoff.absolute(), band, grid), n_steps) for payoff in payoffs]
+    per_payoff = mc.sweep_each(family, n_paths, n_steps,
+                               derive_seed(seed, tag), folds)
+    return [mc.norm_estimate(family, stats, 2.0) for stats in per_payoff]
 
 
 def difference_check(payoff1: PayoffSpec, payoff2: PayoffSpec, band: VolBand,
@@ -242,39 +286,53 @@ def difference_check(payoff1: PayoffSpec, payoff2: PayoffSpec, band: VolBand,
 
     ||dY||_sup <= ||dxi||  and  ||dH|| + ||dK|| <= C* (||dxi|| +
     (||xi1||^1/2 + ||xi2||^1/2) ||dxi||^1/2) with the frozen calibrated C*.
-    xi1, when given, is payoff1's norm from `_l2_norm(payoff1,
-    "difference-xi1", ...)` on the same arguments, shared between checks.
+    xi1, when given, is payoff1's norm from `_l2_norms([payoff1],
+    "difference-xi1", ...)` on the same arguments.
     """
-    if payoff1.times != payoff2.times:
+    return _difference_reports(payoff1, [payoff2], band, grid, family,
+                               n_paths, n_steps, seed, xi1)
+
+
+def _difference_reports(payoff1, payoffs2, band, grid, family, n_paths,
+                        n_steps, seed, xi1=None) -> list:
+    """`difference_check` of payoff1 against each of payoffs2: one sweep per
+    sub-seed, shared by every pair, and xi1 estimated once."""
+    if any(payoff1.times != p2.times for p2 in payoffs2):
         raise ValueError("difference check needs matching monitoring dates")
-    delta = PayoffSpec(Expr("sub", payoff1.expr, payoff2.expr), payoff1.times)
+    deltas = [PayoffSpec(Expr("sub", payoff1.expr, p2.expr), payoff1.times)
+              for p2 in payoffs2]
     args = (band, grid, family, n_paths, n_steps, seed)
-    dxi = _l2_norm(delta, "difference-dxi", *args)
+    dxis = _l2_norms(deltas, "difference-dxi", *args)
     if xi1 is None:
-        xi1 = _l2_norm(payoff1, "difference-xi1", *args)
-    xi2 = _l2_norm(payoff2, "difference-xi2", *args)
-    dy, dy_se, dh, dk = _delta_norms(payoff1, payoff2, *args)
-    config = {"check": "difference", "payoff1": payoff1.source(),
-              "payoff2": payoff2.source(),
-              "band": [band.lower_scalar, band.upper_scalar],
-              "grid": [grid.n_x, grid.x_max, grid.cfl_fraction],
-              "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
-              "family": [c.label for c in family]}
-    slack1 = 2.0 * (dy_se + dxi.stderr) + 1e-9 * (1.0 + dxi.value)
-    r1 = InequalityReport("difference-value", dy, dxi.value, 1.0, slack1,
-                          {"delta_y": dy_se, "delta_xi": dxi.stderr}, config)
-    bracket = dxi.value + ((math.sqrt(xi1.value) + math.sqrt(xi2.value))
-                           * math.sqrt(dxi.value))
-    implied = (dh + dk) / bracket if bracket > 0 else 0.0
-    cfg2 = dict(config)
-    cfg2["implied_cstar"] = implied
-    cfg2["cstar_flagged"] = bool(implied > 2.0 * DIFFERENCE_CSTAR)
-    r2 = InequalityReport("difference-decomposition", dh + dk,
-                          DIFFERENCE_CSTAR * bracket, DIFFERENCE_CSTAR,
-                          2.0 * (dxi.stderr + xi1.stderr + xi2.stderr),
-                          {"delta_xi": dxi.stderr, "xi1": xi1.stderr,
-                           "xi2": xi2.stderr}, cfg2)
-    return [r1, r2]
+        xi1, = _l2_norms([payoff1], "difference-xi1", *args)
+    xi2s = _l2_norms(payoffs2, "difference-xi2", *args)
+    norms = _delta_norms_each(payoff1, payoffs2, *args)
+    reports = []
+    for payoff2, dxi, xi2, (dy, dy_se, dh, dk) in zip(
+            payoffs2, dxis, xi2s, norms, strict=True):
+        config = {"check": "difference", "payoff1": payoff1.source(),
+                  "payoff2": payoff2.source(),
+                  "band": [band.lower_scalar, band.upper_scalar],
+                  "grid": [grid.n_x, grid.x_max, grid.cfl_fraction],
+                  "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
+                  "family": [c.label for c in family]}
+        slack1 = 2.0 * (dy_se + dxi.stderr) + 1e-9 * (1.0 + dxi.value)
+        r1 = InequalityReport("difference-value", dy, dxi.value, 1.0, slack1,
+                              {"delta_y": dy_se, "delta_xi": dxi.stderr},
+                              config)
+        bracket = dxi.value + ((math.sqrt(xi1.value) + math.sqrt(xi2.value))
+                               * math.sqrt(dxi.value))
+        implied = (dh + dk) / bracket if bracket > 0 else 0.0
+        cfg2 = dict(config)
+        cfg2["implied_cstar"] = implied
+        cfg2["cstar_flagged"] = bool(implied > 2.0 * DIFFERENCE_CSTAR)
+        r2 = InequalityReport("difference-decomposition", dh + dk,
+                              DIFFERENCE_CSTAR * bracket, DIFFERENCE_CSTAR,
+                              2.0 * (dxi.stderr + xi1.stderr + xi2.stderr),
+                              {"delta_xi": dxi.stderr, "xi1": xi1.stderr,
+                               "xi2": xi2.stderr}, cfg2)
+        reports += [r1, r2]
+    return reports
 
 
 def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
@@ -318,28 +376,42 @@ def doob_check(payoff: PayoffSpec, p: float, band: VolBand,
     Both sides are Monte Carlo estimates on distinct sub-seeds (independent
     quantities).
     """
+    return _doob_reports([payoff], p, band, grid, family, n_paths, n_steps,
+                         seed)[0]
+
+
+def _doob_reports(payoffs, p, band, grid, family, n_paths, n_steps,
+                  seed) -> list:
+    """`doob_check` of every payoff, one sweep per side for all of them."""
     if p <= 2:
         raise ValueError("the maximal inequality needs p > 2")
-    if payoff.sup_bound is None:
+    if any(payoff.sup_bound is None for payoff in payoffs):
         raise ValueError("doob check expects a bounded payoff")
     c_p = math.sqrt(p / (p - 2.0))
-    abs_field = conditional_expectation(payoff.absolute(), band, grid)
-    lhs = mc.lp_norm_detail(payoff, 2.0, family, abs_field, n_paths, n_steps,
-                            derive_seed(seed, "doob-lhs"))
+    lhs = _l2_norms(payoffs, "doob-lhs", band, grid, family, n_paths,
+                    n_steps, seed)
+
     # p-th moment norm: sup over the family of E|xi|^p, evaluated at the
     # monitoring dates only
-    stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "doob-rhs"),
-                     lambda _, bundle: (Moments.of(np.abs(payoff.evaluate(
-                         bundle.monitor_values(payoff.times))) ** p),))
-    rhs, rhs_se = max((m for m, in stats), key=lambda m: m.mean).root(p)
-    config = {"check": "doob", "payoff": payoff.source(), "p": p,
-              "band": [band.lower_scalar, band.upper_scalar],
-              "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
-              "family": [c.label for c in family]}
-    return InequalityReport(
-        f"doob[p={p:g}]", lhs.value, c_p * rhs, c_p,
-        2.0 * (lhs.stderr + c_p * rhs_se),
-        {"lhs": lhs.stderr, "rhs": rhs_se}, config)
+    def folder(payoff):
+        return lambda _, bundle: (Moments.of(np.abs(payoff.evaluate(
+            bundle.monitor_values(payoff.times))) ** p),)
+
+    per_payoff = mc.sweep_each(family, n_paths, n_steps,
+                               derive_seed(seed, "doob-rhs"),
+                               [folder(payoff) for payoff in payoffs])
+    reports = []
+    for payoff, lhs_norm, stats in zip(payoffs, lhs, per_payoff, strict=True):
+        rhs, rhs_se = max((m for m, in stats), key=lambda m: m.mean).root(p)
+        config = {"check": "doob", "payoff": payoff.source(), "p": p,
+                  "band": [band.lower_scalar, band.upper_scalar],
+                  "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
+                  "family": [c.label for c in family]}
+        reports.append(InequalityReport(
+            f"doob[p={p:g}]", lhs_norm.value, c_p * rhs, c_p,
+            2.0 * (lhs_norm.stderr + c_p * rhs_se),
+            {"lhs": lhs_norm.stderr, "rhs": rhs_se}, config))
+    return reports
 
 
 def mollify_check(band: VolBand, epsilons=(0.1, 0.05, 0.025),
@@ -380,34 +452,31 @@ SUITES = ("bdg", "apriori", "difference", "tower", "doob", "mollify")
 def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
               grid: SpaceTimeGrid, family: ControlFamily, n_paths: int,
               n_steps: int, seed: int) -> list:
-    """Named verification suite over the configured payoff/band/family."""
+    """Named verification suite over the configured payoff/band/family.
+
+    Checks of one suite that share a seed share its sweep: bdg makes one,
+    doob two and difference four, each block drawn once per sweep.
+    """
     if name == "bdg":
-        reports = []
-        for h in H_BUILTINS.values():
-            reports.extend(bdg_check(h, family, n_paths, n_steps, seed))
-        return reports
+        return _bdg_reports(list(H_BUILTINS.values()), family, n_paths,
+                            n_steps, seed)
     if name == "apriori":
         field = conditional_expectation(payoff, band, grid)
         return apriori_check(payoff, band, field, family, n_paths,
                              n_steps, seed)
     if name == "difference":
-        args = (band, grid, family, n_paths, n_steps, seed)
-        xi1 = _l2_norm(payoff, "difference-xi1", *args)
         scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
                             payoff.times)
-        return [r for other in (payoff.shifted(0.1), scaled)
-                for r in difference_check(payoff, other, *args, xi1=xi1)]
+        return _difference_reports(payoff, [payoff.shifted(0.1), scaled],
+                                   band, grid, family, n_paths, n_steps, seed)
     if name == "tower":
         lifted = payoff if payoff.n > 1 else payoff.with_prepended_time(0.5)
         return [tower_check(lifted, band, grid, lifted.times[0])]
     if name == "doob":
-        reports = []
-        for src in ("min(abs(x1), 1)", "clamp(x1, -1, 2)",
-                    "min(call(x1, 0), 2)"):
-            bounded = PayoffSpec.parse(src, (1.0,))
-            reports.append(doob_check(bounded, 4.0, band, grid, family,
-                                      n_paths, n_steps, seed))
-        return reports
+        bounded = [PayoffSpec.parse(src, (1.0,)) for src in (
+            "min(abs(x1), 1)", "clamp(x1, -1, 2)", "min(call(x1, 0), 2)")]
+        return _doob_reports(bounded, 4.0, band, grid, family, n_paths,
+                             n_steps, seed)
     if name == "mollify":
         return mollify_check(band)
     raise ConfigError(f"unknown verification suite {name!r}; "

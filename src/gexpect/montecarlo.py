@@ -12,9 +12,10 @@ corresponding band value, and callers pair it with the PDE reference.
 
 Randomness contract: path draws come in fixed 4096-path blocks seeded by
 (seed, block index), so a path's increments are a pure function of
-(seed, path index).  Every family estimate is one `sweep`: each block is
-drawn once and shared by every control, and partials merge in block order,
-so results do not depend on thread count and memory not on path count.
+(seed, path index).  Every family estimate is a fold of a `sweep`: each
+block is drawn once and shared by every control, and partials merge in
+block order, so results do not depend on thread count and memory not on
+path count.  Estimates on one seed share one sweep (`sweep_each`).
 """
 
 import hashlib
@@ -363,13 +364,21 @@ class Moments:
                 self.stderr / (p * self.mean ** (1.0 - 1.0 / p)))
 
 
+def _merge(a, b):
+    """Merge two partials, or two equally nested tuples of partials."""
+    if isinstance(a, tuple):
+        return tuple(_merge(x, y) for x, y in zip(a, b, strict=True))
+    return a.merge(b)
+
+
 def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
           fold, degree: int = 1) -> list:
     """Fold every control over common path blocks: each block is drawn once,
     each control's PathBundle is built from it as `simulate` builds it, and
     `fold(control_index, bundle)` returns a tuple of partials (objects with
-    a `merge` method).  They merge in block order, so the per-control
-    results are bit-identical for any `degree` (blocks folded at once)."""
+    a `merge` method, or tuples of them).  They merge in block order, so the
+    per-control results are bit-identical for any `degree` (blocks folded
+    at once)."""
     _check_grid(family, n_paths, n_steps)
 
     def fold_block(block):
@@ -384,9 +393,18 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
         while batch := list(islice(blocks, max(degree, 1))):
             for partials in run(fold_block, batch):
                 totals = partials if totals is None else [
-                    tuple(a.merge(b) for a, b in zip(t, p))
-                    for t, p in zip(totals, partials)]
+                    _merge(t, p) for t, p in zip(totals, partials)]
     return totals
+
+
+def sweep_each(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
+               folds, degree: int = 1) -> list:
+    """Several folds on one seed in one sweep: each block is drawn and each
+    control's bundle built once for all of them.  Returns, per fold, the
+    list `sweep` would return for that fold alone, bit for bit."""
+    stats = sweep(family, n_paths, n_steps, seed,
+                  lambda j, bundle: tuple(f(j, bundle) for f in folds), degree)
+    return [list(per_fold) for per_fold in zip(*stats)]
 
 
 def sup_grid(monitor_times, n_steps: int, t_nodes: int = 17) -> np.ndarray:
@@ -469,8 +487,18 @@ def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
     t_nodes-point grid joined with the monitoring dates (lower bound of the
     continuous-time sup, as documented).  Per block, the grid times before
     t = 1 are read in one path-grid read, and t = 1 evaluates the payoff,
-    as conditional_supremum does.
+    as conditional_supremum does.  One `sweep` of `lp_norm_fold`, finished
+    by `norm_estimate`; norms on a shared seed fold in one `sweep_each`.
     """
+    fold = lp_norm_fold(payoff, p, field, n_steps, t_nodes)
+    stats = sweep(family, n_paths, n_steps, seed, fold)
+    return norm_estimate(family, stats, p)
+
+
+def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int,
+                 t_nodes: int = 17):
+    """The per-block fold of `lp_norm_detail`: one Moments of
+    sup_t |conditional value|^p per control."""
     if p < 1:
         raise ValueError("p must be >= 1")
     abs_payoff = payoff.absolute()
@@ -487,7 +515,11 @@ def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
         xi = abs_payoff.evaluate(bundle.monitor_values(abs_payoff.times))
         return Moments.of(np.maximum(sup, np.abs(xi)) ** p),
 
-    stats = sweep(family, n_paths, n_steps, seed, fold)
+    return fold
+
+
+def norm_estimate(family: ControlFamily, stats, p: float) -> NormEstimate:
+    """The family sup of merged `lp_norm_fold` partials."""
     rows = [(c.label, *m.root(p)) for c, (m,) in zip(family, stats)]
     return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
 

@@ -30,6 +30,8 @@ from .nonlinearity import VolBand, eval_g_scalar
 from .payoff import PayoffSpec
 from .pde import ValueField, conditional_expectation, g_expectation
 
+SYMMETRY_PATHS = 2048   # `represent` classifies symmetry on the first paths
+
 
 @dataclass
 class Decomposition:
@@ -180,6 +182,8 @@ class GapResult:
     rows: list
     sup: float
     argmax_label: str
+    symmetry: list  # per control, `Moments` of max |K| over the included
+                    # paths among the first SYMMETRY_PATHS
 
 
 def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
@@ -191,7 +195,10 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     Values are <= 0 up to Monte Carlo noise; a value near zero attained by
     some control certifies the martingale property of -K at the finite
     family's resolution.  The same sweep gives each row its residual RMS,
-    smallest K increment, terminal defect and first keep_rows paths.
+    smallest K increment, terminal defect and first keep_rows paths, and
+    each control the per-path max |K| over the included paths among its
+    first SYMMETRY_PATHS, from which `symmetry_evidence` classifies the
+    payoff with no second sweep.
     """
     def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
@@ -202,7 +209,10 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
                 Moments.of(terminal_defect(dec, bundle)),
                 # copies, so that the block's full arrays can be freed
                 Rows(keep_rows, tuple(np.array(a[:keep_rows]) for a in (
-                    dec.y, dec.h, dec.k, dec.int_h_dx, dec.excluded))))
+                    dec.y, dec.h, dec.k, dec.int_h_dx, dec.excluded))),
+                Rows(SYMMETRY_PATHS, (
+                    np.abs(dec.k[:SYMMETRY_PATHS]).max(axis=1),
+                    dec.included[:SYMMETRY_PATHS])))
 
     stats = sweep(family, n_paths, n_steps, seed, fold, degree)
     require_included(family, stats)
@@ -210,9 +220,12 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     rows = [GapRow(c.label, neg_k1.mean, neg_k1.stderr, n_paths - neg_k1.n,
                    res_sq.root(2)[0], dk.lo, terminal.hi,
                    Decomposition(payoff, c.label, times, *head.arrays))
-            for c, (neg_k1, res_sq, dk, terminal, head) in zip(family, stats)]
+            for c, (neg_k1, res_sq, dk, terminal, head, _)
+            in zip(family, stats)]
     best = max(rows, key=lambda r: r.mean_neg_k1)
-    return GapResult(rows, best.mean_neg_k1, best.label)
+    return GapResult(rows, best.mean_neg_k1, best.label,
+                     [Moments.of(peak[included])
+                      for peak, included in (s[-1].arrays for s in stats)])
 
 
 @dataclass
@@ -231,15 +244,29 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
     """Classify the conditional-value process as a two-sided martingale.
 
     True iff the monitor K stays below tol over every family control and
-    path; the evidence record carries the value asymmetry E[xi] + E[-xi],
-    which must vanish for genuinely two-sided payoffs.  The negated
-    payoff's field is marched on up to `degree` threads.
+    included path; the evidence record carries the value asymmetry
+    E[xi] + E[-xi], which must vanish for genuinely two-sided payoffs.  A
+    control with no included path raises NumericalError.  One sweep of the
+    per-path max |K|, finished by `symmetry_evidence`; `represent` takes
+    the same partials from its gap sweep instead.
     """
     def fold(_, bundle):
         dec = extract(payoff, band, field, bundle)
         return Moments.of(np.abs(dec.k[dec.included]).max(axis=1)),
 
     stats = sweep(family, n_paths, n_steps, seed, fold)
+    return symmetry_evidence(payoff, band, field, family, tol,
+                             [k_abs for k_abs, in stats], degree)
+
+
+def symmetry_evidence(payoff: PayoffSpec, band: VolBand, field: ValueField,
+                      family: ControlFamily, tol: float, k_abs: list,
+                      degree: int = 1) -> SymmetryEvidence:
+    """`is_symmetric`'s verdict from each control's `Moments` of the
+    per-path max |K| over its included paths.  The negated payoff's field
+    is marched on up to `degree` threads."""
+    stats = [(m,) for m in k_abs]
+    require_included(family, stats)
     k_max = max(0.0, *(m.hi for m, in stats))
     value = field.value(0.0, (), 0.0)
     grid = field.grid

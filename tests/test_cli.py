@@ -261,6 +261,53 @@ def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_represent_symmetry_paths_excluded_exit_2(tmp_path, capsys):
+    # the gap sweep keeps included paths (2 of 8192), but none among the
+    # first 2048 that the symmetry check reads: exit 2, not "symmetric"
+    path, _ = write_config(tmp_path, grid__n_x=41, grid__x_max=0.4,
+                           mc__n_paths=8192, mc__n_steps=16, mc__seed=1,
+                           family__constant_controls=1)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 2
+    assert "all paths excluded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expression, times", [("call(x1, 0)", "1"),
+                                               ("call(x2 - x1, 0)", "0.5,1")])
+@pytest.mark.parametrize("n_paths", [1000, 4196])
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_represent_symmetry_matches_is_symmetric(tmp_path, expression, times,
+                                                 n_paths, parallel):
+    # represent reads the symmetry evidence off its gap sweep; it must equal
+    # a separate is_symmetric sweep of the first min(n_paths, 2048) paths
+    # (call payoffs: K depends on the path; on seed 4 the largest |K| of
+    # 4196 paths lies past the first 2048, so reading too many paths shows)
+    path, out = write_config(tmp_path, payoff__expression=expression,
+                             payoff__times=times, grid__n_x=101,
+                             grid__x_max=3.0, mc__n_paths=n_paths,
+                             mc__n_steps=8, mc__seed=4,
+                             family__constant_controls=3,
+                             run__parallel=parallel)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 0
+    summary = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    cfg = RunConfig.from_file(path)
+    band, payoff = cfg.band(), cfg.payoff()
+    field = gx.conditional_expectation(payoff, band, cfg.grid())
+    ev = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,
+                         n_paths=min(n_paths, 2048), n_steps=cfg.n_steps,
+                         seed=gx.derive_seed(cfg.seed, "represent"),
+                         degree=parallel)
+    assert ev.k_abs_max > 0.0
+    if n_paths > 2048:
+        every = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,
+                                n_paths=n_paths, n_steps=cfg.n_steps,
+                                seed=gx.derive_seed(cfg.seed, "represent"))
+        assert every.k_abs_max > ev.k_abs_max
+    assert ([summary[k] for k in ("symmetric", "k_abs_max", "value",
+                                  "value_negated", "asymmetry")]
+            == [ev.symmetric, ev.k_abs_max, ev.value, ev.value_negated,
+                ev.asymmetry])
+
+
 def test_represent_rows_match_full_extraction(tmp_path):
     # the rows and diagnostics folded per path block equal a full
     # simulate + extract of the argmax control; the exported rows span two

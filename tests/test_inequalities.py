@@ -1,11 +1,19 @@
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import gexpect as gx
 from gexpect import inequalities as ineq
+from gexpect import montecarlo as mc
 from gexpect.errors import NumericalError
+from gexpect.inequalities import DIFFERENCE_CSTAR, InequalityReport
+from gexpect.montecarlo import Moments, derive_seed
+from gexpect.payoff import Expr, PayoffSpec
+from gexpect.pde import conditional_expectation
+from gexpect.representation import extract, require_included
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +191,202 @@ def test_format_table(band12):
     r = ineq.InequalityReport("demo", 1.0, 2.0, None, 0.0, {}, {})
     table = ineq.format_table([r])
     assert "demo" in table and "PASS" in table
+
+
+# ---------------------------------------------------------------------------
+# one sweep per seed: the per-check implementations and calls that
+# run_suite made before it shared sweeps, kept verbatim as the oracle
+# ---------------------------------------------------------------------------
+
+def _old_bdg_check(h, family, n_paths, n_steps, seed):
+    if family.band.d != 1:
+        raise ValueError("integral-bound check is d=1 only")
+
+    def fold(_, bundle):
+        hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
+        integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
+        m_run = np.cumsum(hv * (np.sqrt(bundle.alpha) * bundle.increments),
+                          axis=1)
+        return Moments.of(integral), Moments.of(np.abs(m_run).max(axis=1) ** 2)
+
+    stats = mc.sweep(family, n_paths, n_steps, seed, fold)
+    h_norm, h_se = max((s[0].root(2) for s in stats), key=lambda r: r[0])
+    m_norm, m_se = max((s[1].root(2) for s in stats), key=lambda r: r[0])
+    config = {"check": "bdg", "integrand": h.name, "n_paths": n_paths,
+              "n_steps": n_steps, "seed": seed,
+              "family": [c.label for c in family],
+              "band": [family.band.lower_scalar, family.band.upper_scalar]}
+    stderr = {"integrand_norm": h_se, "integral_norm": m_se}
+    slack = 2.0 * (h_se + m_se)
+    return [
+        InequalityReport(f"bdg-lower[{h.name}]", h_norm, m_norm, 1.0, slack,
+                         stderr, config),
+        InequalityReport(f"bdg-upper[{h.name}]", m_norm, 2.0 * h_norm, 2.0,
+                         slack, stderr, config),
+    ]
+
+
+def _old_delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps,
+                     seed, t_nodes=17):
+    f1 = conditional_expectation(payoff1, band, grid)
+    f2 = conditional_expectation(payoff2, band, grid)
+    grid_idx = mc.sup_grid(payoff1.times, n_steps, t_nodes)
+
+    def fold(_, bundle):
+        d1 = extract(payoff1, band, f1, bundle)
+        d2 = extract(payoff2, band, f2, bundle)
+        inc = d1.included & d2.included
+        dy = np.abs(d1.y[inc][:, grid_idx] - d2.y[inc][:, grid_idx]).max(axis=1)
+        dk = np.abs(d1.k[inc] - d2.k[inc]).max(axis=1)
+        dh = (((d1.h[inc, :-1] - d2.h[inc, :-1]) ** 2
+               * bundle.alpha) * bundle.dt).sum(axis=1)
+        return Moments.of(dy ** 2), Moments.of(dh), Moments.of(dk ** 2)
+
+    stats = mc.sweep(family, n_paths, n_steps,
+                     derive_seed(seed, "difference-paths"), fold)
+    require_included(family, stats)
+    dy, dy_se = max(stats, key=lambda s: s[0].mean)[0].root(2)
+    dh2, dk2 = (max(s[i].mean for s in stats) for i in (1, 2))
+    return dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)
+
+
+def _old_l2_norm(payoff, tag, band, grid, family, n_paths, n_steps, seed):
+    f = conditional_expectation(payoff.absolute(), band, grid)
+    return mc.lp_norm_detail(payoff, 2.0, family, f, n_paths, n_steps,
+                             derive_seed(seed, tag))
+
+
+def _old_difference_check(payoff1, payoff2, band, grid, family, n_paths,
+                          n_steps, seed, xi1=None):
+    if payoff1.times != payoff2.times:
+        raise ValueError("difference check needs matching monitoring dates")
+    delta = PayoffSpec(Expr("sub", payoff1.expr, payoff2.expr), payoff1.times)
+    args = (band, grid, family, n_paths, n_steps, seed)
+    dxi = _old_l2_norm(delta, "difference-dxi", *args)
+    if xi1 is None:
+        xi1 = _old_l2_norm(payoff1, "difference-xi1", *args)
+    xi2 = _old_l2_norm(payoff2, "difference-xi2", *args)
+    dy, dy_se, dh, dk = _old_delta_norms(payoff1, payoff2, *args)
+    config = {"check": "difference", "payoff1": payoff1.source(),
+              "payoff2": payoff2.source(),
+              "band": [band.lower_scalar, band.upper_scalar],
+              "grid": [grid.n_x, grid.x_max, grid.cfl_fraction],
+              "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
+              "family": [c.label for c in family]}
+    slack1 = 2.0 * (dy_se + dxi.stderr) + 1e-9 * (1.0 + dxi.value)
+    r1 = InequalityReport("difference-value", dy, dxi.value, 1.0, slack1,
+                          {"delta_y": dy_se, "delta_xi": dxi.stderr}, config)
+    bracket = dxi.value + ((math.sqrt(xi1.value) + math.sqrt(xi2.value))
+                           * math.sqrt(dxi.value))
+    implied = (dh + dk) / bracket if bracket > 0 else 0.0
+    cfg2 = dict(config)
+    cfg2["implied_cstar"] = implied
+    cfg2["cstar_flagged"] = bool(implied > 2.0 * DIFFERENCE_CSTAR)
+    r2 = InequalityReport("difference-decomposition", dh + dk,
+                          DIFFERENCE_CSTAR * bracket, DIFFERENCE_CSTAR,
+                          2.0 * (dxi.stderr + xi1.stderr + xi2.stderr),
+                          {"delta_xi": dxi.stderr, "xi1": xi1.stderr,
+                           "xi2": xi2.stderr}, cfg2)
+    return [r1, r2]
+
+
+def _old_doob_check(payoff, p, band, grid, family, n_paths, n_steps, seed):
+    if p <= 2:
+        raise ValueError("the maximal inequality needs p > 2")
+    if payoff.sup_bound is None:
+        raise ValueError("doob check expects a bounded payoff")
+    c_p = math.sqrt(p / (p - 2.0))
+    abs_field = conditional_expectation(payoff.absolute(), band, grid)
+    lhs = mc.lp_norm_detail(payoff, 2.0, family, abs_field, n_paths, n_steps,
+                            derive_seed(seed, "doob-lhs"))
+    stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "doob-rhs"),
+                     lambda _, bundle: (Moments.of(np.abs(payoff.evaluate(
+                         bundle.monitor_values(payoff.times))) ** p),))
+    rhs, rhs_se = max((m for m, in stats), key=lambda m: m.mean).root(p)
+    config = {"check": "doob", "payoff": payoff.source(), "p": p,
+              "band": [band.lower_scalar, band.upper_scalar],
+              "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
+              "family": [c.label for c in family]}
+    return InequalityReport(
+        f"doob[p={p:g}]", lhs.value, c_p * rhs, c_p,
+        2.0 * (lhs.stderr + c_p * rhs_se),
+        {"lhs": lhs.stderr, "rhs": rhs_se}, config)
+
+
+def _old_run_suite(name, payoff, band, grid, family, n_paths, n_steps, seed):
+    if name == "bdg":
+        reports = []
+        for h in ineq.H_BUILTINS.values():
+            reports.extend(_old_bdg_check(h, family, n_paths, n_steps, seed))
+        return reports
+    if name == "difference":
+        args = (band, grid, family, n_paths, n_steps, seed)
+        xi1 = _old_l2_norm(payoff, "difference-xi1", *args)
+        scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
+                            payoff.times)
+        return [r for other in (payoff.shifted(0.1), scaled)
+                for r in _old_difference_check(payoff, other, *args,
+                                               xi1=xi1)]
+    if name == "doob":
+        reports = []
+        for src in ("min(abs(x1), 1)", "clamp(x1, -1, 2)",
+                    "min(call(x1, 0), 2)"):
+            bounded = PayoffSpec.parse(src, (1.0,))
+            reports.append(_old_doob_check(bounded, 4.0, band, grid, family,
+                                           n_paths, n_steps, seed))
+        return reports
+    raise ValueError(name)
+
+
+SHARED_SUITES = ("bdg", "doob", "difference")
+
+
+@pytest.mark.parametrize("name", SHARED_SUITES)
+def test_run_suite_matches_per_check_calls(name, band12, fam5):
+    # two full path blocks and a partial one; x_max = 3 excludes some paths
+    grid = gx.SpaceTimeGrid(n_x=121, x_max=3.0)
+    payoff = gx.PayoffSpec.parse("sq(x1)")
+    args = (payoff, band12, grid, fam5, 2 * mc.PATH_BLOCK + 100, 16, 83)
+    got = [r.to_json() for r in ineq.run_suite(name, *args)]
+    want = [r.to_json() for r in _old_run_suite(name, *args)]
+    assert got == want
+
+
+def test_single_checks_match_old_calls(band12, fam5):
+    grid = gx.SpaceTimeGrid(n_x=121, x_max=3.0)
+    payoff = gx.PayoffSpec.parse("call(x1, 0)")
+    bounded = gx.PayoffSpec.parse("clamp(x1, -1, 2)")
+    args = (fam5, mc.PATH_BLOCK + 7, 16, 89)
+    h = ineq.H_BUILTINS["cos-decay"]
+    assert ([r.to_json() for r in ineq.bdg_check(h, *args)]
+            == [r.to_json() for r in _old_bdg_check(h, *args)])
+    args = (band12, grid, *args)
+    assert (ineq.doob_check(bounded, 4.0, *args).to_json()
+            == _old_doob_check(bounded, 4.0, *args).to_json())
+    other = payoff.shifted(0.2)
+    assert ([r.to_json() for r in ineq.difference_check(payoff, other, *args)]
+            == [r.to_json() for r in _old_difference_check(payoff, other,
+                                                           *args)])
+    assert (ineq._delta_norms(payoff, other, *args)
+            == _old_delta_norms(payoff, other, *args))
+
+
+@pytest.mark.parametrize("name, sweeps", [("bdg", 1), ("doob", 2),
+                                          ("difference", 4)])
+def test_run_suite_draws_each_block_once(name, sweeps, band12, fam5,
+                                         monkeypatch):
+    draws = Counter()
+    blocks = mc.iter_increment_blocks
+
+    def counting(seed, *args, **kwargs):
+        for b, block in enumerate(blocks(seed, *args, **kwargs)):
+            draws[seed, b] += 1
+            yield block
+
+    monkeypatch.setattr(mc, "iter_increment_blocks", counting)
+    grid = gx.SpaceTimeGrid(n_x=61, x_max=4.0)
+    ineq.run_suite(name, gx.PayoffSpec.parse("sq(x1)"), band12, grid, fam5,
+                   mc.PATH_BLOCK + 100, 8, 97)
+    assert set(draws.values()) == {1}
+    assert len({seed for seed, _ in draws}) == sweeps
+    assert len(draws) == 2 * sweeps

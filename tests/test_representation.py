@@ -6,6 +6,7 @@ import pytest
 import gexpect as gx
 from gexpect import montecarlo as mc
 from gexpect import representation as rep
+from gexpect.errors import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,19 @@ def test_symmetry_classification(band12, grid201, field_cache):
     assert ev_sq.asymmetry == pytest.approx(1.0, abs=2e-2)
 
 
+def test_symmetry_all_paths_excluded_raise(band12):
+    # every path of some control leaves x_max = 0.5 (represent's seed): the
+    # control must fail the check, not drop out of the sup as K = 0
+    grid = gx.SpaceTimeGrid(n_x=41, x_max=0.5)
+    fam = gx.ControlFamily.constants(band12, 9)
+    sq = gx.PayoffSpec.parse("sq(x1)")
+    field = gx.conditional_expectation(sq, band12, grid)
+    with pytest.raises(NumericalError, match="all paths excluded"):
+        rep.is_symmetric(sq, band12, field, fam, tol=1e-8, n_paths=64,
+                         n_steps=32, seed=gx.derive_seed(20100920,
+                                                         "represent"))
+
+
 def test_classical_band_is_always_symmetric(grid201):
     # collapsed band: the form is linear, the monitor vanishes identically
     band = gx.VolBand.scalar(1.5, 1.5)
@@ -193,6 +207,25 @@ def test_gap_rows_independent_of_degree(band12, field_cache):
     assert serial.rows == threaded.rows
     assert (serial.sup, serial.argmax_label) == (threaded.sup,
                                                  threaded.argmax_label)
+
+
+@pytest.mark.parametrize("n_paths", [400, 2 * mc.PATH_BLOCK + 100])
+def test_gap_symmetry_partial_matches_is_symmetric(band12, field_cache,
+                                                   n_paths):
+    # the gap sweep, called with its defaults, carries the symmetry partial
+    # of the first SYMMETRY_PATHS paths: the same verdict as a separate
+    # is_symmetric sweep of those paths
+    payoff = gx.PayoffSpec.parse("call(x1, 0)")
+    field = field_cache("call(x1, 0)")
+    fam = gx.ControlFamily.constants(band12, 3)
+    gap = rep.gmartingale_gap(payoff, band12, field, fam, n_paths, 16,
+                              seed=47)
+    ev = rep.is_symmetric(payoff, band12, field, fam, tol=1e-8,
+                          n_paths=min(n_paths, rep.SYMMETRY_PATHS),
+                          n_steps=16, seed=47)
+    assert ev.k_abs_max > 0.0
+    assert rep.symmetry_evidence(payoff, band12, field, fam, 1e-8,
+                                 gap.symmetry) == ev
 
 
 def _flat_extract(payoff, band, field, bundle, exit_margin_nodes=2):
