@@ -6,14 +6,12 @@ default pricing resolution (a single row, and the 401-row nested parameter
 block of a two-date payoff at degree 1 and 2, i.e. in one slab or in two
 row slabs on two threads), the bilinear kernel (kept as the reference the
 field read is tested against), and `ValueField.read_along`, the fused
-read of value, gradient and second difference.  The read runs on a
-one-date field (`sq(x1)`, no parameter axis) and on a two-date field
+path-grid read of value, gradient and second difference.  The read runs on
+a one-date field (`sq(x1)`, no parameter axis) and on a two-date field
 (`sq(x2 - x1)`, whose second interval carries the first date as a parameter
-axis), each at 8192 paths x 257 grid times (2.1M queries) and in both of
-its forms: flat, one time, position and history per query (broadcast
-times, repeated history), and path grid, the (N, M) paths with one time
-per column, which is what decomposition extraction runs.  Both forms give
-the same bits.  Each line is the best of `--repeat` runs.
+axis), each at 8192 paths x 257 grid times (2.1M queries), the (N, M) paths
+with one time per column, which is what decomposition extraction runs.
+Each line is the best of `--repeat` runs.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -65,10 +63,9 @@ def bench_read(n_queries, n_t, n_x, repeat):
     return _time(run, repeat)
 
 
-def bench_read_along(source, times, repeat, grid_form, n_paths=8192,
-                     n_steps=256):
-    """Extraction-shaped read: every grid time of every path, path-major,
-    as flat queries or as one path-grid read."""
+def bench_read_along(source, times, repeat, n_paths=8192, n_steps=256):
+    """Extraction-shaped read: every grid time of every path, as one
+    path-grid read."""
     band = gx.VolBand.scalar(1.0, 2.0)
     grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
     payoff = gx.PayoffSpec.parse(source, times)
@@ -76,15 +73,8 @@ def bench_read_along(source, times, repeat, grid_form, n_paths=8192,
     bundle = gx.simulate(gx.ControlProcess.constant(1.5), n_paths, n_steps,
                          seed=1)
     hist = bundle.history(payoff)
-    if grid_form:
-        return _time(lambda: field.read_along(bundle.times, bundle.paths,
-                                              hist), repeat)
-    m1 = bundle.paths.shape[1]
-    qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
-    qx = bundle.paths.ravel()
-    if hist is not None:
-        hist = np.repeat(hist, m1, axis=0)
-    return _time(lambda: field.read_along(qt, qx, hist), repeat)
+    return _time(lambda: field.read_along(bundle.times, bundle.paths, hist),
+                 repeat)
 
 
 def main():
@@ -106,10 +96,9 @@ def main():
              ("2-date sq(x2-x1)", "sq(x2 - x1)", (0.5, 1.0))]
     print(f"{'workload':48s} {'best':>11s}")
     for label, source, dates in reads:
-        for form in ("flat", "grid"):
-            best = bench_read_along(source, dates, args.repeat, form == "grid")
-            print(f"{f'read_along {form}, 2.1M queries, {label}':48s} "
-                  f"{best * 1e3:9.1f}ms")
+        best = bench_read_along(source, dates, args.repeat)
+        print(f"{f'read_along, 2.1M queries, {label}':48s} "
+              f"{best * 1e3:9.1f}ms")
     for label, bench in cases:
         print(f"{label:48s} {bench() * 1e3:9.1f}ms")
 

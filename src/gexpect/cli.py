@@ -174,6 +174,16 @@ class RunConfig:
             raise ConfigError("mc.seed must be a non-negative integer")
         if self.constant_controls < 1:
             raise ConfigError("family.constant_controls must be >= 1")
+        if self.csv_paths < 0:
+            raise ConfigError("run.csv_paths must be >= 0")
+        try:
+            self.family()
+        except OSError as exc:
+            raise ConfigError(f"cannot read family file: {exc}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"family file lacks key {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad family: {exc}") from exc
 
     def emit(self) -> str:
         lines = [

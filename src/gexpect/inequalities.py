@@ -354,9 +354,8 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     x = field.x
     if i > 0:
         raise ValueError("re-feeding supported at the first monitoring date")
-    qt = np.full(grid.n_x, t)
-    hist = x.reshape(-1, 1)
-    inner, _ = field.read_along(qt, x, hist)
+    column = x.reshape(-1, 1)
+    inner, _ = field.read_along([t], column, column)
     refed = solve_interval(inner[:, 0], band, grid, (0.0, t))
     outer = float(refed.values[0, grid.n_x // 2])
     base = field.value(0.0, (), 0.0)

@@ -24,18 +24,15 @@ with the spatial grid, so the diagonal is a node-exact read.  Solved fields
 store every time step when no parameter axes are present and a strided
 subset otherwise.
 
-Fields are read in one pass, in one of two forms.  A flat read takes one
-time, position and history per query: each query is bracketed once (time
-by search, space and history arithmetically on the uniform x grid), and the
-value, the gradient and the second difference all come from the same
-four-node value stencil, interpolated multilinearly.  A path-grid read
-takes paths (N, M) and one time per column: each column's time is
-bracketed once, intervals without parameter axes gather each query's cell
-from a table of node values and differences built per batch of columns,
-and nested intervals go through the flat read in blocks of whole paths.
-Both forms give the same bits for the same queries, and both read in fixed
-chunks (of queries, or of columns), so the read's scratch memory does not
-grow with the query count.
+Fields are read in one pass, along path grids: paths (N, M) with one time
+per column.  The value, the gradient and the second difference all come
+from the same four-node value stencil, interpolated multilinearly.
+Intervals without parameter axes bracket each column's time once and
+gather each query's cell from a table of node values and differences built
+per batch of columns; nested intervals bracket each query's time (by
+search), position and history (arithmetically on the uniform x grid), in
+blocks of whole paths.  Both read in fixed chunks (of columns, or of
+paths), so the read's scratch memory does not grow with the path count.
 """
 
 import math
@@ -52,7 +49,7 @@ from .nonlinearity import VolBand
 from .payoff import PayoffSpec
 
 _MAGIC = b"GXVF1\n"
-_CHUNK = 1 << 16                  # queries per read pass
+_CHUNK = 1 << 16                  # queries per block of whole paths
 _BATCH = 16                       # path-grid columns per cell table
 _COLUMNS = {"value": 0, "gradient": 1, "hessian": 2}
 
@@ -243,13 +240,14 @@ class ValueField:
     """Nested solved field: one IntervalField per monitoring interval.
 
     Interval i (0-based) covers [T_i, T_{i+1}) with T = (0, t_1, ..., 1) and
-    carries i parameter axes (the monitored history).  One read returns the
-    value, the space gradient and the second difference together: each
-    query is bracketed once, node gradients and second differences come
-    from the value stencil v[ix-1..ix+2] (central inside, one-sided gradient
-    and zero second difference at the truncation nodes), and all three are
-    interpolated linearly in every axis.  Reads clamp to the truncated
-    domain, report clamped queries and run in fixed chunks of queries.
+    carries i parameter axes (the monitored history).  One read, along a
+    path grid, returns the value, the space gradient and the second
+    difference together: each query is bracketed once, node gradients and
+    second differences come from the value stencil v[ix-1..ix+2] (central
+    inside, one-sided gradient and zero second difference at the truncation
+    nodes), and all three are interpolated linearly in every axis.  Reads
+    clamp to the truncated domain, report clamped queries and run in fixed
+    chunks.
     """
 
     def __init__(self, intervals, x_nodes, payoff=None, band=None, grid=None):
@@ -268,20 +266,17 @@ class ValueField:
         return len(self.intervals)
 
     def _read_interval(self, iv: IntervalField, qt, qx, hist) -> np.ndarray:
-        """(3, K) value, gradient and second difference of one interval at
-        times qt (inside it), positions qx and history hist (K, param_dim)."""
+        """(3, K) value, gradient and second difference of nested interval
+        iv at times qt (inside it), positions qx and history hist
+        (K, param_dim)."""
         n, dx = len(self.x), self.dx
         flat = iv.values.reshape(-1)
         n_t = len(iv.times)
         it, wt = _bracket_time(iv.times, qt)
-        if iv.param_dim:
-            # exact on nodes, where tower checks read nested intervals
-            ix, fx = _bracket_nodes(qx, self.x, dx)
-            params = [_bracket_nodes(hist[:, j], self.x, dx)
-                      for j in range(iv.param_dim)]
-        else:
-            ix, fx = _bracket(qx, -self.x_max, dx, n)
-            params = []
+        # exact on nodes, where tower checks read nested intervals
+        ix, fx = _bracket_nodes(qx, self.x, dx)
+        params = [_bracket_nodes(hist[:, j], self.x, dx)
+                  for j in range(iv.param_dim)]
         stencil = np.stack((np.maximum(ix - 1, 0), ix, ix + 1,
                             np.minimum(ix + 2, n - 1)))
         first = np.flatnonzero(ix == 0)
@@ -321,9 +316,9 @@ class ValueField:
 
         Each column's time is bracketed once.  A batch of columns builds the
         cell table of its time rows (the node differences there equal the
-        stencil of _read_interval, edges included), each query takes one
-        12-wide cell of it, and the lerps are those of _read_interval, in
-        its order: space first, then time."""
+        four-node stencil of _read_interval, edges included), each query
+        takes one 12-wide cell of it, and the lerps are those of
+        _read_interval, in its order: space first, then time."""
         n, dx = len(self.x), self.dx
         it, wt = _bracket_time(iv.times, qt)
         cell_buf = np.empty(12 * x.shape[0] * min(_BATCH, len(cols)))
@@ -362,7 +357,23 @@ class ValueField:
                                        np.repeat(h[rows], n_cols, axis=0))
             out[:, rows, cols] = vals.reshape(3, n_block, n_cols)
 
-    def _read_grid(self, t, x, hist):
+    def read_along(self, t, x, history=None):
+        """Field read along a path grid.
+
+        x is (N, M) paths, t (M,) with column j read at time t[j], and
+        history (N, >= n-1) one row per path (None when no nested interval
+        is read); history columns beyond an interval's parameter count are
+        ignored.  Returns (values, clamped) over the K = N * M queries in
+        x's C order: values is (K, 3) with columns value, gradient and
+        second difference; clamped flags queries outside the spatial
+        truncation, in x or in the history read.
+        """
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        hist = None if history is None else np.asarray(history, dtype=float)
+        if x.ndim != 2 or t.shape != x.shape[1:]:
+            raise ValueError("read_along takes paths x (N, M) and one time "
+                             "per column t (M,)")
         n_rows, n_cols = x.shape
         if hist is not None and (hist.ndim != 2 or len(hist) != n_rows):
             raise ValueError("history must have one row per path")
@@ -387,49 +398,6 @@ class ValueField:
                                 clamped)
         return out.reshape(3, -1).T, clamped.reshape(-1)
 
-    def read_along(self, t, x, history=None):
-        """Vectorized field read, in a flat or a path-grid form.
-
-        Flat: t, x (K,) and history (K, >= n-1), one query per entry.
-        Path grid: x (N, M) and t (M,), column j read at time t[j], and
-        history (N, >= n-1), one row per path; its K = N * M queries are
-        x's entries in C order.  History columns beyond an interval's
-        parameter count are ignored.  Both return (values, clamped):
-        values is (K, 3) with columns value, gradient and second
-        difference; clamped flags queries outside the spatial truncation,
-        in x or in the history read.  The grid form gives bit for bit the
-        flat form's result on the same queries.
-        """
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        hist = None if history is None else np.asarray(history, dtype=float)
-        if x.ndim == 2 and t.ndim == 1 and t.shape[0] == x.shape[1]:
-            return self._read_grid(t, x, hist)
-        t, x = t.ravel(), x.ravel()
-        if t.shape != x.shape:
-            raise ValueError("t and x must have matching shapes")
-        out = np.empty((3, t.shape[0]))
-        clamped = np.empty(t.shape[0], dtype=bool)
-        for start in range(0, t.shape[0], _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            clamped[chunk] = np.abs(x[chunk]) > self.x_max + 1e-12
-            part = np.searchsorted(self.boundaries[1:-1], t[chunk],
-                                   side="right")
-            for i, iv in enumerate(self.intervals):
-                sel = np.flatnonzero(part == i) + start
-                if not len(sel):
-                    continue
-                h = None
-                if iv.param_dim:
-                    if hist is None:
-                        raise ValueError("history required for nested "
-                                         "intervals")
-                    h = hist[sel, :iv.param_dim]
-                    clamped[sel] |= (np.abs(h) > self.x_max + 1e-12).any(1)
-                qt = np.clip(t[sel], iv.t_start, iv.t_end)
-                out[:, sel] = self._read_interval(iv, qt, x[sel], h)
-        return out.T, clamped
-
     def value(self, t: float, history=(), x: float = 0.0,
               kind: str = "value") -> float:
         if kind not in _COLUMNS:
@@ -437,7 +405,7 @@ class ValueField:
         hist = None
         if len(history):
             hist = np.asarray(history, dtype=float).reshape(1, -1)
-        vals, _ = self.read_along([t], [x], hist)
+        vals, _ = self.read_along([t], [[x]], hist)
         return float(vals[0, _COLUMNS[kind]])
 
     def terminal_slice(self, i: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gexpect as gx
+from gexpect import kernels
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +33,38 @@ def field_cache(band12, grid201):
         return cache[key]
 
     return solve
+
+
+@pytest.fixture(scope="session")
+def flat_read():
+    """Oracle read of one query per entry of t and x (history one row per
+    query), returning (values (K, 3), clamped (K,)).  Intervals without a
+    parameter axis go through kernels.bilinear_read over the value and its
+    node difference arrays from derivatives(); nested intervals go through
+    ValueField._read_interval, the routine that serves them."""
+
+    def read(field, t, x, hist=None):
+        t = np.asarray(t, dtype=float).ravel()
+        x = np.asarray(x, dtype=float).ravel()
+        grads, hessians = gx.derivatives(field)
+        out = np.empty((len(t), 3))
+        clamped = np.abs(x) > field.x_max + 1e-12
+        part = np.searchsorted(field.boundaries[1:-1], t, side="right")
+        for i, iv in enumerate(field.intervals):
+            sel = np.flatnonzero(part == i)
+            qt = np.clip(t[sel], iv.t_start, iv.t_end)
+            if iv.param_dim:
+                h = np.asarray(hist, dtype=float)[sel, :iv.param_dim]
+                clamped[sel] |= (np.abs(h) > field.x_max + 1e-12).any(1)
+                out[sel] = field._read_interval(iv, qt, x[sel], h).T
+            else:
+                out[sel] = np.column_stack([
+                    kernels.bilinear_read(iv.times, -field.x_max, field.dx,
+                                          arr, qt, x[sel])
+                    for arr in (iv.values, grads[i], hessians[i])])
+        return out, clamped
+
+    return read
 
 
 def brute_force_g1(gamma, lower, upper, n=10_000):

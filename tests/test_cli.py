@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,36 @@ def test_family_file_config(tmp_path, band12):
     assert main(["price", "--config", str(path), "--quiet"]) == 0
     payload = json.loads((out / "price.json").read_text())
     assert len(payload["dual_table"]) == 3
+
+
+def test_negative_csv_paths_rejected(tmp_path, capsys):
+    path, out = write_config(tmp_path, run__csv_paths=-1)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 1
+    assert "config error: run.csv_paths" in capsys.readouterr().err
+    assert not (out / "decomposition.csv").exists()
+
+
+@pytest.mark.parametrize("body", [
+    None,
+    "floor = 1e-06\n",
+    "floor = 1e-06\ncount = 1\ncontrol.1.label = high\n"
+    "control.1.breakpoints = 0.0,1.0\ncontrol.1.values = 3.0\n",
+], ids=["missing", "no-count", "outside-band"])
+def test_bad_family_file_is_config_error(tmp_path, body):
+    fam_path = tmp_path / "family.txt"
+    if body is not None:
+        fam_path.write_text(body)
+    path, _ = write_config(tmp_path, family__file=str(fam_path))
+    src = str(Path(gx.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (
+               src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "gexpect.cli", "price",
+                          "--config", str(path), "--quiet"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "config error" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_represent_all_paths_excluded_exit_2(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 import gexpect as gx
-from gexpect import kernels
 from gexpect.errors import NumericalError
 from gexpect.pde import solve_interval
 
@@ -216,23 +215,28 @@ def test_refine_study_validation(band12):
 
 def test_read_clamping_flag(band12, grid201, field_cache):
     field = field_cache("sq(x1)")
-    vals, clamped = field.read_along([0.5, 0.5], [0.0, 99.0])
+    vals, clamped = field.read_along([0.5], [[0.0], [99.0]])
     assert not clamped[0] and clamped[1]
     assert vals[1, 0] == pytest.approx(field.value(0.5, (), grid201.x_max),
                                     abs=1e-9)
 
 
-def _single_date_oracle(field, t, x):
-    """(K, 3) bilinear reads of the value and its node difference arrays."""
-    iv = field.intervals[0]
-    grads, hessians = gx.derivatives(field)
-    return np.column_stack([
-        kernels.bilinear_read(iv.times, -field.x_max, field.dx, arr, t, x)
-        for arr in (iv.values, grads[0], hessians[0])])
+def test_read_along_takes_path_grids_only(field_cache):
+    field = field_cache("sq(x1)")
+    x = np.zeros((3, 2))
+    for t, paths in (([0.5, 0.6], [0.0, 0.1]),          # 1-D x
+                     ([0.5, 0.6, 0.7], x),               # len(t) != M
+                     ([0.5], x),
+                     ([[0.5, 0.6]], x),                  # 2-D t
+                     (np.full((3, 2), 0.5), x),
+                     ([0.5, 0.6], np.zeros((1, 2, 2)))):  # 3-D x
+        with pytest.raises(ValueError):
+            field.read_along(t, paths)
 
 
 @pytest.mark.parametrize("source", ["sq(x1)", "call(x1, 0.3)"])
-def test_fused_read_bit_equal_to_bilinear_kernel(field_cache, source):
+def test_fused_read_bit_equal_to_bilinear_kernel(field_cache, flat_read,
+                                                 source):
     field = field_cache(source)
     x_max, dx = field.x_max, field.dx
     rng = np.random.default_rng(3)
@@ -247,8 +251,9 @@ def test_fused_read_bit_equal_to_bilinear_kernel(field_cache, source):
     ])
     t = rng.uniform(-0.1, 1.1, len(x))
     t[:3] = (0.0, 1.0, field.intervals[0].times[5])
-    vals, clamped = field.read_along(t, x)
-    assert np.array_equal(vals, _single_date_oracle(field, t, x))
+    # one path with a column per query, so each query keeps its own time
+    vals, clamped = field.read_along(t, x.reshape(1, -1))
+    assert np.array_equal(vals, flat_read(field, t, x)[0])
     assert np.array_equal(clamped, np.abs(x) > x_max + 1e-12)
 
 
@@ -275,20 +280,23 @@ def _scipy_oracle(field, t, x, hist):
     ("call(x2 - 0.5 * x1, 0.2)", (0.5, 1.0), 201),
     ("sq(x3 - x2) + abs(x1)", (1 / 3, 2 / 3, 1.0), 61),
 ])
-def test_fused_read_matches_scipy_on_nested_fields(band12, source, times,
-                                                   n_x):
+def test_fused_read_matches_scipy_on_nested_fields(band12, flat_read, source,
+                                                   times, n_x):
     grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
     field = gx.conditional_expectation(gx.PayoffSpec.parse(source, times),
                                        band12, grid)
     rng = np.random.default_rng(5)
-    k = 3000
-    t = rng.uniform(0.0, 1.0, k)
+    n_paths, n_times = 100, 30                          # 3000 queries
+    t = rng.uniform(0.0, 1.0, n_times)
     t[:len(times)] = times
-    x = rng.normal(0.0, 3.0, k)
-    hist = rng.normal(0.0, 3.0, (k, len(times) - 1))
+    x = rng.normal(0.0, 3.0, (n_paths, n_times))
+    hist = rng.normal(0.0, 3.0, (n_paths, len(times) - 1))
     hist[-20:] *= 5.0                                   # clamped history
     got, _ = field.read_along(t, x, hist)
-    want = _scipy_oracle(field, t, x, hist)
+    qt = np.broadcast_to(t, x.shape).ravel()
+    qhist = np.repeat(hist, n_times, axis=0)
+    assert np.array_equal(got, flat_read(field, qt, x, qhist)[0])
+    want = _scipy_oracle(field, qt, x.ravel(), qhist)
     for c in range(3):
         scale = np.abs(want[:, c]).max()
         assert np.abs(got[:, c] - want[:, c]).max() <= 1e-12 * scale
@@ -297,11 +305,11 @@ def test_fused_read_matches_scipy_on_nested_fields(band12, source, times,
 def test_nested_read_exact_on_nodes(field_cache):
     field = field_cache("sq(x2 - x1)", (0.5, 1.0))
     iv = field.intervals[1]
-    k, j = np.meshgrid(np.arange(0, len(field.x), 7), np.arange(len(field.x)))
-    k, j = k.ravel(), j.ravel()
-    vals, _ = field.read_along(np.full(len(k), 0.5), field.x[j],
+    k = np.arange(0, len(field.x), 7)       # one history node per path
+    x = np.broadcast_to(field.x, (len(k), len(field.x)))
+    vals, _ = field.read_along(np.full(len(field.x), 0.5), x,
                                field.x[k].reshape(-1, 1))
-    assert np.array_equal(vals[:, 0], iv.values[k, 0, j])
+    assert np.array_equal(vals[:, 0], iv.values[k, 0, :].ravel())
 
 
 @pytest.mark.parametrize("k", [0, 1, 1 << 16, (1 << 16) + 1])
@@ -311,16 +319,24 @@ def test_read_independent_of_chunking(field_cache, k):
     t = rng.uniform(0.0, 1.0, k)
     x = rng.normal(0.0, 3.0, k)
     hist = rng.normal(0.0, 3.0, (k, 1))
-    vals, clamped = field.read_along(t, x, hist)
-    assert vals.shape == (k, 3) and clamped.shape == (k,)
+    path_hist = np.array([[0.3]])
+    # k paths at one nested time, each with its own history (blocks of
+    # paths), and one path at k times (batches of columns); each query's
+    # time and history as the grid gives them
+    reads = [(field.read_along([0.75], x.reshape(-1, 1), hist),
+              np.full(k, 0.75), hist),
+             (field.read_along(t, x.reshape(1, -1), path_hist),
+              t, np.broadcast_to(path_hist, (k, 1)))]
     # every query at a chunk edge, plus a sample, read one at a time
     picks = [j for j in (0, 1, (1 << 16) - 1, 1 << 16) if j < k]
     picks += list(rng.integers(0, k, 100)) if k else []
-    for j in picks:
-        one, one_clamped = field.read_along(t[j:j + 1], x[j:j + 1],
-                                            hist[j:j + 1])
-        assert np.array_equal(one[0], vals[j])
-        assert one_clamped[0] == clamped[j]
+    for (vals, clamped), qt, qhist in reads:
+        assert vals.shape == (k, 3) and clamped.shape == (k,)
+        for j in picks:
+            one, one_clamped = field.read_along(qt[j:j + 1], [[x[j]]],
+                                                qhist[j:j + 1])
+            assert np.array_equal(one[0], vals[j])
+            assert one_clamped[0] == clamped[j]
 
 
 def test_clamped_flag_on_history(field_cache):
@@ -328,15 +344,16 @@ def test_clamped_flag_on_history(field_cache):
     x_max = field.x_max
     hist = np.array([[0.3], [x_max + 1.0], [-x_max - 1.0], [x_max + 1.0]])
     t = np.array([0.75, 0.75, 0.75, 0.25])      # the last reads no history
-    vals, clamped = field.read_along(t, np.zeros(4), hist)
-    assert clamped.tolist() == [False, True, True, False]
-    edge, _ = field.read_along([0.75], [0.0], [[x_max]])
-    assert np.array_equal(vals[1], edge[0])
+    reads = [field.read_along([tj], [[0.0]], h.reshape(1, 1))
+             for tj, h in zip(t, hist)]
+    assert [bool(c[0]) for _, c in reads] == [False, True, True, False]
+    edge, _ = field.read_along([0.75], [[0.0]], [[x_max]])
+    assert np.array_equal(reads[1][0][0], edge[0])
 
 
-def test_value_kind_selects_column(field_cache):
+def test_value_kind_selects_column(field_cache, flat_read):
     field = field_cache("call(x1, 0)")
-    vals, _ = field.read_along([0.3], [0.4])
+    vals, _ = flat_read(field, [0.3], [0.4])
     for c, kind in enumerate(("value", "gradient", "hessian")):
         assert field.value(0.3, (), 0.4, kind=kind) == vals[0, c]
     with pytest.raises(ValueError):
@@ -375,13 +392,13 @@ def test_csv_export(tmp_path, band12):
     assert len(lines) == 1 + n_t * 21
 
 
-def _assert_grid_read_is_flat_read(field, t, x, hist=None):
-    """The path-grid form of read_along against its flat form over the same
-    queries, bit for bit; returns the clamped flags."""
+def _assert_grid_read_is_flat_read(flat_read, field, t, x, hist=None):
+    """A path-grid read against the oracle read of the same queries, one
+    per entry, bit for bit; returns the clamped flags."""
     got, got_clamped = field.read_along(t, x, hist)
     flat_hist = None if hist is None else np.repeat(hist, x.shape[1], axis=0)
-    want, want_clamped = field.read_along(np.broadcast_to(t, x.shape).ravel(),
-                                          x.ravel(), flat_hist)
+    want, want_clamped = flat_read(field, np.broadcast_to(t, x.shape), x,
+                                   flat_hist)
     assert got.shape == (x.size, 3)
     assert np.array_equal(got, want)
     assert np.array_equal(got_clamped, want_clamped)
@@ -405,27 +422,28 @@ def _grid_positions(rng, field, shape):
 
 @pytest.mark.parametrize("n_paths", [1, 4096 + 100])
 @pytest.mark.parametrize("n_times", [2, 17, 257])
-def test_grid_read_bit_equal_to_flat_read(band12, grid401, n_paths, n_times):
+def test_grid_read_bit_equal_to_flat_read(band12, grid401, flat_read, n_paths,
+                                          n_times):
     # n_times - 1 = 16 and 256 fill whole column batches, then one more
     field = gx.conditional_expectation(gx.PayoffSpec.parse("call(x1, 0.3)"),
                                        band12, grid401)
     rng = np.random.default_rng(n_paths + n_times)
     x = _grid_positions(rng, field, (n_paths, n_times))
     clamped = _assert_grid_read_is_flat_read(
-        field, np.linspace(0.0, 1.0, n_times), x)
+        flat_read, field, np.linspace(0.0, 1.0, n_times), x)
     if n_paths > 1:
         assert clamped.any() and not clamped.all()
         ix = np.floor((x + field.x_max) / field.dx)
         assert (ix == 0).any() and (ix == len(field.x) - 2).any()
 
 
-def test_grid_read_of_scattered_columns(field_cache):
+def test_grid_read_of_scattered_columns(field_cache, flat_read):
     # columns out of order and outside [0, 1]: no column run is a slice
     field = field_cache("sq(x1)")
     rng = np.random.default_rng(11)
     t = rng.permutation(np.concatenate([np.linspace(0.0, 1.0, 40),
                                         [-0.1, 1.1, 0.5]]))
-    _assert_grid_read_is_flat_read(field, t,
+    _assert_grid_read_is_flat_read(flat_read, field, t,
                                    _grid_positions(rng, field, (300, len(t))))
 
 
@@ -433,8 +451,8 @@ def test_grid_read_of_scattered_columns(field_cache):
     ("sq(x2 - x1)", (0.5, 1.0), 201, 17),
     ("sq(x3 - x2) + abs(x1)", (1 / 3, 2 / 3, 1.0), 61, 25),
 ])
-def test_grid_read_bit_equal_on_nested_fields(band12, source, times, n_x,
-                                              n_times):
+def test_grid_read_bit_equal_on_nested_fields(band12, flat_read, source, times,
+                                              n_x, n_times):
     grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
     field = gx.conditional_expectation(gx.PayoffSpec.parse(source, times),
                                        band12, grid)
@@ -445,7 +463,7 @@ def test_grid_read_bit_equal_on_nested_fields(band12, source, times, n_x,
     x = _grid_positions(rng, field, (n_paths, n_times))
     hist = rng.normal(0.0, 3.0, (n_paths, len(times) - 1))
     hist[-20:] *= 5.0                                   # clamped history
-    clamped = _assert_grid_read_is_flat_read(field, t, x, hist)
+    clamped = _assert_grid_read_is_flat_read(flat_read, field, t, x, hist)
     assert clamped[-20:, -1].any()
     with pytest.raises(ValueError):
         field.read_along(t, x)

@@ -228,8 +228,9 @@ def test_gap_symmetry_partial_matches_is_symmetric(band12, field_cache,
                                  gap.symmetry) == ev
 
 
-def _flat_extract(payoff, band, field, bundle, exit_margin_nodes=2):
-    """extract as it read the field before the path-grid read: one flat
+def _flat_extract(flat_read, payoff, band, field, bundle,
+                  exit_margin_nodes=2):
+    """extract as it read the field before the path-grid read: one oracle
     query per (path, step), with broadcast times and repeated history."""
     if bundle.paths.ndim != 2:
         raise ValueError("decomposition extraction is d=1 only")
@@ -240,7 +241,7 @@ def _flat_extract(payoff, band, field, bundle, exit_margin_nodes=2):
         hist = np.repeat(mon, m1, axis=0)
     qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
 
-    read, _ = field.read_along(qt, bundle.paths.ravel(), hist)
+    read, _ = flat_read(field, qt, bundle.paths, hist)
     del qt, hist    # free the queries before the (N, M) temporaries below
     y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
     gamma = d2u[:, :-1]
@@ -265,21 +266,23 @@ def _flat_extract(payoff, band, field, bundle, exit_margin_nodes=2):
     ("min(abs(x1), 1)", (1.0,), 2.0),
     ("sq(x2 - x1)", (0.5, 1.0), 1.0),
 ])
-def test_extract_bit_equal_to_flat_query_extract(band12, field_cache, source,
-                                                 times, alpha):
+def test_extract_bit_equal_to_flat_query_extract(band12, field_cache,
+                                                 flat_read, source, times,
+                                                 alpha):
     payoff = gx.PayoffSpec.parse(source, times)
     field = field_cache(source, times)
     bundle = gx.simulate(mc.ControlProcess.constant(alpha), 700, 48, seed=29)
     got = gx.extract(payoff, band12, field, bundle)
-    want = _flat_extract(payoff, band12, field, bundle)
+    want = _flat_extract(flat_read, payoff, band12, field, bundle)
     for name in ("times", "y", "h", "k", "int_h_dx", "excluded"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     defect = want.y - want.y[:, :1] - want.int_h_dx + want.k
     assert np.array_equal(rep.residual(got), np.abs(defect).max(axis=1))
 
 
-def _flat_conditional_supremum(payoff, field, bundle, t):
-    """conditional_supremum as it read the field before the path-grid read."""
+def _flat_conditional_supremum(flat_read, payoff, field, bundle, t):
+    """conditional_supremum as it read the field before the path-grid read:
+    one oracle query per path."""
     times = bundle.times
     k = int(np.round(t * bundle.n_steps))
     if k == bundle.n_steps:
@@ -289,7 +292,7 @@ def _flat_conditional_supremum(payoff, field, bundle, t):
     if payoff.n > 1:
         hist = bundle.monitor_values(payoff.times[:-1])
     qt = np.full(bundle.n_paths, times[k])
-    values, clamped = field.read_along(qt, bundle.paths[:, k], hist)
+    values, clamped = flat_read(field, qt, bundle.paths[:, k], hist)
     return values[:, 0], clamped
 
 
@@ -297,18 +300,21 @@ def _flat_conditional_supremum(payoff, field, bundle, t):
     ("abs(x1)", (1.0,)),
     ("abs(x2 - x1)", (0.5, 1.0)),
 ])
-def test_conditional_supremum_unchanged(field_cache, source, times):
+def test_conditional_supremum_unchanged(field_cache, flat_read, source,
+                                        times):
     payoff = gx.PayoffSpec.parse(source, times)
     field = field_cache(source, times)
     bundle = gx.simulate(mc.ControlProcess.constant(1.5), 500, 32, seed=31)
     for t in (0.0, 0.5, 1.0):
         got = gx.conditional_supremum(payoff, field, bundle, t)
-        want = _flat_conditional_supremum(payoff, field, bundle, t)
+        want = _flat_conditional_supremum(flat_read, payoff, field,
+                                          bundle, t)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
 
-def test_lp_norm_unchanged_by_one_grid_read(band12, field_cache):
+def test_lp_norm_unchanged_by_one_grid_read(band12, field_cache,
+                                            flat_read):
     # the old fold: one conditional_supremum call per sup-grid time
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
     field = field_cache("abs(sq(x2 - x1))", (0.5, 1.0))
@@ -317,8 +323,8 @@ def test_lp_norm_unchanged_by_one_grid_read(band12, field_cache):
     grid_idx = mc.sup_grid(payoff.times, n_steps)
 
     def fold(_, bundle):
-        reads = [_flat_conditional_supremum(payoff.absolute(), field, bundle,
-                                            t)[0]
+        reads = [_flat_conditional_supremum(flat_read, payoff.absolute(),
+                                            field, bundle, t)[0]
                  for t in bundle.times[grid_idx]]
         return mc.Moments.of(np.abs(reads).max(axis=0) ** 2.0),
 
