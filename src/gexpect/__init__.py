@@ -18,8 +18,8 @@ from .pde import (IntervalField, SpaceTimeGrid, ValueField,
                   refine_study, solve_interval)
 from .montecarlo import (ControlFamily, ControlProcess, DualResult,
                          PathBundle, conditional_supremum, derive_seed,
-                         dual_value, hp_norm, lp_norm, qv_identity_check,
-                         read_family, simulate, sp_norm, write_family)
+                         dual_value, lp_norm, qv_identity_check,
+                         read_family, simulate, write_family)
 from .representation import (Decomposition, extract, gmartingale_gap,
                              is_symmetric, monotonicity, residual,
                              residual_rms)
@@ -37,9 +37,8 @@ __all__ = [
     "conditional_expectation", "derivatives", "g_expectation",
     "refine_study", "solve_interval",
     "ControlFamily", "ControlProcess", "DualResult", "PathBundle",
-    "conditional_supremum", "derive_seed", "dual_value", "hp_norm",
-    "lp_norm", "qv_identity_check", "read_family", "simulate", "sp_norm",
-    "write_family",
+    "conditional_supremum", "derive_seed", "dual_value", "lp_norm",
+    "qv_identity_check", "read_family", "simulate", "write_family",
     "Decomposition", "extract", "gmartingale_gap", "is_symmetric",
     "monotonicity", "residual", "residual_rms",
     "H_BUILTINS", "HProcess", "InequalityReport", "apriori_check",

@@ -337,14 +337,15 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
         field = conditional_expectation(payoff, band, grid, degree)
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
                                   cfg.n_steps, seed, degree=degree,
-                                  keep_rows=cfg.csv_paths)
+                                  # one row at least, for the csv header
+                                  keep_rows=max(cfg.csv_paths, 1))
         sym = rep.symmetry_evidence(payoff, band, field, family, 1e-8,
                                     gap.symmetry, degree)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     best = next(r for r in gap.rows if r.label == gap.argmax_label)
-    best.head.to_csv(out / "decomposition.csv", max_paths=cfg.csv_paths,
+    gap.head.to_csv(out / "decomposition.csv", max_paths=cfg.csv_paths,
                      fingerprint=cfg.fingerprint())
     records = [
         {"kind": "represent_summary", "fingerprint": cfg.fingerprint(),

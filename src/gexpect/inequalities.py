@@ -11,7 +11,7 @@ they are estimated on distinct derived sub-seeds; pathwise-coupled chains
 paths.  Estimates that share a seed share one sweep: `run_suite` folds the
 three bdg integrands, the three doob payoffs per side and the two
 difference pairs per sub-seed together, so each path block is drawn, and
-each decomposition extracted, once per block.  The single checks are the
+each decomposition marched, once per block.  The single checks are the
 one-element case of the same code, so both give the same reports bit for
 bit.
 """
@@ -25,11 +25,11 @@ import numpy as np
 
 from . import montecarlo as mc
 from .errors import ConfigError
-from .montecarlo import ControlFamily, Moments, derive_seed
+from .montecarlo import ControlFamily, Moments, PathFold, derive_seed
 from .nonlinearity import VolBand
 from .payoff import Expr, PayoffSpec
 from .pde import SpaceTimeGrid, ValueField, conditional_expectation, solve_interval
-from .representation import extract, require_included
+from .representation import excluded_paths, march, require_included
 
 # frozen aggregate constants from the energy-argument chain:
 # E[K_1^2] <= 54 E[sup Y^2]  and  E[int a H^2] <= 16 E[sup Y^2]
@@ -182,12 +182,14 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
     slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C.  A
     control with no path inside the truncation raises NumericalError."""
     def fold(_, bundle):
-        dec = extract(payoff, band, field, bundle)
-        inc = dec.included
-        hint = ((bundle.alpha * dec.h[inc, :-1] ** 2) * bundle.dt).sum(axis=1)
-        return (Moments.of(dec.k[inc, -1] ** 2),
-                Moments.of(np.abs(dec.y[inc]).max(axis=1) ** 2),
-                Moments.of(hint))
+        sup_y, hint = PathFold(np.maximum), PathFold(np.add)
+        for s in march(payoff, band, field, bundle):
+            sup_y.add(np.abs(s.y))
+            hint.add(mc.energy(s.h_left, bundle.alpha[s.steps], bundle.dt))
+        inc = ~excluded_paths(field, bundle)
+        return (Moments.of(s.k[inc, -1] ** 2),
+                Moments.of(sup_y.value[inc] ** 2),
+                Moments.of(hint.value[inc]))
 
     stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "apriori"),
                      fold)
@@ -228,31 +230,35 @@ def _delta_norms_each(payoff1, payoffs2, band, grid, family, n_paths,
                       n_steps, seed, t_nodes=17) -> list:
     """`_delta_norms` of payoff1 against each of payoffs2, in one sweep.
 
-    payoff1's field is solved once and its decomposition extracted once per
-    block; of it only what the differences read is kept (Y on the sup grid,
-    H before t = 1, K, the inclusion flags), and each payoff2's
-    decomposition is freed before the next is extracted, so at most two are
-    alive at once.
+    payoff1's field is solved once, and per block its decomposition marches
+    column batch by column batch in step with each payoff2's, so the
+    differences fold into per-path running sups and sums and no full
+    decomposition is ever held.
     """
     f1 = conditional_expectation(payoff1, band, grid)
     fields2 = [conditional_expectation(p2, band, grid) for p2 in payoffs2]
     grid_idx = mc.sup_grid(payoff1.times, n_steps, t_nodes)
 
     def fold(_, bundle):
-        d1 = extract(payoff1, band, f1, bundle)
-        y1, h1, k1, inc1 = d1.y[:, grid_idx], d1.h[:, :-1], d1.k, d1.included
-        del d1
+        folds = [(PathFold(np.maximum), PathFold(np.add),
+                  PathFold(np.maximum)) for _ in payoffs2]
+        marches = [march(p, band, f, bundle)
+                   for p, f in zip((payoff1, *payoffs2), (f1, *fields2))]
+        for s1, *slabs2 in zip(*marches):
+            on_grid = grid_idx[(grid_idx >= s1.cols.start)
+                               & (grid_idx < s1.cols.stop)] - s1.cols.start
+            alpha = bundle.alpha[s1.steps]
+            for s2, (dy, dh, dk) in zip(slabs2, folds):
+                dy.add(np.abs(s1.y[:, on_grid] - s2.y[:, on_grid]))
+                dh.add(mc.energy(s1.h_left - s2.h_left, alpha, bundle.dt))
+                dk.add(np.abs(s1.k - s2.k))
+        inc1 = ~excluded_paths(f1, bundle)
         partials = []
-        for payoff2, f2 in zip(payoffs2, fields2):
-            d2 = extract(payoff2, band, f2, bundle)
-            inc = inc1 & d2.included
-            dy = np.abs(y1[inc] - d2.y[inc][:, grid_idx]).max(axis=1)
-            dk = np.abs(k1[inc] - d2.k[inc]).max(axis=1)
-            dh = (((h1[inc] - d2.h[inc, :-1]) ** 2
-                   * bundle.alpha) * bundle.dt).sum(axis=1)
-            del d2
-            partials.append((Moments.of(dy ** 2), Moments.of(dh),
-                             Moments.of(dk ** 2)))
+        for f2, (dy, dh, dk) in zip(fields2, folds):
+            inc = inc1 & ~excluded_paths(f2, bundle)
+            partials.append((Moments.of(dy.value[inc] ** 2),
+                             Moments.of(dh.value[inc]),
+                             Moments.of(dk.value[inc] ** 2)))
         return tuple(partials)
 
     stats = mc.sweep(family, n_paths, n_steps,

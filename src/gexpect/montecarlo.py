@@ -56,7 +56,8 @@ def iter_increment_blocks(seed: int, n_paths: int, n_steps: int, dt: float,
         lo = b * PATH_BLOCK
         hi = min(lo + PATH_BLOCK, n_paths)
         shape = (PATH_BLOCK, n_steps) if d == 1 else (PATH_BLOCK, n_steps, d)
-        dw = _block_rng(seed, b).standard_normal(shape) * scale
+        dw = _block_rng(seed, b).standard_normal(shape)
+        dw *= scale
         yield lo, hi, dw[:hi - lo]
 
 
@@ -364,6 +365,30 @@ class Moments:
                 self.stderr / (p * self.mean ** (1.0 - 1.0 / p)))
 
 
+class PathFold:
+    """Per-path running reduction over column slabs (N, b): with np.maximum
+    each path's max over the slabs' columns, with np.minimum its min, with
+    np.add the running sum of its per-slab sums.  `value` is (N,) once a
+    slab with a column has been added."""
+
+    def __init__(self, ufunc):
+        self.ufunc = ufunc
+        self.value = None
+
+    def add(self, columns):
+        if not columns.shape[1]:
+            return
+        part = self.ufunc.reduce(columns, axis=1)
+        self.value = (part if self.value is None
+                      else self.ufunc(self.value, part, out=self.value))
+
+
+def energy(h, alpha, dt: float) -> np.ndarray:
+    """alpha H^2 dt per step, the terms of the left-Riemann int alpha H^2 dt:
+    h (N, b) at the left ends of b steps under controls alpha (b,)."""
+    return (alpha * h ** 2) * dt
+
+
 def _merge(a, b):
     """Merge two partials, or two equally nested tuples of partials."""
     if isinstance(a, tuple):
@@ -528,41 +553,6 @@ def lp_norm(payoff, p, family, field, n_paths, n_steps, seed,
             t_nodes: int = 17) -> float:
     return lp_norm_detail(payoff, p, family, field, n_paths, n_steps, seed,
                           t_nodes).value
-
-
-def hp_norm_detail(h_per_bundle, bundles, p: float) -> NormEstimate:
-    """sup over bundles of E[(∫ alpha H^2 dt)^{p/2}]^{1/p} (left Riemann)."""
-    rows = []
-    for h, bundle in zip(h_per_bundle, bundles, strict=True):
-        if bundle.alpha.ndim != 1:
-            raise ValueError("integrand norms are d=1 only")
-        h = np.asarray(h, dtype=float)
-        if h.shape != (bundle.n_paths, bundle.n_steps):
-            raise ValueError("integrand samples misaligned with bundle steps")
-        integral = ((bundle.alpha * h * h) * bundle.dt).sum(axis=1)
-        rows.append((bundle.control.label,
-                     *Moments.of(integral ** (p / 2.0)).root(p)))
-    return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
-
-
-def hp_norm(h_per_bundle, bundles, p: float) -> float:
-    return hp_norm_detail(h_per_bundle, bundles, p).value
-
-
-def sp_norm_detail(y_per_bundle, bundles, p: float) -> NormEstimate:
-    """sup over bundles of E[sup_t |Y_t|^p]^{1/p} on the bundle grid."""
-    rows = []
-    for y, bundle in zip(y_per_bundle, bundles, strict=True):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (bundle.n_paths, bundle.n_steps + 1):
-            raise ValueError("process samples misaligned with bundle grid")
-        sup = np.abs(y).max(axis=1)
-        rows.append((bundle.control.label, *Moments.of(sup ** p).root(p)))
-    return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
-
-
-def sp_norm(y_per_bundle, bundles, p: float) -> float:
-    return sp_norm_detail(y_per_bundle, bundles, p).value
 
 
 @dataclass

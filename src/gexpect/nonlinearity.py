@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 _SYM_TOL = 1e-10
 
@@ -247,17 +246,18 @@ def legendre(mol: MollifiedNonlinearity, a: float,
         np.linspace(-trunc, trunc, gamma_nodes),
         np.linspace(-2.0 * mol.epsilon, 2.0 * mol.epsilon, 401),
     ]))
-    vals = 0.5 * a * grid - mol.g_eps(grid)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    if hi > lo:
-        res = minimize_scalar(lambda y: -(0.5 * a * y - mol.g_eps(y)),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        best = max(best, float(-res.fun))
-    return best
+    best = -math.inf
+    # then narrow the bracket around the best node, 33 nodes at a time,
+    # until it is 1e-12 wide (or stops shrinking in floating point)
+    while True:
+        vals = 0.5 * a * grid - mol.g_eps(grid)
+        k = int(np.argmax(vals))
+        best = max(best, float(vals[k]))
+        lo = grid[max(0, k - 1)]
+        hi = grid[min(len(grid) - 1, k + 1)]
+        if hi - lo <= 1e-12 or hi - lo >= grid[-1] - grid[0]:
+            return best
+        grid = np.linspace(lo, hi, 33)
 
 
 def sandwich_check(mol: MollifiedNonlinearity, gamma_grid) -> float:

@@ -40,8 +40,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; perfbench/spans.py looks this name up to trace scipy reads
-from scipy.interpolate import RegularGridInterpolator  # noqa: F401
 
 from . import kernels
 from .errors import NumericalError
@@ -49,9 +47,23 @@ from .nonlinearity import VolBand
 from .payoff import PayoffSpec
 
 _MAGIC = b"GXVF1\n"
-_CHUNK = 1 << 16                  # queries per block of whole paths
+# queries per block of whole paths; a block's read temporaries (about 4 MB)
+# stay under glibc's heap trim threshold, which otherwise returns them to
+# the OS after every 16-column read of `representation.march`
+_CHUNK = 1 << 14
 _BATCH = 16                       # path-grid columns per cell table
 _COLUMNS = {"value": 0, "gradient": 1, "hessian": 2}
+
+
+def __getattr__(name):
+    # no read uses scipy; perfbench/spans.py still looks this name up to
+    # trace scipy reads, so it is imported on that first lookup only.
+    # Delete this hook when the tracer drops the lookup (ROADMAP item 3).
+    if name == "RegularGridInterpolator":
+        from scipy.interpolate import RegularGridInterpolator
+        globals()[name] = RegularGridInterpolator
+        return RegularGridInterpolator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -140,30 +152,35 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     n_stored = len(steps) + 1
 
     rows = int(np.prod(param_shape, dtype=np.int64)) if param_shape else 1
-    # the march snapshots plus their reordered contiguous copy, and the
-    # working rows
-    need = (n_stored * rows * grid.n_x * 8) * 2 + rows * grid.n_x * 8
+    need = field_bytes(rows, n_stored, grid.n_x)
     if need > grid.memory_limit:
         raise NumericalError(
             f"field storage would need ~{need / 1e9:.2f} GB "
             f"(> limit {grid.memory_limit / 1e9:.2f} GB); "
             "coarsen n_x or param_time_slices")
 
-    work = np.ascontiguousarray(data.reshape(rows, grid.n_x))
-    stored = np.empty((n_stored, rows, grid.n_x))
+    work = np.array(data.reshape(rows, grid.n_x))
+    values = np.empty((rows, n_stored, grid.n_x))
+    # march order is descending time: stored[j] sits at t1 - steps[j-1]*dt
+    stored = values[:, ::-1].swapaxes(0, 1)
     stored[0] = work
     kernels.march_explicit_1d(work, band.lower_scalar, band.upper_scalar,
                               dt, grid.dx, n_steps, steps, stored[1:],
                               degree=degree)
 
-    # march order is descending time: stored[j] sits at t1 - steps[j-1]*dt
     times = np.empty(n_stored)
     times[0] = t1
     times[1:] = t1 - steps * dt
     times = times[::-1].copy()
     times[0], times[-1] = t0, t1
-    values = stored[::-1].swapaxes(0, 1).reshape(*param_shape, n_stored, grid.n_x)
-    return IntervalField(t0, t1, times, np.ascontiguousarray(values), dt)
+    return IntervalField(t0, t1, times,
+                         values.reshape(*param_shape, n_stored, grid.n_x), dt)
+
+
+def field_bytes(rows: int, n_stored: int, n_x: int) -> int:
+    """Bytes a march of `rows` rows allocates: the stored field, (rows,
+    n_stored, n_x) doubles, and the working rows."""
+    return (n_stored + 1) * rows * n_x * 8
 
 
 def _central(v_left, v, v_right, dx):

@@ -16,19 +16,26 @@ is a genuine cross-check, expected O(dt^1/2 + dx) in RMS.  The integrand of
 K is non-negative for every control inside the band (that is the defining
 inequality of the band form), so K is non-decreasing up to rounding.
 
+The decomposition is marched along the path grid 16 columns at a time
+(`march`), and the estimators fold each slab into per-path running
+reductions, so their memory does not grow with the step count; `extract`
+stacks the same slabs into full arrays.
+
 Paths that leave the spatial truncation are flagged and excluded from
 aggregates; a control with no included path is a numerical failure.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .montecarlo import ControlFamily, Moments, PathBundle, sweep
+from .montecarlo import (ControlFamily, Moments, PathBundle, PathFold,
+                         simulate, sweep)
 from .nonlinearity import VolBand, eval_g_scalar
 from .payoff import PayoffSpec
-from .pde import ValueField, conditional_expectation, g_expectation
+from .pde import (_BATCH, _CHUNK, ValueField, conditional_expectation,
+                  g_expectation)
 
 SYMMETRY_PATHS = 2048   # `represent` classifies symmetry on the first paths
 
@@ -79,48 +86,140 @@ class Decomposition:
                                 repr(float(res[p, j]))])
 
 
-def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
-            bundle: PathBundle, exit_margin_nodes: int = 2) -> Decomposition:
-    """Sample the decomposition along every path of the bundle."""
+@dataclass
+class Slab:
+    """Columns `cols` of one bundle's decomposition, as `march` yields them.
+
+    y and h are (N, b).  k_ext and int_ext hold K and int H dX at the b
+    columns and, for every slab but the last, at the next slab's first
+    column too, so that the increment of each step that starts in the slab
+    (`steps`) is in it.  y0 is Y at column 0, shared by every slab.
+    """
+
+    cols: slice
+    steps: slice
+    y0: np.ndarray           # (N, 1)
+    y: np.ndarray
+    h: np.ndarray
+    k_ext: np.ndarray
+    int_ext: np.ndarray
+
+    @property
+    def k(self) -> np.ndarray:
+        return self.k_ext[:, :self.cols.stop - self.cols.start]
+
+    @property
+    def int_h_dx(self) -> np.ndarray:
+        return self.int_ext[:, :self.cols.stop - self.cols.start]
+
+    @property
+    def dk(self) -> np.ndarray:
+        """The K increment of each step in `steps`."""
+        return np.diff(self.k_ext, axis=1)
+
+    @property
+    def h_left(self) -> np.ndarray:
+        """H at the left end of each step in `steps`."""
+        return self.h[:, :self.steps.stop - self.steps.start]
+
+
+def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
+          bundle: PathBundle):
+    """Yield the decomposition along every path of the bundle as Slabs of
+    _BATCH columns, left to right.
+
+    Each slab reads the field once, through `read_along`, and holds its
+    arrays in Fortran order, so that a column of every path is contiguous:
+    numpy reduces and accumulates along rows of 16 several times slower.
+    K and int H dX enter a slab as the first column of their running sums,
+    which add one column at a time in np.cumsum's order, so the slabs
+    agree bit for bit with one cumulative sum over all columns.  The
+    march's memory does not grow with the step count.
+    """
     if bundle.paths.ndim != 2:
         raise ValueError("decomposition extraction is d=1 only")
-    n_paths, m1 = bundle.paths.shape
-    read, _ = field.read_along(bundle.times, bundle.paths,
-                               bundle.history(payoff))
-    y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
-    gamma = d2u[:, :-1]
-
+    paths, times, alpha = bundle.paths, bundle.times, bundle.alpha
+    n_paths, m1 = paths.shape
+    history = bundle.history(payoff)
     lo, up = band.lower_scalar, band.upper_scalar
-    # (g(gamma) - 0.5 * (alpha * gamma)) * dt and h * dX, each formed in
-    # place, so that few (N, M) temporaries are alive at once
-    integrand = eval_g_scalar(gamma, lo, up)
-    half = bundle.alpha * gamma
-    half *= 0.5
-    integrand -= half
-    del half
-    integrand *= bundle.dt
-    k = np.zeros((n_paths, m1))
-    np.cumsum(integrand, axis=1, out=k[:, 1:])
-    del integrand
+    y0, k_in, int_in = None, 0.0, 0.0
+    for start in range(0, m1, _BATCH):
+        cols = slice(start, min(start + _BATCH, m1))
+        steps = slice(start, min(cols.stop, m1 - 1))
+        n = steps.stop - start
+        read, _ = field.read_along(times[cols], paths[:, cols], history)
+        y, h, d2u = (np.asfortranarray(column.reshape(n_paths, -1))
+                     for column in read.T)
+        if y0 is None:
+            y0 = y[:, :1].copy()
+        # column 0 of the first slab is K_0 = 0 itself, not a carry
+        first = 0 if start else 1
 
-    h_dx = np.diff(bundle.paths, axis=1)
-    h_dx *= h[:, :-1]
-    int_h_dx = np.zeros((n_paths, m1))
-    np.cumsum(h_dx, axis=1, out=int_h_dx[:, 1:])
-    del h_dx
+        # (g(gamma) - 0.5 * (alpha * gamma)) * dt, the increments of K
+        k = np.empty((n_paths, n + 1), order="F")
+        k[:, 0] = k_in
+        gamma = d2u[:, :n]
+        half = alpha[steps] * gamma
+        half *= 0.5
+        np.subtract(eval_g_scalar(gamma, lo, up), half, out=k[:, 1:])
+        del half
+        k[:, 1:] *= bundle.dt
+        _accumulate(k, first)
 
-    cutoff = field.x_max - exit_margin_nodes * field.dx
-    excluded = np.abs(bundle.paths).max(axis=1) > cutoff
+        # h * dX, the increments of int H dX
+        int_h_dx = np.empty((n_paths, n + 1), order="F")
+        int_h_dx[:, 0] = int_in
+        np.subtract(paths[:, start + 1:steps.stop + 1], paths[:, steps],
+                    out=int_h_dx[:, 1:])
+        int_h_dx[:, 1:] *= h[:, :n]
+        _accumulate(int_h_dx, first)
+
+        yield Slab(cols, steps, y0, y, h, k, int_h_dx)
+        k_in, int_in = k[:, -1], int_h_dx[:, -1]
+
+
+def _accumulate(a, first: int):
+    """Running sums along the rows of a, in place from column `first` on:
+    the additions of np.cumsum in its order, one column at a time."""
+    for j in range(first, a.shape[1] - 1):
+        np.add(a[:, j], a[:, j + 1], out=a[:, j + 1])
+
+
+def excluded_paths(field: ValueField, bundle: PathBundle,
+                   exit_margin_nodes: int = 2) -> np.ndarray:
+    """Flags of the paths that come within exit_margin_nodes of the
+    truncation, from max |X| over blocks of whole paths."""
+    paths = bundle.paths
+    step = max(1, _CHUNK // paths.shape[1])
+    peak = np.concatenate([np.abs(paths[start:start + step]).max(axis=1)
+                           for start in range(0, len(paths), step)])
+    return peak > field.x_max - exit_margin_nodes * field.dx
+
+
+def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
+            bundle: PathBundle, exit_margin_nodes: int = 2) -> Decomposition:
+    """Sample the decomposition along every path of the bundle: the slabs
+    of `march`, stacked."""
+    arrays = np.empty((4,) + bundle.paths.shape)
+    for s in march(payoff, band, field, bundle):
+        for whole, part in zip(arrays, (s.y, s.h, s.k, s.int_h_dx)):
+            whole[:, s.cols] = part
     return Decomposition(payoff, bundle.control.label, bundle.times,
-                         y, h, k, int_h_dx, excluded)
+                         *arrays, excluded_paths(field, bundle,
+                                                 exit_margin_nodes))
+
+
+def _abs_defect(y, y0, int_h_dx, k) -> np.ndarray:
+    """|Y_t - Y_0 - int H dX + K_t| at every sample."""
+    defect = y - y0
+    defect -= int_h_dx
+    defect += k
+    return np.abs(defect, out=defect)
 
 
 def residual(dec: Decomposition) -> np.ndarray:
     """Per-path sup over t of |Y_t - Y_0 - int H dX + K_t|."""
-    defect = dec.y - dec.y[:, :1]
-    defect -= dec.int_h_dx
-    defect += dec.k
-    return np.abs(defect, out=defect).max(axis=1)
+    return _abs_defect(dec.y, dec.y[:, :1], dec.int_h_dx, dec.k).max(axis=1)
 
 
 def residual_rms(dec: Decomposition) -> float:
@@ -138,8 +237,12 @@ def monotonicity(dec: Decomposition) -> float:
 
 def terminal_defect(dec: Decomposition, bundle: PathBundle) -> float:
     """Max |Y_1 - payoff(path)| over included paths (interpolation error)."""
-    xi = dec.payoff.evaluate(bundle.monitor_values(dec.payoff.times))
-    gap = np.abs(dec.y[:, -1] - xi)[dec.included]
+    return _terminal_gap(dec.payoff, dec.y[:, -1], dec.included, bundle)
+
+
+def _terminal_gap(payoff, y1, included, bundle) -> float:
+    xi = payoff.evaluate(bundle.monitor_values(payoff.times))
+    gap = np.abs(y1 - xi)[included]
     return float(gap.max()) if gap.size else 0.0
 
 
@@ -164,7 +267,6 @@ class GapRow:
     residual_rms: float      # this and the next two: over included paths
     min_dk: float
     terminal_defect: float
-    head: Decomposition = dc_field(compare=False, repr=False)  # first paths
 
 
 def require_included(family: ControlFamily, stats):
@@ -184,6 +286,7 @@ class GapResult:
     argmax_label: str
     symmetry: list  # per control, `Moments` of max |K| over the included
                     # paths among the first SYMMETRY_PATHS
+    head: Decomposition | None  # the argmax control's first keep_rows paths
 
 
 def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
@@ -195,37 +298,42 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     Values are <= 0 up to Monte Carlo noise; a value near zero attained by
     some control certifies the martingale property of -K at the finite
     family's resolution.  The same sweep gives each row its residual RMS,
-    smallest K increment, terminal defect and first keep_rows paths, and
-    each control the per-path max |K| over the included paths among its
-    first SYMMETRY_PATHS, from which `symmetry_evidence` classifies the
-    payoff with no second sweep.
+    smallest K increment and terminal defect, and each control the
+    per-path max |K| over the included paths among its first
+    SYMMETRY_PATHS, from which `symmetry_evidence` classifies the payoff
+    with no second sweep.  The argmax control's first keep_rows paths are
+    simulated and extracted again afterwards (a head of every control and
+    block would grow with n_steps).
     """
     def fold(_, bundle):
-        dec = extract(payoff, band, field, bundle)
-        inc = dec.included
-        return (Moments.of(-dec.k[inc, -1]),
-                Moments.of(residual(dec)[inc] ** 2),
-                Moments.of(np.diff(dec.k[inc], axis=1).min(axis=1)),
-                Moments.of(terminal_defect(dec, bundle)),
-                # copies, so that the block's full arrays can be freed
-                Rows(keep_rows, tuple(np.array(a[:keep_rows]) for a in (
-                    dec.y, dec.h, dec.k, dec.int_h_dx, dec.excluded))),
-                Rows(SYMMETRY_PATHS, (
-                    np.abs(dec.k[:SYMMETRY_PATHS]).max(axis=1),
-                    dec.included[:SYMMETRY_PATHS])))
+        res, dk = PathFold(np.maximum), PathFold(np.minimum)
+        k_peak = PathFold(np.maximum)
+        for s in march(payoff, band, field, bundle):
+            res.add(_abs_defect(s.y, s.y0, s.int_h_dx, s.k))
+            dk.add(s.dk)
+            k_peak.add(np.abs(s.k[:SYMMETRY_PATHS]))
+        inc = ~excluded_paths(field, bundle)
+        # s is the last slab, which holds K_1 and Y_1
+        return (Moments.of(-s.k[inc, -1]),
+                Moments.of(res.value[inc] ** 2),
+                Moments.of(dk.value[inc]),
+                Moments.of(_terminal_gap(payoff, s.y[:, -1], inc, bundle)),
+                Rows(SYMMETRY_PATHS, (k_peak.value, inc[:SYMMETRY_PATHS])))
 
     stats = sweep(family, n_paths, n_steps, seed, fold, degree)
     require_included(family, stats)
-    times = np.linspace(0.0, 1.0, n_steps + 1)
     rows = [GapRow(c.label, neg_k1.mean, neg_k1.stderr, n_paths - neg_k1.n,
-                   res_sq.root(2)[0], dk.lo, terminal.hi,
-                   Decomposition(payoff, c.label, times, *head.arrays))
-            for c, (neg_k1, res_sq, dk, terminal, head, _)
-            in zip(family, stats)]
-    best = max(rows, key=lambda r: r.mean_neg_k1)
-    return GapResult(rows, best.mean_neg_k1, best.label,
+                   res_sq.root(2)[0], dk.lo, terminal.hi)
+            for c, (neg_k1, res_sq, dk, terminal, _) in zip(family, stats)]
+    best = max(range(len(rows)), key=lambda j: rows[j].mean_neg_k1)
+    head = None
+    if keep_rows:
+        head = extract(payoff, band, field, simulate(
+            family.controls[best], min(keep_rows, n_paths), n_steps, seed))
+    return GapResult(rows, rows[best].mean_neg_k1, rows[best].label,
                      [Moments.of(peak[included])
-                      for peak, included in (s[-1].arrays for s in stats)])
+                      for peak, included in (s[-1].arrays for s in stats)],
+                     head)
 
 
 @dataclass
@@ -251,8 +359,10 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
     the same partials from its gap sweep instead.
     """
     def fold(_, bundle):
-        dec = extract(payoff, band, field, bundle)
-        return Moments.of(np.abs(dec.k[dec.included]).max(axis=1)),
+        k_peak = PathFold(np.maximum)
+        for s in march(payoff, band, field, bundle):
+            k_peak.add(np.abs(s.k))
+        return Moments.of(k_peak.value[~excluded_paths(field, bundle)]),
 
     stats = sweep(family, n_paths, n_steps, seed, fold)
     return symmetry_evidence(payoff, band, field, family, tol,

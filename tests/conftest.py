@@ -67,6 +67,42 @@ def flat_read():
     return read
 
 
+@pytest.fixture(scope="session")
+def full_extract():
+    """Oracle decomposition: the arithmetic of extract as one pass over all
+    (N, M+1) columns at once (one path-grid read, one cumulative sum per
+    row for K and for int H dX), which the column march must reproduce
+    bit for bit."""
+
+    def extract(payoff, band, field, bundle, exit_margin_nodes=2):
+        n_paths, m1 = bundle.paths.shape
+        read, _ = field.read_along(bundle.times, bundle.paths,
+                                   bundle.history(payoff))
+        y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
+        gamma = d2u[:, :-1]
+
+        lo, up = band.lower_scalar, band.upper_scalar
+        integrand = gx.eval_g_scalar(gamma, lo, up)
+        half = bundle.alpha * gamma
+        half *= 0.5
+        integrand -= half
+        integrand *= bundle.dt
+        k = np.zeros((n_paths, m1))
+        np.cumsum(integrand, axis=1, out=k[:, 1:])
+
+        h_dx = np.diff(bundle.paths, axis=1)
+        h_dx *= h[:, :-1]
+        int_h_dx = np.zeros((n_paths, m1))
+        np.cumsum(h_dx, axis=1, out=int_h_dx[:, 1:])
+
+        cutoff = field.x_max - exit_margin_nodes * field.dx
+        excluded = np.abs(bundle.paths).max(axis=1) > cutoff
+        return gx.Decomposition(payoff, bundle.control.label, bundle.times,
+                                y, h, k, int_h_dx, excluded)
+
+    return extract
+
+
 def brute_force_g1(gamma, lower, upper, n=10_000):
     """Independent oracle for the scalar band form: grid sup of a*gamma/2."""
     a = np.linspace(lower, upper, n)

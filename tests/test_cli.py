@@ -368,3 +368,27 @@ def test_represent_rows_match_full_extraction(tmp_path):
                                                     rel=1e-12)
     assert summary["min_dk"] == gx.monotonicity(dec)
     assert summary["terminal_defect"] == terminal_defect(dec, bundle)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only when pde.RegularGridInterpolator is looked up,
+    # and that lookup binds the name in the module
+    code = "\n".join((
+        "import sys",
+        "import gexpect.cli",
+        "from gexpect import pde",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not loaded, loaded",
+        "assert 'RegularGridInterpolator' not in vars(pde)",
+        "found = pde.RegularGridInterpolator",
+        "assert vars(pde)['RegularGridInterpolator'] is found",
+        "from scipy.interpolate import RegularGridInterpolator",
+        "assert found is RegularGridInterpolator",
+    ))
+    src = str(Path(gx.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (
+               src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr

@@ -216,18 +216,36 @@ def test_lp_norm_field_mismatch_rejected(band12, grid201, field_cache):
         gx.lp_norm(payoff, 2.0, fam, wrong, 100, 32, seed=7)
 
 
-def test_hp_and_sp_norms(band12):
+def test_path_fold_energy_and_sup(band12):
+    # the per-path reducers the decomposition folds share, fed 16-column
+    # slabs: int alpha H^2 dt of H = 1 is int alpha dt, of H = 0 is 0,
+    # and the sup of |Y| = 3 is 3
     fam = gx.ControlFamily.constants(band12, 5)
     bundles = [gx.simulate(c, 2000, 64, seed=11) for c in fam]
-    ones = [np.ones((2000, 64)) for _ in bundles]
-    hp = gx.hp_norm(ones, bundles, 2.0)
-    assert hp ** 2 == pytest.approx(2.0, abs=1e-9)  # integral of alpha, at a_up
-    zeros = [np.zeros((2000, 64)) for _ in bundles]
-    assert gx.hp_norm(zeros, bundles, 2.0) == 0.0
-    consts = [np.full((2000, 65), -3.0) for _ in bundles]
-    assert gx.sp_norm(consts, bundles, 2.0) == pytest.approx(3.0, abs=1e-12)
+
+    def fold(ufunc, arrays):
+        acc = mc.PathFold(ufunc)
+        for start in range(0, arrays.shape[1], 16):
+            acc.add(arrays[:, start:start + 16])
+        return acc.value
+
+    for b in bundles:
+        ones = fold(np.add, mc.energy(np.ones((2000, 64)), b.alpha, b.dt))
+        assert np.abs(ones - b.alpha[0]).max() <= 1e-12
+        zeros = fold(np.add, mc.energy(np.zeros((2000, 64)), b.alpha, b.dt))
+        assert (zeros == 0.0).all()
+    sup = fold(np.maximum, np.abs(np.full((2000, 65), -3.0)))
+    assert (sup == 3.0).all()
+    # running maxima and minima are exact, whatever the slab width
+    y = bundles[0].paths
+    assert np.array_equal(fold(np.maximum, y), y.max(axis=1))
+    assert np.array_equal(fold(np.minimum, y), y.min(axis=1))
+    # a slab with no column leaves the fold as it was
+    acc = mc.PathFold(np.maximum)
+    acc.add(np.empty((2000, 0)))
+    assert acc.value is None
     with pytest.raises(ValueError):
-        gx.hp_norm([np.ones((2000, 63))], bundles[:1], 2.0)
+        mc.energy(np.ones((2000, 63)), bundles[0].alpha, bundles[0].dt)
 
 
 def test_qv_identity_scaling(band12):

@@ -262,6 +262,38 @@ def test_legendre_bounds_and_sentinel(band12):
         assert -mol.cstar * 0.1 - 1e-9 <= v <= 1e-9
 
 
+def _bounded_search_legendre(mol, a):
+    """legendre with its bracket refined by scipy's bounded scalar search
+    (xatol 1e-12), as an independent oracle."""
+    from scipy.optimize import minimize_scalar
+
+    trunc = 100.0 * (1.0 + abs(a))
+    grid = np.unique(np.concatenate([
+        np.linspace(-trunc, trunc, 2001),
+        np.linspace(-2.0 * mol.epsilon, 2.0 * mol.epsilon, 401)]))
+    vals = 0.5 * a * grid - mol.g_eps(grid)
+    k = int(np.argmax(vals))
+    lo, hi = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+    res = minimize_scalar(lambda y: -(0.5 * a * y - mol.g_eps(y)),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return max(float(vals[k]), float(-res.fun))
+
+
+@pytest.mark.parametrize("lower,upper", [(1.0, 2.0), (0.0, 1.0), (0.5, 3.0)])
+def test_legendre_matches_bounded_search(lower, upper):
+    # the numpy bracket refinement attains at least the scipy search's
+    # value, within 2e-11 of it, and stays in [-cstar*eps, 0] up to rounding
+    band = gx.VolBand.scalar(lower, upper)
+    for eps in (0.1, 0.05, 0.025, 0.5):
+        mol = gx.mollify(band, eps)
+        for a in np.linspace(mol.lifted_lower, mol.upper, 10):
+            got = gx.legendre(mol, a)
+            want = _bounded_search_legendre(mol, a)
+            assert want - 1e-15 <= got <= want + 2e-11
+            assert -mol.cstar * eps - 1e-12 <= got <= 1e-12
+
+
 def test_legendre_duality_roundtrip(band12):
     # biconjugate identity: sup_a { a*gamma/2 - L(a) } recovers the smoothed
     # form (brute force over an a-grid)

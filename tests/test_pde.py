@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 import gexpect as gx
+from gexpect import pde
 from gexpect.errors import NumericalError
 from gexpect.pde import solve_interval
 
@@ -128,6 +130,44 @@ def test_memory_guard(band12):
     payoff = gx.PayoffSpec.parse("sq(x3)", times=(0.3, 0.6, 1.0))
     with pytest.raises(NumericalError):
         gx.conditional_expectation(payoff, band12, grid)
+
+
+def test_memory_guard_charges_what_the_march_allocates(band12):
+    # a nested interval of 401 rows: the guard's bytes are the stored field
+    # and the working rows, no more (the field is stored once) and no less
+    import tracemalloc
+
+    grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
+    data = np.add.outer(grid.x_nodes(), grid.x_nodes()) ** 2
+    n_steps = grid.steps_for(band12, 0.0, 0.5)
+    n_stored = len(pde._store_steps(n_steps, 1, grid.param_time_slices)) + 1
+    need = pde.field_bytes(grid.n_x, n_stored, grid.n_x)
+    assert need == (n_stored + 1) * grid.n_x * grid.n_x * 8
+
+    tracemalloc.start()
+    try:
+        iv = solve_interval(data, band12, grid, (0.0, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iv.values.nbytes + grid.n_x * grid.n_x * 8 == need
+    assert need <= peak <= 1.05 * need
+
+    exact = dataclasses.replace(grid, memory_limit=need)
+    solve_interval(data, band12, exact, (0.0, 0.5))
+    with pytest.raises(NumericalError, match="field storage"):
+        solve_interval(data, band12,
+                       dataclasses.replace(grid, memory_limit=need - 1),
+                       (0.0, 0.5))
+
+
+def test_solve_interval_leaves_terminal_data_alone(band12, grid201):
+    data = grid201.x_nodes() ** 2
+    before = data.copy()
+    iv = solve_interval(data, band12, grid201, (0.0, 1.0))
+    assert np.array_equal(data, before)
+    assert np.array_equal(iv.values[-1], before)
+    assert iv.values.flags.c_contiguous
 
 
 def test_cfl_and_data_validation(band12, grid201):

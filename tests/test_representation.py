@@ -332,3 +332,132 @@ def test_lp_norm_unchanged_by_one_grid_read(band12, field_cache,
     want = [(c.label, *m.root(2.0)) for c, (m,) in zip(fam, stats)]
     got = mc.lp_norm_detail(payoff, 2.0, fam, field, n_paths, n_steps, seed)
     assert got.per_control == want
+
+
+MARCH_CASES = [
+    ("sq(x1)", (1.0,), 1.0, 20),          # 21 columns
+    ("call(x1, 0)", (1.0,), 1.3, 40),     # 41 columns
+    ("min(abs(x1), 1)", (1.0,), 2.0, 32),  # a last slab of one column
+    ("sq(x2 - x1)", (0.5, 1.0), 1.0, 46),  # the date inside a slab
+]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("source,times,alpha,n_steps", MARCH_CASES)
+def test_march_bit_equal_to_full_extract(band12, field_cache, full_extract,
+                                         source, times, alpha, n_steps):
+    payoff = gx.PayoffSpec.parse(source, times)
+    field = field_cache(source, times)
+    bundle = gx.simulate(mc.ControlProcess.constant(alpha), 700, n_steps,
+                         seed=29)
+    want = full_extract(payoff, band12, field, bundle)
+    got = gx.extract(payoff, band12, field, bundle)
+    for name in ("times", "y", "h", "k", "int_h_dx", "excluded"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+    slabs = list(rep.march(payoff, band12, field, bundle))
+    assert [s.cols.start for s in slabs] == list(range(0, n_steps + 1, 16))
+    dk = np.concatenate([s.dk for s in slabs], axis=1)
+    h_left = np.concatenate([s.h_left for s in slabs], axis=1)
+    assert _same_bits(dk, np.diff(want.k, axis=1))
+    assert _same_bits(h_left, want.h[:, :-1])
+    assert _same_bits(rep.excluded_paths(field, bundle), want.excluded)
+
+
+def _full_gap(payoff, band, field, family, n_paths, n_steps, seed, degree,
+              full_extract):
+    """gmartingale_gap's rows and symmetry partials as folded from the
+    oracle's full decomposition of each block."""
+    def fold(_, bundle):
+        dec = full_extract(payoff, band, field, bundle)
+        inc = dec.included
+        return (mc.Moments.of(-dec.k[inc, -1]),
+                mc.Moments.of(rep.residual(dec)[inc] ** 2),
+                mc.Moments.of(np.diff(dec.k[inc], axis=1).min(axis=1)),
+                mc.Moments.of(rep.terminal_defect(dec, bundle)),
+                rep.Rows(rep.SYMMETRY_PATHS, (
+                    np.abs(dec.k[:rep.SYMMETRY_PATHS]).max(axis=1),
+                    dec.included[:rep.SYMMETRY_PATHS])))
+
+    stats = mc.sweep(family, n_paths, n_steps, seed, fold, degree)
+    rows = [rep.GapRow(c.label, k1.mean, k1.stderr, n_paths - k1.n,
+                       res.root(2)[0], dk.lo, term.hi)
+            for c, (k1, res, dk, term, _) in zip(family, stats)]
+    symmetry = [mc.Moments.of(peak[inc])
+                for peak, inc in (s[-1].arrays for s in stats)]
+    return rows, symmetry
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("source,times,n_steps", [
+    ("call(x1, 0)", (1.0,), 40),
+    ("sq(x2 - x1)", (0.5, 1.0), 46),
+])
+def test_gap_sweep_bit_equal_to_full_extract(band12, field_cache,
+                                             full_extract, source, times,
+                                             n_steps, degree):
+    payoff = gx.PayoffSpec.parse(source, times)
+    field = field_cache(source, times)
+    fam = gx.ControlFamily.constants(band12, 3)
+    n_paths = mc.PATH_BLOCK + 100
+    got = rep.gmartingale_gap(payoff, band12, field, fam, n_paths, n_steps,
+                              seed=47, degree=degree, keep_rows=5)
+    rows, symmetry = _full_gap(payoff, band12, field, fam, n_paths, n_steps,
+                               47, degree, full_extract)
+    assert got.rows == rows
+    assert got.symmetry == symmetry
+
+    def k_peak(_, bundle):
+        dec = full_extract(payoff, band12, field, bundle)
+        return mc.Moments.of(np.abs(dec.k[dec.included]).max(axis=1)),
+
+    ev = rep.is_symmetric(payoff, band12, field, fam, 1e-8, n_paths,
+                          n_steps, seed=47, degree=degree)
+    assert ev.k_abs_max == max(m.hi for m, in mc.sweep(
+        fam, n_paths, n_steps, 47, k_peak))
+    best = next(c for c in fam if c.label == got.argmax_label)
+    want = full_extract(payoff, band12, field,
+                        gx.simulate(best, 5, n_steps, seed=47))
+    for name in ("y", "h", "k", "int_h_dx", "excluded"):
+        assert _same_bits(getattr(got.head, name), getattr(want, name)), name
+
+
+def _block_peak(call, n_paths, n_steps):
+    """Peak traced bytes of call(), in (n_paths, n_steps + 1) float64
+    arrays."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * n_paths * (n_steps + 1))
+
+
+def test_sweeps_hold_few_block_sized_arrays(band12, grid201, field_cache):
+    # the block's increments and one control's paths, plus per-path
+    # vectors and O(N x 16) slabs: a full (N, M+1) decomposition per block
+    # held about ten such arrays
+    from gexpect import inequalities as ineq
+
+    payoff = gx.PayoffSpec.parse("sq(x1)")
+    field = field_cache("sq(x1)")
+    fam = gx.ControlFamily.constants(band12, 2)
+    n, m = mc.PATH_BLOCK, 512
+    peaks = {
+        "gap": _block_peak(lambda: rep.gmartingale_gap(
+            payoff, band12, field, fam, n, m, seed=3), n, m),
+        "apriori": _block_peak(lambda: ineq.apriori_check(
+            payoff, band12, field, fam, n, m, seed=3), n, m),
+        "difference": _block_peak(lambda: ineq._delta_norms_each(
+            payoff, [payoff.shifted(0.1)], band12, grid201, fam, n, m,
+            seed=3), n, m),
+    }
+    assert max(peaks.values()) <= 4.0, peaks
