@@ -18,7 +18,7 @@ from .pde import (IntervalField, SpaceTimeGrid, ValueField,
                   refine_study, solve_interval)
 from .montecarlo import (ControlFamily, ControlProcess, DualResult,
                          PathBundle, conditional_supremum, derive_seed,
-                         dual_value, lp_norm, qv_identity_check,
+                         dual_value, lp_norm_detail, qv_identity_check,
                          read_family, simulate, write_family)
 from .representation import (Decomposition, extract, gmartingale_gap,
                              is_symmetric, monotonicity, residual,
@@ -37,7 +37,7 @@ __all__ = [
     "conditional_expectation", "derivatives", "g_expectation",
     "refine_study", "solve_interval",
     "ControlFamily", "ControlProcess", "DualResult", "PathBundle",
-    "conditional_supremum", "derive_seed", "dual_value", "lp_norm",
+    "conditional_supremum", "derive_seed", "dual_value", "lp_norm_detail",
     "qv_identity_check", "read_family", "simulate", "write_family",
     "Decomposition", "extract", "gmartingale_gap", "is_symmetric",
     "monotonicity", "residual", "residual_rms",

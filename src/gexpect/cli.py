@@ -176,14 +176,21 @@ class RunConfig:
             raise ConfigError("family.constant_controls must be >= 1")
         if self.csv_paths < 0:
             raise ConfigError("run.csv_paths must be >= 0")
+        if self.parallel < 0:
+            raise ConfigError("run.parallel must be >= 0 (0 = all cores)")
         try:
-            self.family()
+            family = self.family()
         except OSError as exc:
             raise ConfigError(f"cannot read family file: {exc}") from exc
         except KeyError as exc:
             raise ConfigError(f"family file lacks key {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad family: {exc}") from exc
+        try:
+            mc.monitor_indices(self.times, self.n_steps)
+            mc._check_grid(family, self.n_paths, self.n_steps)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} of mc.n_steps = {self.n_steps}") from exc
 
     def emit(self) -> str:
         lines = [
@@ -336,17 +343,20 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
     try:
         field = conditional_expectation(payoff, band, grid, degree)
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
-                                  cfg.n_steps, seed, degree=degree,
-                                  # one row at least, for the csv header
-                                  keep_rows=max(cfg.csv_paths, 1))
+                                  cfg.n_steps, seed, degree=degree)
+        argmax = next(c for c in family if c.label == gap.argmax_label)
+        # one row at least, for the csv header
+        head = rep.extract(payoff, band, field, mc.simulate(
+            argmax, min(max(cfg.csv_paths, 1), cfg.n_paths), cfg.n_steps,
+            seed))
         sym = rep.symmetry_evidence(payoff, band, field, family, 1e-8,
                                     gap.symmetry, degree)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     best = next(r for r in gap.rows if r.label == gap.argmax_label)
-    gap.head.to_csv(out / "decomposition.csv", max_paths=cfg.csv_paths,
-                     fingerprint=cfg.fingerprint())
+    head.to_csv(out / "decomposition.csv", max_paths=cfg.csv_paths,
+                fingerprint=cfg.fingerprint())
     records = [
         {"kind": "represent_summary", "fingerprint": cfg.fingerprint(),
          "payoff": payoff.source(), "control": best.label,

@@ -8,12 +8,10 @@ fingerprint that reproduces the run bit for bit.
 Seed policy: when the two sides of an inequality are independent quantities
 they are estimated on distinct derived sub-seeds; pathwise-coupled chains
 (the two-sided integral bound, the energy estimates) intentionally share
-paths.  Estimates that share a seed share one sweep: `run_suite` folds the
-three bdg integrands, the three doob payoffs per side and the two
-difference pairs per sub-seed together, so each path block is drawn, and
-each decomposition marched, once per block.  The single checks are the
-one-element case of the same code, so both give the same reports bit for
-bit.
+paths.  Estimates that share a seed share one sweep: the bdg, doob and
+difference checks take lists (integrands, payoffs, second payoffs) and
+fold every item into the sweeps of their sub-seeds, so each path block is
+drawn, and each decomposition marched, once per block.
 """
 
 import hashlib
@@ -29,7 +27,8 @@ from .montecarlo import ControlFamily, Moments, PathFold, derive_seed
 from .nonlinearity import VolBand
 from .payoff import Expr, PayoffSpec
 from .pde import SpaceTimeGrid, ValueField, conditional_expectation, solve_interval
-from .representation import excluded_paths, march, require_included
+from .representation import (excluded_paths, march, require_included,
+                             row_blocks)
 
 # frozen aggregate constants from the energy-argument chain:
 # E[K_1^2] <= 54 E[sup Y^2]  and  E[int a H^2] <= 16 E[sup Y^2]
@@ -128,30 +127,31 @@ H_BUILTINS = {
 }
 
 
-def bdg_check(h: HProcess, family: ControlFamily, n_paths: int, n_steps: int,
+def bdg_check(hs, family: ControlFamily, n_paths: int, n_steps: int,
               seed: int) -> list:
     """Two-sided bound between the integrand norm and its integral's sup norm.
 
-    Checks ||H|| <= ||int H dX||_sup <= 2 ||H||, all norms on the same
-    family and paths (the chain is pathwise coupled).  Streams path blocks,
-    so n_paths can be large.
+    Checks ||H|| <= ||int H dX||_sup <= 2 ||H|| for every integrand in hs,
+    all norms on the same family and paths (the chain is pathwise coupled),
+    in one sweep of `seed`.  Each block folds in row blocks of whole paths,
+    so memory grows with neither n_paths nor n_steps.
     """
-    return _bdg_reports([h], family, n_paths, n_steps, seed)
-
-
-def _bdg_reports(hs, family, n_paths, n_steps, seed) -> list:
-    """`bdg_check` of every integrand in hs, in one sweep of `seed`."""
     if family.band.d != 1:
         raise ValueError("integral-bound check is d=1 only")
 
     def folder(h):
         def fold(_, bundle):
-            hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
-            integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
-            m_run = np.cumsum(hv * (np.sqrt(bundle.alpha) * bundle.increments),
-                              axis=1)
-            return (Moments.of(integral),
-                    Moments.of(np.abs(m_run).max(axis=1) ** 2))
+            root_alpha = np.sqrt(bundle.alpha)
+            integral, m_sup = [], []
+            for rows in row_blocks(bundle.paths):
+                hv = h.evaluate(bundle.times[:-1], bundle.paths[rows, :-1])
+                integral.append(
+                    ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1))
+                m_run = np.cumsum(hv * (root_alpha * bundle.increments[rows]),
+                                  axis=1)
+                m_sup.append(np.abs(m_run).max(axis=1))
+            return (Moments.of(np.concatenate(integral)),
+                    Moments.of(np.concatenate(m_sup) ** 2))
         return fold
 
     per_h = mc.sweep_each(family, n_paths, n_steps, seed,
@@ -214,26 +214,17 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
     return reports
 
 
-def _delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps, seed,
-                 t_nodes=17):
-    """sup-over-family norms of the pathwise differences (dY, dH, dK).
+def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
+                 seed, t_nodes=17) -> list:
+    """sup-over-family norms of the pathwise differences (dY, dH, dK) of
+    payoff1 against each of payoffs2, in one sweep.
 
     The time sup of dY runs over the same node count the conditional-norm
     estimator uses, so both sides of the value inequality discretize the
-    continuous-time sup identically.
-    """
-    return _delta_norms_each(payoff1, [payoff2], band, grid, family, n_paths,
-                             n_steps, seed, t_nodes)[0]
-
-
-def _delta_norms_each(payoff1, payoffs2, band, grid, family, n_paths,
-                      n_steps, seed, t_nodes=17) -> list:
-    """`_delta_norms` of payoff1 against each of payoffs2, in one sweep.
-
-    payoff1's field is solved once, and per block its decomposition marches
-    column batch by column batch in step with each payoff2's, so the
-    differences fold into per-path running sups and sums and no full
-    decomposition is ever held.
+    continuous-time sup identically.  payoff1's field is solved once, and
+    per block its decomposition marches column batch by column batch in
+    step with each payoff2's, so the differences fold into per-path running
+    sups and sums and no full decomposition is ever held.
     """
     f1 = conditional_expectation(payoff1, band, grid)
     fields2 = [conditional_expectation(p2, band, grid) for p2 in payoffs2]
@@ -284,35 +275,26 @@ def _l2_norms(payoffs, tag: str, band: VolBand, grid: SpaceTimeGrid,
     return [mc.norm_estimate(family, stats, 2.0) for stats in per_payoff]
 
 
-def difference_check(payoff1: PayoffSpec, payoff2: PayoffSpec, band: VolBand,
+def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
                      grid: SpaceTimeGrid, family: ControlFamily,
-                     n_paths: int, n_steps: int, seed: int,
-                     xi1: mc.NormEstimate | None = None) -> list:
-    """Stability of the decomposition in the terminal payoff.
+                     n_paths: int, n_steps: int, seed: int) -> list:
+    """Stability of the decomposition in the terminal payoff, of payoff1
+    against each of payoffs2.
 
     ||dY||_sup <= ||dxi||  and  ||dH|| + ||dK|| <= C* (||dxi|| +
     (||xi1||^1/2 + ||xi2||^1/2) ||dxi||^1/2) with the frozen calibrated C*.
-    xi1, when given, is payoff1's norm from `_l2_norms([payoff1],
-    "difference-xi1", ...)` on the same arguments.
+    One sweep per sub-seed, shared by every pair, and ||xi1|| estimated
+    once.
     """
-    return _difference_reports(payoff1, [payoff2], band, grid, family,
-                               n_paths, n_steps, seed, xi1)
-
-
-def _difference_reports(payoff1, payoffs2, band, grid, family, n_paths,
-                        n_steps, seed, xi1=None) -> list:
-    """`difference_check` of payoff1 against each of payoffs2: one sweep per
-    sub-seed, shared by every pair, and xi1 estimated once."""
     if any(payoff1.times != p2.times for p2 in payoffs2):
         raise ValueError("difference check needs matching monitoring dates")
     deltas = [PayoffSpec(Expr("sub", payoff1.expr, p2.expr), payoff1.times)
               for p2 in payoffs2]
     args = (band, grid, family, n_paths, n_steps, seed)
     dxis = _l2_norms(deltas, "difference-dxi", *args)
-    if xi1 is None:
-        xi1, = _l2_norms([payoff1], "difference-xi1", *args)
+    xi1, = _l2_norms([payoff1], "difference-xi1", *args)
     xi2s = _l2_norms(payoffs2, "difference-xi2", *args)
-    norms = _delta_norms_each(payoff1, payoffs2, *args)
+    norms = _delta_norms(payoff1, payoffs2, *args)
     reports = []
     for payoff2, dxi, xi2, (dy, dy_se, dh, dk) in zip(
             payoffs2, dxis, xi2s, norms, strict=True):
@@ -372,22 +354,16 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
                             slack, {}, config)
 
 
-def doob_check(payoff: PayoffSpec, p: float, band: VolBand,
-               grid: SpaceTimeGrid, family: ControlFamily, n_paths: int,
-               n_steps: int, seed: int) -> InequalityReport:
+def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
+               family: ControlFamily, n_paths: int, n_steps: int,
+               seed: int) -> list:
     """Maximal-value norm against the p-th moment norm with
-    C_p = sqrt(p / (p - 2)), for p > 2 and bounded payoffs.
+    C_p = sqrt(p / (p - 2)), for p > 2 and bounded payoffs, one report per
+    payoff.
 
     Both sides are Monte Carlo estimates on distinct sub-seeds (independent
-    quantities).
+    quantities), each one sweep for every payoff.
     """
-    return _doob_reports([payoff], p, band, grid, family, n_paths, n_steps,
-                         seed)[0]
-
-
-def _doob_reports(payoffs, p, band, grid, family, n_paths, n_steps,
-                  seed) -> list:
-    """`doob_check` of every payoff, one sweep per side for all of them."""
     if p <= 2:
         raise ValueError("the maximal inequality needs p > 2")
     if any(payoff.sup_bound is None for payoff in payoffs):
@@ -459,12 +435,13 @@ def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
               n_steps: int, seed: int) -> list:
     """Named verification suite over the configured payoff/band/family.
 
-    Checks of one suite that share a seed share its sweep: bdg makes one,
-    doob two and difference four, each block drawn once per sweep.
+    Each suite is one call of its check, with every integrand or payoff
+    in one list, so checks that share a seed share its sweep: bdg makes
+    one, doob two and difference four, each block drawn once per sweep.
     """
     if name == "bdg":
-        return _bdg_reports(list(H_BUILTINS.values()), family, n_paths,
-                            n_steps, seed)
+        return bdg_check(list(H_BUILTINS.values()), family, n_paths, n_steps,
+                         seed)
     if name == "apriori":
         field = conditional_expectation(payoff, band, grid)
         return apriori_check(payoff, band, field, family, n_paths,
@@ -472,16 +449,16 @@ def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
     if name == "difference":
         scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
                             payoff.times)
-        return _difference_reports(payoff, [payoff.shifted(0.1), scaled],
-                                   band, grid, family, n_paths, n_steps, seed)
+        return difference_check(payoff, [payoff.shifted(0.1), scaled], band,
+                                grid, family, n_paths, n_steps, seed)
     if name == "tower":
         lifted = payoff if payoff.n > 1 else payoff.with_prepended_time(0.5)
         return [tower_check(lifted, band, grid, lifted.times[0])]
     if name == "doob":
         bounded = [PayoffSpec.parse(src, (1.0,)) for src in (
             "min(abs(x1), 1)", "clamp(x1, -1, 2)", "min(call(x1, 0), 2)")]
-        return _doob_reports(bounded, 4.0, band, grid, family, n_paths,
-                             n_steps, seed)
+        return doob_check(bounded, 4.0, band, grid, family, n_paths, n_steps,
+                          seed)
     if name == "mollify":
         return mollify_check(band)
     raise ConfigError(f"unknown verification suite {name!r}; "

@@ -251,15 +251,8 @@ class PathBundle:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def monitor_indices(self, monitor_times) -> np.ndarray:
-        m = self.n_steps
-        idx = np.round(np.asarray(monitor_times, dtype=float) * m).astype(int)
-        if np.abs(np.asarray(monitor_times) * m - idx).max() > 1e-9 * m:
-            raise ValueError("monitoring times must lie on the path grid")
-        return idx
-
     def monitor_values(self, monitor_times) -> np.ndarray:
-        return self.paths[:, self.monitor_indices(monitor_times)]
+        return self.paths[:, monitor_indices(monitor_times, self.n_steps)]
 
     def history(self, payoff: PayoffSpec):
         """The values at payoff's monitoring dates before the last, one row
@@ -282,6 +275,15 @@ class PathBundle:
                 for k, t in enumerate(self.times):
                     w.writerow([p, repr(float(t)), repr(float(self.paths[p, k])),
                                 repr(float(self.qv[k])), repr(float(alpha_t[k]))])
+
+
+def monitor_indices(monitor_times, n_steps: int) -> np.ndarray:
+    """Step indices of monitoring times, which must lie on the path grid."""
+    scaled = np.asarray(monitor_times, dtype=float) * n_steps
+    idx = np.round(scaled).astype(int)
+    if np.abs(scaled - idx).max() > 1e-9 * n_steps:
+        raise ValueError("monitoring times must lie on the path grid")
+    return idx
 
 
 def _check_grid(controls, n_paths: int, n_steps: int):
@@ -547,12 +549,6 @@ def norm_estimate(family: ControlFamily, stats, p: float) -> NormEstimate:
     """The family sup of merged `lp_norm_fold` partials."""
     rows = [(c.label, *m.root(p)) for c, (m,) in zip(family, stats)]
     return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
-
-
-def lp_norm(payoff, p, family, field, n_paths, n_steps, seed,
-            t_nodes: int = 17) -> float:
-    return lp_norm_detail(payoff, p, family, field, n_paths, n_steps, seed,
-                          t_nodes).value
 
 
 @dataclass

@@ -87,6 +87,8 @@ class SpaceTimeGrid:
             raise ValueError("n_x must be odd and >= 5")
         if self.x_max <= 0:
             raise ValueError("x_max must be positive")
+        if self.param_time_slices < 1:
+            raise ValueError("param_time_slices must be >= 1")
         if not 0.0 < self.cfl_fraction <= 1.0:
             raise NumericalError("cfl_fraction must lie in (0, 1] "
                                  "(explicit scheme monotonicity)")

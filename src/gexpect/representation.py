@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .montecarlo import (ControlFamily, Moments, PathBundle, PathFold,
-                         simulate, sweep)
+from .montecarlo import ControlFamily, Moments, PathBundle, PathFold, sweep
 from .nonlinearity import VolBand, eval_g_scalar
 from .payoff import PayoffSpec
 from .pde import (_BATCH, _CHUNK, ValueField, conditional_expectation,
@@ -185,14 +184,20 @@ def _accumulate(a, first: int):
         np.add(a[:, j], a[:, j + 1], out=a[:, j + 1])
 
 
+def row_blocks(a):
+    """Slices of a's rows, each of about _CHUNK elements: blocks of whole
+    paths, over which per-path reductions stay bit-identical."""
+    step = max(1, _CHUNK // a.shape[1])
+    return (slice(start, start + step) for start in range(0, len(a), step))
+
+
 def excluded_paths(field: ValueField, bundle: PathBundle,
                    exit_margin_nodes: int = 2) -> np.ndarray:
     """Flags of the paths that come within exit_margin_nodes of the
     truncation, from max |X| over blocks of whole paths."""
     paths = bundle.paths
-    step = max(1, _CHUNK // paths.shape[1])
-    peak = np.concatenate([np.abs(paths[start:start + step]).max(axis=1)
-                           for start in range(0, len(paths), step)])
+    peak = np.concatenate([np.abs(paths[rows]).max(axis=1)
+                           for rows in row_blocks(paths)])
     return peak > field.x_max - exit_margin_nodes * field.dx
 
 
@@ -286,13 +291,11 @@ class GapResult:
     argmax_label: str
     symmetry: list  # per control, `Moments` of max |K| over the included
                     # paths among the first SYMMETRY_PATHS
-    head: Decomposition | None  # the argmax control's first keep_rows paths
 
 
 def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
                     family: ControlFamily, n_paths: int, n_steps: int,
-                    seed: int, degree: int = 1,
-                    keep_rows: int = 0) -> GapResult:
+                    seed: int, degree: int = 1) -> GapResult:
     """sup over the family of E[-K_1]: the discrete martingale-gap of -K.
 
     Values are <= 0 up to Monte Carlo noise; a value near zero attained by
@@ -301,9 +304,9 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     smallest K increment and terminal defect, and each control the
     per-path max |K| over the included paths among its first
     SYMMETRY_PATHS, from which `symmetry_evidence` classifies the payoff
-    with no second sweep.  The argmax control's first keep_rows paths are
-    simulated and extracted again afterwards (a head of every control and
-    block would grow with n_steps).
+    with no second sweep.  Rows of the full decomposition are not kept:
+    `represent` extracts the argmax control's first paths for its CSV
+    with `simulate` and `extract`.
     """
     def fold(_, bundle):
         res, dk = PathFold(np.maximum), PathFold(np.minimum)
@@ -325,15 +328,10 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     rows = [GapRow(c.label, neg_k1.mean, neg_k1.stderr, n_paths - neg_k1.n,
                    res_sq.root(2)[0], dk.lo, terminal.hi)
             for c, (neg_k1, res_sq, dk, terminal, _) in zip(family, stats)]
-    best = max(range(len(rows)), key=lambda j: rows[j].mean_neg_k1)
-    head = None
-    if keep_rows:
-        head = extract(payoff, band, field, simulate(
-            family.controls[best], min(keep_rows, n_paths), n_steps, seed))
-    return GapResult(rows, rows[best].mean_neg_k1, rows[best].label,
+    best = max(rows, key=lambda r: r.mean_neg_k1)
+    return GapResult(rows, best.mean_neg_k1, best.label,
                      [Moments.of(peak[included])
-                      for peak, included in (s[-1].arrays for s in stats)],
-                     head)
+                      for peak, included in (s[-1].arrays for s in stats)])
 
 
 @dataclass

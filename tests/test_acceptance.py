@@ -192,14 +192,13 @@ def test_c07_symmetry_classification(oracle_fields, field_cache):
 
 def test_c08_two_sided_integral_bound():
     family = gx.ControlFamily.constants(BAND, 5)
-    ok = True
-    details = []
-    for name, h in ineq.H_BUILTINS.items():
-        reports = ineq.bdg_check(h, family, 100_000, 256, seed=12_008)
-        ok &= all(r.passed for r in reports)
-        details.append(f"{name}: {reports[0].left:.3f} <= "
-                       f"{reports[0].right:.3f} <= {reports[1].right:.3f}")
-    report(ok, "criterion 8 (integral bound chain)", "; ".join(details))
+    reports = ineq.bdg_check(list(ineq.H_BUILTINS.values()), family, 100_000,
+                             256, seed=12_008)
+    details = [f"{name}: {lower.left:.3f} <= {lower.right:.3f} <= "
+               f"{upper.right:.3f}" for name, lower, upper in zip(
+                   ineq.H_BUILTINS, reports[::2], reports[1::2], strict=True)]
+    report(all(r.passed for r in reports),
+           "criterion 8 (integral bound chain)", "; ".join(details))
 
 
 def test_c09_apriori_energy_bound(oracle_fields, field_cache):
@@ -231,14 +230,13 @@ def test_c10_mollification_sweep():
 def test_c11_maximal_inequality():
     family = gx.ControlFamily.constants(BAND, 5)
     grid = gx.SpaceTimeGrid(n_x=201, x_max=8.0)
-    ok = True
-    details = []
-    for src in ("min(abs(x1), 1)", "clamp(x1, -1, 2)", "min(call(x1, 0), 2)"):
-        payoff = gx.PayoffSpec.parse(src)
-        r = ineq.doob_check(payoff, 4.0, BAND, grid, family, 4000, 128,
-                            seed=12_011)
-        ok &= r.passed and abs(r.constant - math.sqrt(2.0)) < 1e-12
-        details.append(f"{src}: {r.left:.3f} <= {r.right:.3f}")
+    sources = ("min(abs(x1), 1)", "clamp(x1, -1, 2)", "min(call(x1, 0), 2)")
+    reports = ineq.doob_check([gx.PayoffSpec.parse(src) for src in sources],
+                              4.0, BAND, grid, family, 4000, 128, seed=12_011)
+    ok = all(r.passed and abs(r.constant - math.sqrt(2.0)) < 1e-12
+             for r in reports)
+    details = [f"{src}: {r.left:.3f} <= {r.right:.3f}"
+               for src, r in zip(sources, reports, strict=True)]
     report(ok, "criterion 11 (maximal inequality, p=4)", "; ".join(details))
 
 

@@ -148,7 +148,8 @@ def test_represent_csv_embeds_fingerprint(tmp_path):
 
 def test_price_numerical_failure_exit_2(tmp_path):
     path, _ = write_config(tmp_path, payoff__expression="sq(x3)",
-                           payoff__times="0.3,0.6,1.0", grid__n_x=401)
+                           payoff__times="0.3,0.6,1.0", grid__n_x=401,
+                           mc__n_steps=10)
     assert main(["price", "--config", str(path), "--quiet"]) == 2
 
 
@@ -251,12 +252,31 @@ def test_negative_csv_paths_rejected(tmp_path, capsys):
     assert not (out / "decomposition.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"grid__param_time_slices": 0}, "param_time_slices must be >= 1"),
+    ({"grid__param_time_slices": -5}, "param_time_slices must be >= 1"),
+    ({"run__parallel": -3}, "run.parallel must be >= 0"),
+    ({"payoff__expression": "sq(x2 - x1)", "payoff__times": "0.3,1",
+      "mc__n_steps": 16}, "monitoring times must lie on the path grid"),
+], ids=["slices-0", "slices-negative", "parallel-negative", "dates-off-grid"])
+@pytest.mark.parametrize("command", ["price", "represent"])
+def test_bad_setting_is_config_error(tmp_path, capsys, command, overrides,
+                                     message):
+    path, out = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path), "--quiet"]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body", [
     None,
     "floor = 1e-06\n",
     "floor = 1e-06\ncount = 1\ncontrol.1.label = high\n"
     "control.1.breakpoints = 0.0,1.0\ncontrol.1.values = 3.0\n",
-], ids=["missing", "no-count", "outside-band"])
+    # 0.3 is not a multiple of 1 / mc.n_steps = 1 / 64
+    "floor = 1e-06\ncount = 1\ncontrol.1.label = step\n"
+    "control.1.breakpoints = 0.0,0.3,1.0\ncontrol.1.values = 1.0,2.0\n",
+], ids=["missing", "no-count", "outside-band", "breakpoint-off-grid"])
 def test_bad_family_file_is_config_error(tmp_path, body):
     fam_path = tmp_path / "family.txt"
     if body is not None:
@@ -389,6 +409,24 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (
                src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
+
+
+def test_perfbench_spans_install():
+    # the benchmark's tracer binds gexpect names by lookup; renaming or
+    # deleting one of them must fail here, not only in a traced bench run
+    # (install patches the whole process, hence the subprocess)
+    code = "\n".join((
+        "import spans",
+        "spans.install(spans.Recorder('t'))",
+    ))
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (
+               str(root / "src"), str(root / "perfbench"),
+               os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert run.returncode == 0, run.stderr

@@ -32,8 +32,8 @@ def test_report_semantics():
 
 
 def test_bdg_constant_integrand(band12, fam5):
-    lower, upper = ineq.bdg_check(ineq.H_BUILTINS["one"], fam5, 20_000, 128,
-                                  seed=41)
+    lower, upper = ineq.bdg_check([ineq.H_BUILTINS["one"]], fam5, 20_000,
+                                  128, seed=41)
     # integrand norm: sqrt(sup_P int alpha dt) = sqrt(2)
     assert lower.left == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert lower.passed and upper.passed
@@ -41,23 +41,23 @@ def test_bdg_constant_integrand(band12, fam5):
 
 
 def test_bdg_zero_integrand(band12, fam5):
-    lower, upper = ineq.bdg_check(ineq.HProcess.constant(0.0), fam5, 500, 32,
-                                  seed=41)
+    lower, upper = ineq.bdg_check([ineq.HProcess.constant(0.0)], fam5, 500,
+                                  32, seed=41)
     assert lower.left == 0.0 and lower.right == 0.0 and upper.left == 0.0
     assert lower.passed and upper.passed
 
 
 def test_bdg_time_window_integrand(band12, fam5):
-    lower, upper = ineq.bdg_check(ineq.H_BUILTINS["half-time"], fam5, 20_000,
-                                  128, seed=43)
+    lower, upper = ineq.bdg_check([ineq.H_BUILTINS["half-time"]], fam5,
+                                  20_000, 128, seed=43)
     # int_0^{1/2} alpha dt at a_up: norm^2 = 1
     assert lower.left == pytest.approx(1.0, abs=1e-9)
     assert lower.passed and upper.passed
 
 
 def test_bdg_state_dependent_integrand(band12, fam5):
-    reports = ineq.bdg_check(ineq.H_BUILTINS["cos-decay"], fam5, 20_000, 128,
-                             seed=47)
+    reports = ineq.bdg_check([ineq.H_BUILTINS["cos-decay"]], fam5, 20_000,
+                             128, seed=47)
     assert all(r.passed for r in reports)
 
 
@@ -85,13 +85,13 @@ def test_delta_norms_all_paths_excluded_raise(band12):
     family = gx.ControlFamily.constants(band12, 9)
     payoff = gx.PayoffSpec.parse("sq(x1)")
     with pytest.raises(NumericalError, match="all paths excluded"):
-        ineq._delta_norms(payoff, payoff.shifted(0.1), band12, grid, family,
-                          64, 32, 20100920)
+        ineq._delta_norms(payoff, [payoff.shifted(0.1)], band12, grid,
+                          family, 64, 32, 20100920)
 
 
 def test_difference_identical_payoffs(band12, grid201, fam5):
     payoff = gx.PayoffSpec.parse("call(x1, 0)")
-    r1, r2 = ineq.difference_check(payoff, payoff, band12, grid201, fam5,
+    r1, r2 = ineq.difference_check(payoff, [payoff], band12, grid201, fam5,
                                    500, 128, seed=59)
     assert r1.left == 0.0 and r2.left == 0.0
     assert r1.passed and r2.passed
@@ -99,7 +99,7 @@ def test_difference_identical_payoffs(band12, grid201, fam5):
 
 def test_difference_constant_shift(band12, grid201, fam5):
     payoff = gx.PayoffSpec.parse("sq(x1)")
-    r1, r2 = ineq.difference_check(payoff, payoff.shifted(0.1), band12,
+    r1, r2 = ineq.difference_check(payoff, [payoff.shifted(0.1)], band12,
                                    grid201, fam5, 800, 128, seed=59)
     # constants shift the value only: |dY| = 0.1 exactly, H and K unchanged
     assert r1.left == pytest.approx(0.1, abs=1e-9)
@@ -111,7 +111,7 @@ def test_difference_constant_shift(band12, grid201, fam5):
 def test_difference_scaled_call(band12, grid201, fam5):
     payoff = gx.PayoffSpec.parse("call(x1, 0)")
     scaled = gx.PayoffSpec(gx.const(0.9) * payoff.expr, payoff.times)
-    r1, r2 = ineq.difference_check(payoff, scaled, band12, grid201, fam5,
+    r1, r2 = ineq.difference_check(payoff, [scaled], band12, grid201, fam5,
                                    1500, 128, seed=61)
     assert r1.passed and r2.passed
     assert not r2.config["cstar_flagged"]
@@ -147,7 +147,8 @@ def test_doob_constant_c4():
 
 def test_doob_constant_payoff(band12, grid201, fam5):
     payoff = gx.PayoffSpec.parse("const(1)")
-    r = ineq.doob_check(payoff, 4.0, band12, grid201, fam5, 400, 64, seed=67)
+    r, = ineq.doob_check([payoff], 4.0, band12, grid201, fam5, 400, 64,
+                         seed=67)
     assert r.constant == pytest.approx(math.sqrt(2.0))
     assert r.left == pytest.approx(1.0, abs=1e-9)
     assert r.right == pytest.approx(math.sqrt(2.0), abs=1e-9)
@@ -157,17 +158,17 @@ def test_doob_constant_payoff(band12, grid201, fam5):
 def test_doob_bounded_payoffs(band12, grid201, fam5):
     for src in ("min(abs(x1), 1)", "clamp(x1, -1, 2)", "min(call(x1, 0), 2)"):
         payoff = gx.PayoffSpec.parse(src)
-        r = ineq.doob_check(payoff, 4.0, band12, grid201, fam5, 3000, 128,
-                            seed=71)
+        r, = ineq.doob_check([payoff], 4.0, band12, grid201, fam5, 3000, 128,
+                             seed=71)
         assert r.passed, src
 
 
 def test_doob_validation(band12, grid201, fam5):
     with pytest.raises(ValueError):
-        ineq.doob_check(gx.PayoffSpec.parse("min(abs(x1), 1)"), 2.0, band12,
-                        grid201, fam5, 100, 32, seed=1)
+        ineq.doob_check([gx.PayoffSpec.parse("min(abs(x1), 1)")], 2.0,
+                        band12, grid201, fam5, 100, 32, seed=1)
     with pytest.raises(ValueError):
-        ineq.doob_check(gx.PayoffSpec.parse("sq(x1)"), 4.0, band12, grid201,
+        ineq.doob_check([gx.PayoffSpec.parse("sq(x1)")], 4.0, band12, grid201,
                         fam5, 100, 32, seed=1)
 
 
@@ -358,17 +359,18 @@ def test_single_checks_match_old_calls(band12, fam5):
     bounded = gx.PayoffSpec.parse("clamp(x1, -1, 2)")
     args = (fam5, mc.PATH_BLOCK + 7, 16, 89)
     h = ineq.H_BUILTINS["cos-decay"]
-    assert ([r.to_json() for r in ineq.bdg_check(h, *args)]
+    assert ([r.to_json() for r in ineq.bdg_check([h], *args)]
             == [r.to_json() for r in _old_bdg_check(h, *args)])
     args = (band12, grid, *args)
-    assert (ineq.doob_check(bounded, 4.0, *args).to_json()
-            == _old_doob_check(bounded, 4.0, *args).to_json())
+    assert ([r.to_json() for r in ineq.doob_check([bounded], 4.0, *args)]
+            == [_old_doob_check(bounded, 4.0, *args).to_json()])
     other = payoff.shifted(0.2)
-    assert ([r.to_json() for r in ineq.difference_check(payoff, other, *args)]
+    assert ([r.to_json() for r in ineq.difference_check(payoff, [other],
+                                                        *args)]
             == [r.to_json() for r in _old_difference_check(payoff, other,
                                                            *args)])
-    assert (ineq._delta_norms(payoff, other, *args)
-            == _old_delta_norms(payoff, other, *args))
+    assert (ineq._delta_norms(payoff, [other], *args)
+            == [_old_delta_norms(payoff, other, *args)])
 
 
 @pytest.mark.parametrize("name, sweeps", [("bdg", 1), ("doob", 2),

@@ -170,15 +170,15 @@ def test_lp_norm_constant_is_exact(band12, grid201):
     field = gx.conditional_expectation(payoff.absolute(), band12, grid201)
     fam = gx.ControlFamily.constants(band12, 3)
     for p in (1.0, 2.0, 4.0):
-        assert gx.lp_norm(payoff, p, fam, field, 200, 32, seed=7) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert gx.lp_norm_detail(payoff, p, fam, field, 200, 32,
+                                 seed=7).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_norm_linear_lower_bound(band12, grid201):
     payoff = gx.PayoffSpec.parse("x1")
     field = gx.conditional_expectation(payoff.absolute(), band12, grid201)
     fam = gx.ControlFamily.constants(band12, 5)
-    val = gx.lp_norm(payoff, 2.0, fam, field, 4000, 128, seed=7)
+    val = gx.lp_norm_detail(payoff, 2.0, fam, field, 4000, 128, seed=7).value
     assert val >= math.sqrt(2.0) * 0.95
 
 
@@ -189,7 +189,8 @@ def test_norm_chain_spot_check(band12, grid201):
     for src in ("min(abs(x1), 1)", "call(x1, 0)", "abs(x1)"):
         payoff = gx.PayoffSpec.parse(src)
         field = gx.conditional_expectation(payoff.absolute(), band12, grid201)
-        val = gx.lp_norm(payoff, 2.0, fam, field, 2000, 64, seed=19)
+        val = gx.lp_norm_detail(payoff, 2.0, fam, field, 2000, 64,
+                                seed=19).value
         assert math.isfinite(val)
         moment = 0.0
         for c in fam:
@@ -203,8 +204,8 @@ def test_lp_norm_monotone_in_p(band12, grid201):
     payoff = gx.PayoffSpec.parse("min(abs(x1), 1)")
     field = gx.conditional_expectation(payoff.absolute(), band12, grid201)
     fam = gx.ControlFamily.constants(band12, 3)
-    v1 = gx.lp_norm(payoff, 1.0, fam, field, 1000, 64, seed=7)
-    v2 = gx.lp_norm(payoff, 2.0, fam, field, 1000, 64, seed=7)
+    v1, v2 = (gx.lp_norm_detail(payoff, p, fam, field, 1000, 64, seed=7).value
+              for p in (1.0, 2.0))
     assert v1 <= v2 + 1e-12
 
 
@@ -213,7 +214,7 @@ def test_lp_norm_field_mismatch_rejected(band12, grid201, field_cache):
     fam = gx.ControlFamily.constants(band12, 3)
     wrong = field_cache("sq(x1)")
     with pytest.raises(ValueError):
-        gx.lp_norm(payoff, 2.0, fam, wrong, 100, 32, seed=7)
+        gx.lp_norm_detail(payoff, 2.0, fam, wrong, 100, 32, seed=7)
 
 
 def test_path_fold_energy_and_sup(band12):

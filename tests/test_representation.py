@@ -405,7 +405,7 @@ def test_gap_sweep_bit_equal_to_full_extract(band12, field_cache,
     fam = gx.ControlFamily.constants(band12, 3)
     n_paths = mc.PATH_BLOCK + 100
     got = rep.gmartingale_gap(payoff, band12, field, fam, n_paths, n_steps,
-                              seed=47, degree=degree, keep_rows=5)
+                              seed=47, degree=degree)
     rows, symmetry = _full_gap(payoff, band12, field, fam, n_paths, n_steps,
                                47, degree, full_extract)
     assert got.rows == rows
@@ -419,11 +419,6 @@ def test_gap_sweep_bit_equal_to_full_extract(band12, field_cache,
                           n_steps, seed=47, degree=degree)
     assert ev.k_abs_max == max(m.hi for m, in mc.sweep(
         fam, n_paths, n_steps, 47, k_peak))
-    best = next(c for c in fam if c.label == got.argmax_label)
-    want = full_extract(payoff, band12, field,
-                        gx.simulate(best, 5, n_steps, seed=47))
-    for name in ("y", "h", "k", "int_h_dx", "excluded"):
-        assert _same_bits(getattr(got.head, name), getattr(want, name)), name
 
 
 def _block_peak(call, n_paths, n_steps):
@@ -456,8 +451,10 @@ def test_sweeps_hold_few_block_sized_arrays(band12, grid201, field_cache):
             payoff, band12, field, fam, n, m, seed=3), n, m),
         "apriori": _block_peak(lambda: ineq.apriori_check(
             payoff, band12, field, fam, n, m, seed=3), n, m),
-        "difference": _block_peak(lambda: ineq._delta_norms_each(
+        "difference": _block_peak(lambda: ineq._delta_norms(
             payoff, [payoff.shifted(0.1)], band12, grid201, fam, n, m,
             seed=3), n, m),
+        "bdg": _block_peak(lambda: ineq.bdg_check(
+            list(ineq.H_BUILTINS.values()), fam, n, m, seed=3), n, m),
     }
     assert max(peaks.values()) <= 4.0, peaks
