@@ -418,10 +418,7 @@ def test_perfbench_spans_install():
     # the benchmark's tracer binds gexpect names by lookup; renaming or
     # deleting one of them must fail here, not only in a traced bench run
     # (install patches the whole process, hence the subprocess)
-    code = "\n".join((
-        "import spans",
-        "spans.install(spans.Recorder('t'))",
-    ))
+    code = "import spans; spans.install(spans.Recorder('t'))"
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (
