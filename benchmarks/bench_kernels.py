@@ -9,9 +9,10 @@ field read is tested against), and `ValueField.read_along`, the fused
 path-grid read of value, gradient and second difference.  The read runs on
 a one-date field (`sq(x1)`, no parameter axis) and on a two-date field
 (`sq(x2 - x1)`, whose second interval carries the first date as a parameter
-axis), each at 8192 paths x 257 grid times (2.1M queries), the (N, M) paths
-with one time per column, which is what decomposition extraction runs.
-Each line is the best of `--repeat` runs.
+axis), in two shapes: the whole (N, M) grid of 8192 paths x 257 grid times
+(2.1M queries) in one call, and the shape the decomposition march reads,
+one call per 16-column slab of a 4096-path block x 257 grid times (17
+calls, 1.05M queries).  Each line is the best of `--repeat` runs.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -63,18 +64,35 @@ def bench_read(n_queries, n_t, n_x, repeat):
     return _time(run, repeat)
 
 
-def bench_read_along(source, times, repeat, n_paths=8192, n_steps=256):
-    """Extraction-shaped read: every grid time of every path, as one
-    path-grid read."""
+def _read_case(source, times, n_paths, n_steps=256):
     band = gx.VolBand.scalar(1.0, 2.0)
     grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
     payoff = gx.PayoffSpec.parse(source, times)
     field = gx.conditional_expectation(payoff, band, grid)
     bundle = gx.simulate(gx.ControlProcess.constant(1.5), n_paths, n_steps,
                          seed=1)
-    hist = bundle.history(payoff)
+    return field, bundle, bundle.history(payoff)
+
+
+def bench_read_along(source, times, repeat, n_paths=8192):
+    """Every grid time of every path, as one path-grid read."""
+    field, bundle, hist = _read_case(source, times, n_paths)
     return _time(lambda: field.read_along(bundle.times, bundle.paths, hist),
                  repeat)
+
+
+def bench_read_slabs(source, times, repeat, n_paths=4096, width=16):
+    """March-shaped read: one path-grid read per slab of `width` columns
+    of one path block, as `representation.march` reads."""
+    field, bundle, hist = _read_case(source, times, n_paths)
+    m1 = len(bundle.times)
+
+    def run():
+        for start in range(0, m1, width):
+            cols = slice(start, start + width)
+            field.read_along(bundle.times[cols], bundle.paths[:, cols], hist)
+
+    return _time(run, repeat)
 
 
 def main():
@@ -98,6 +116,9 @@ def main():
     for label, source, dates in reads:
         best = bench_read_along(source, dates, args.repeat)
         print(f"{f'read_along, 2.1M queries, {label}':48s} "
+              f"{best * 1e3:9.1f}ms")
+        best = bench_read_slabs(source, dates, args.repeat)
+        print(f"{f'read_along, 17 slabs x 4096, {label}':48s} "
               f"{best * 1e3:9.1f}ms")
     for label, bench in cases:
         print(f"{label:48s} {bench() * 1e3:9.1f}ms")

@@ -26,7 +26,8 @@ from . import representation as rep
 from .errors import ConfigError, GExpectError, NumericalError
 from .nonlinearity import VolBand
 from .payoff import PayoffSpec
-from .pde import SpaceTimeGrid, conditional_expectation, refine_study
+from .pde import (SpaceTimeGrid, check_halving, conditional_expectation,
+                  refine_study)
 
 _KNOWN_KEYS = {
     "band": {"a_lower", "a_upper"},
@@ -253,6 +254,23 @@ def _odd(n: int) -> int:
     return n if n % 2 else n + 1
 
 
+def _refine_grids(cfg: RunConfig) -> list:
+    """price's refinement chain: grids of about a quarter and a half of
+    cfg.n_x's cells, snapped up to odd node counts of at least 5, then
+    cfg.n_x.  An n_x without a dx-halving chain is a config error."""
+    counts = (_odd(max(5, (cfg.n_x - 1) // 4 + 1)),
+              _odd(max(5, (cfg.n_x - 1) // 2 + 1)), cfg.n_x)
+    grids = [SpaceTimeGrid(n, cfg.x_max, cfg.cfl_fraction) for n in counts]
+    try:
+        check_halving(grids)
+    except ValueError as exc:
+        raise ConfigError(
+            f"grid.n_x = {cfg.n_x} gives price no refinement chain "
+            f"({exc}: n_x {', '.join(map(str, counts))}); every n_x >= 17 "
+            "with n_x - 1 a multiple of 8 gives one") from exc
+    return grids
+
+
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -276,6 +294,7 @@ def _write_meta(cfg: RunConfig, out: Path, extra=None):
 
 def cmd_price(cfg: RunConfig, quiet: bool = False) -> int:
     """PDE value, dual Monte Carlo lower bound, gap, convergence table."""
+    grids = _refine_grids(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
@@ -284,11 +303,6 @@ def cmd_price(cfg: RunConfig, quiet: bool = False) -> int:
         value = field.value(0.0, (), 0.0)
         if not np.isfinite(value):
             raise NumericalError("solved value is not finite")
-        # near-halving chain below n_x, snapped up to odd node counts
-        mid = _odd((cfg.n_x - 1) // 2 + 1)
-        coarse = _odd(max(5, (cfg.n_x - 1) // 4 + 1))
-        grids = [SpaceTimeGrid(n, cfg.x_max, cfg.cfl_fraction)
-                 for n in (coarse, mid, cfg.n_x)]
         table = refine_study(payoff, band, grids, finest=value)
         dual = mc.dual_value(payoff, cfg.family(), cfg.n_paths, cfg.n_steps,
                              mc.derive_seed(cfg.seed, "price-dual"))

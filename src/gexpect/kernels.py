@@ -92,7 +92,9 @@ def bilinear_read(times, x0, dx, field, qt, qx):
     """Bilinear read of field (n_t, n_x) at query arrays (qt, qx).
 
     Times may be non-uniform; space is uniform from x0 with step dx.
-    Queries outside the grid are clamped to it.
+    Queries outside the grid are clamped to it.  The field is lerped in
+    time at the query cell's two x nodes, then in x between them: the
+    order of `ValueField`'s reads of intervals without a parameter axis.
     """
     qt = np.asarray(qt, dtype=np.float64)
     qx = np.asarray(qx, dtype=np.float64)
@@ -106,6 +108,6 @@ def bilinear_read(times, x0, dx, field, qt, qx):
     np.clip(xi, 0.0, nx - 1.0, out=xi)
     ix = np.minimum(xi.astype(np.intp), nx - 2)
     fx = xi - ix
-    v0 = field[it, ix] * (1.0 - fx) + field[it, ix + 1] * fx
-    v1 = field[it + 1, ix] * (1.0 - fx) + field[it + 1, ix + 1] * fx
-    return v0 * (1.0 - wt) + v1 * wt
+    v0 = field[it, ix] * (1.0 - wt) + field[it + 1, ix] * wt
+    v1 = field[it, ix + 1] * (1.0 - wt) + field[it + 1, ix + 1] * wt
+    return v0 * (1.0 - fx) + v1 * fx

@@ -26,8 +26,10 @@ from itertools import islice
 
 import numpy as np
 
+from .errors import NumericalError
 from .nonlinearity import VolBand, as_symmetric, sym_floor
 from .payoff import PayoffSpec
+from .pde import SpaceTimeGrid
 
 PATH_BLOCK = 4096
 
@@ -405,8 +407,22 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     `fold(control_index, bundle)` returns a tuple of partials (objects with
     a `merge` method, or tuples of them).  They merge in block order, so the
     per-control results are bit-identical for any `degree` (blocks folded
-    at once)."""
+    at once).
+
+    Each of the `degree` blocks in flight holds its increments and one
+    control's paths, 2 * PATH_BLOCK * (n_steps + 1) * d doubles together;
+    a sweep whose blocks would pass the PDE's field memory limit raises
+    NumericalError before the first block is drawn."""
     _check_grid(family, n_paths, n_steps)
+    in_flight = max(degree, 1)
+    need = in_flight * 2 * 8 * PATH_BLOCK * (n_steps + 1) * family.band.d
+    limit = SpaceTimeGrid.memory_limit
+    if need > limit:
+        raise NumericalError(
+            f"path blocks would need ~{need / 1e9:.2f} GB "
+            f"(> limit {limit / 1e9:.2f} GB) for {in_flight} block(s) "
+            f"of {PATH_BLOCK} paths x {n_steps} steps; lower mc.n_steps"
+            + (" or run.parallel" if degree > 1 else ""))
 
     def fold_block(block):
         return [fold(j, _bundle(c, seed, block[2]))
@@ -415,9 +431,9 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     blocks = iter_increment_blocks(seed, n_paths, n_steps, 1.0 / n_steps,
                                    family.band.d)
     totals = None
-    with ThreadPoolExecutor(max_workers=max(degree, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=in_flight) as pool:
         run = pool.map if degree > 1 else map
-        while batch := list(islice(blocks, max(degree, 1))):
+        while batch := list(islice(blocks, in_flight)):
             for partials in run(fold_block, batch):
                 totals = partials if totals is None else [
                     _merge(t, p) for t, p in zip(totals, partials)]

@@ -26,13 +26,17 @@ subset otherwise.
 
 Fields are read in one pass, along path grids: paths (N, M) with one time
 per column.  The value, the gradient and the second difference all come
-from the same four-node value stencil, interpolated multilinearly.
-Intervals without parameter axes bracket each column's time once and
-gather each query's cell from a table of node values and differences built
-per batch of columns; nested intervals bracket each query's time (by
-search), position and history (arithmetically on the uniform x grid), in
-blocks of whole paths.  Both read in fixed chunks (of columns, or of
-paths), so the read's scratch memory does not grow with the path count.
+from the same four-node value stencil, interpolated multilinearly.  Each
+column's time is bracketed once (by search).  Intervals without parameter
+axes interpolate in time first: a batch of columns lerps the node values
+and differences of each column's two time rows onto its time, into a
+table of 6 doubles per x cell, and each query gathers its cell and lerps
+it in x.  Nested intervals bracket each path's history once, build one
+flat index per query and reach the parameter corners, the next time row
+and the x stencil by fixed offsets from it; they interpolate in space,
+then time, then the parameter axes.  Both gather in blocks of whole paths
+of about _CHUNK queries, so the read's scratch memory does not grow with
+the path count.
 """
 
 import math
@@ -238,14 +242,17 @@ def _node_derivatives(v, dx):
     return grad, hess
 
 
-def _cell_table(values, it, dx):
-    """(12, B * (n_x - 1)) table of the x cells of rows it and it + 1 of
-    values (n_t, n_x), B = len(it).  Entry (6r + 2q + e, b * (n_x - 1) + i)
-    is quantity q (value, gradient, second difference) of row it[b] + r at
-    node i + e, so a cell's even entries sit at its left node."""
+def _cell_table(values, it, wt, dx):
+    """(6, B * (n_x - 1)) table of the x cells of values (n_t, n_x) at B
+    column times, B = len(it): the value, gradient and second difference at
+    the nodes of rows it and it + 1, lerped onto each column's time with
+    weights wt.  Entry (2q + e, b * (n_x - 1) + i) is quantity q (value,
+    gradient, second difference) at node i + e and column b's time, so a
+    cell's even entries sit at its left node."""
     rows = values[np.stack((it, it + 1))]                       # (2, B, n_x)
     nodes = np.stack((rows, *_node_derivatives(rows, dx)), axis=1)
-    return np.stack((nodes[..., :-1], nodes[..., 1:]), axis=2).reshape(12, -1)
+    at_t = _lerp(nodes[0], nodes[1], wt[:, None])               # (3, B, n_x)
+    return np.stack((at_t[..., :-1], at_t[..., 1:]), axis=1).reshape(6, -1)
 
 
 def _as_slice(cols):
@@ -285,26 +292,37 @@ class ValueField:
         return len(self.intervals)
 
     def _read_interval(self, iv: IntervalField, qt, qx, hist) -> np.ndarray:
-        """(3, K) value, gradient and second difference of nested interval
-        iv at times qt (inside it), positions qx and history hist
-        (K, param_dim)."""
+        """(3, *qx.shape) value, gradient and second difference of nested
+        interval iv at positions qx, times qt (inside it) and history hist
+        (..., param_dim), one query per entry of qx; qt and hist broadcast
+        against it.  Each time and history entry is bracketed once, however
+        many queries share it (a column's time, a path's history)."""
         n, dx = len(self.x), self.dx
         flat = iv.values.reshape(-1)
         n_t = len(iv.times)
         it, wt = _bracket_time(iv.times, qt)
         # exact on nodes, where tower checks read nested intervals
         ix, fx = _bracket_nodes(qx, self.x, dx)
-        params = [_bracket_nodes(hist[:, j], self.x, dx)
+        params = [_bracket_nodes(hist[..., j], self.x, dx)
                   for j in range(iv.param_dim)]
-        stencil = np.stack((np.maximum(ix - 1, 0), ix, ix + 1,
-                            np.minimum(ix + 2, n - 1)))
+        # flat index of node ix on row it of the lower corner; the other
+        # corners, row it + 1 and the stencil are fixed offsets from it
+        base = 0
+        for ip, _ in params:
+            base = base * n + ip
+        base = (base * n_t + it) * n + ix
+        shape = base.shape
+        stencil = base.reshape(-1) + np.arange(-1, 3)[:, None]
+        ix, fx = ix.reshape(-1), fx.reshape(-1)
         first = np.flatnonzero(ix == 0)
         last = np.flatnonzero(ix == n - 2)
         fx_left = 1.0 - fx
 
-        def cell(row):
-            # x-interpolated (value, gradient, hessian) of field row `row`
-            v_left, v0, v1, v_right = flat[row * n + stencil]
+        def cell(offset):
+            # x-interpolated (value, gradient, hessian) of the field row
+            # `offset` past the lower corner's; the stencil's ends outside
+            # the row feed only the edge entries, which are overwritten
+            v_left, v0, v1, v_right = flat.take(stencil + offset, mode="clip")
             g0, h0 = _central(v_left, v0, v1, dx)
             g1, h1 = _central(v0, v1, v_right, dx)
             g0[first] = _one_sided(v0[first], v1[first], dx)
@@ -315,15 +333,15 @@ class ValueField:
             out[0] = v0 * fx_left + v1 * fx
             out[1] = g0 * fx_left + g1 * fx
             out[2] = h0 * fx_left + h1 * fx
-            return out
+            return out.reshape(3, *shape)
 
-        # corner rows in C order of the parameter axes, then linear in time,
+        # corners in C order of the parameter axes, then linear in time,
         # then in each parameter axis from the last to the first
-        rows = [0]
-        for ip, _ in params:
-            rows = [r * n + ip + b for r in rows for b in (0, 1)]
-        rows = [r * n_t + it for r in rows]
-        vals = [_lerp(cell(r), cell(r + 1), wt) for r in rows]
+        corners = [0]
+        for _ in params:
+            corners = [c * n + b for c in corners for b in (0, 1)]
+        vals = [_lerp(cell(c * n_t * n), cell(c * n_t * n + n), wt)
+                for c in corners]
         for _, fp in reversed(params):
             vals = [_lerp(a, b, fp) for a, b in zip(vals[::2], vals[1::2])]
         return vals[0]
@@ -333,48 +351,49 @@ class ValueField:
         columns cols of paths x (N, M) at times qt (one per column), into
         out (3, N, M).
 
-        Each column's time is bracketed once.  A batch of columns builds the
-        cell table of its time rows (the node differences there equal the
-        four-node stencil of _read_interval, edges included), each query
-        takes one 12-wide cell of it, and the lerps are those of
-        _read_interval, in its order: space first, then time."""
+        Each column's time is bracketed once.  A batch of columns builds
+        the cell table of its times: the node values and differences of
+        each column's two time rows (equal to the four-node stencil of
+        _read_interval, edges included), lerped onto the column's time.
+        Blocks of whole paths, about _CHUNK queries each, then take each
+        query's 6-wide cell from it and lerp it in space: time first, then
+        space, as kernels.bilinear_read does."""
         n, dx = len(self.x), self.dx
         it, wt = _bracket_time(iv.times, qt)
-        cell_buf = np.empty(12 * x.shape[0] * min(_BATCH, len(cols)))
+        width = min(_BATCH, len(cols))
+        step = max(1, _CHUNK // width)
+        cell_buf = np.empty(6 * width * min(step, x.shape[0]))
         for start in range(0, len(cols), _BATCH):
             batch = slice(start, start + _BATCH)
             cb = _as_slice(cols[batch])
-            ix, fx = _bracket(x[:, cb], -self.x_max, dx, n)
-            ix += (n - 1) * np.arange(ix.shape[1])
-            cells = cell_buf[:12 * ix.size].reshape(12, *ix.shape)
-            # ix lies inside the table, so "clip" only skips the bounds check
-            np.take(_cell_table(iv.values, it[batch], dx), ix, axis=1,
-                    out=cells, mode="clip")
-            left, right = cells[0::2], cells[1::2]
-            left *= 1.0 - fx
-            right *= fx
-            left += right
-            early, late = left[:3], left[3:]
-            early *= 1.0 - wt[batch]
-            late *= wt[batch]
-            early += late
-            out[:, :, cb] = early
+            table = _cell_table(iv.values, it[batch], wt[batch], dx)
+            shift = (n - 1) * np.arange(len(it[batch]))
+            for lo in range(0, x.shape[0], step):
+                rows = slice(lo, lo + step)
+                ix, fx = _bracket(x[rows, cb], -self.x_max, dx, n)
+                ix += shift
+                cells = cell_buf[:6 * ix.size].reshape(6, *ix.shape)
+                # ix lies inside the table, so "clip" only skips the
+                # bounds check
+                np.take(table, ix, axis=1, out=cells, mode="clip")
+                left, right = cells[0::2], cells[1::2]
+                left *= 1.0 - fx
+                right *= fx
+                left += right
+                out[:, rows, cb] = left
 
     def _read_rows(self, iv: IntervalField, qt, cols, x, hist, out, clamped):
         """Grid read of nested interval iv in the columns cols of paths x
         at times qt, into out: blocks of whole paths, about _CHUNK queries
-        each, go through _read_interval with each path's history."""
+        each, go through _read_interval with the block's times per column
+        and its history per path."""
         h = hist[:, :iv.param_dim]
         clamped[:, cols] |= (np.abs(h) > self.x_max + 1e-12).any(1)[:, None]
-        n_cols = len(qt)
-        step = max(1, _CHUNK // n_cols)
+        step = max(1, _CHUNK // len(qt))
         for start in range(0, x.shape[0], step):
             rows = slice(start, start + step)
-            qx = x[rows, cols].ravel()
-            n_block = len(qx) // n_cols
-            vals = self._read_interval(iv, np.tile(qt, n_block), qx,
-                                       np.repeat(h[rows], n_cols, axis=0))
-            out[:, rows, cols] = vals.reshape(3, n_block, n_cols)
+            out[:, rows, cols] = self._read_interval(iv, qt, x[rows, cols],
+                                                     h[rows, None])
 
     def read_along(self, t, x, history=None):
         """Field read along a path grid.
@@ -569,6 +588,17 @@ class RefineRow:
     order: float | None = None
 
 
+def check_halving(grids):
+    """Raise ValueError unless grids are three or more, each with about
+    half the dx of the one before."""
+    if len(grids) < 3:
+        raise ValueError("need at least three grids")
+    for g1, g2 in zip(grids, grids[1:]):
+        ratio = g2.dx / g1.dx
+        if not 0.45 <= ratio <= 0.55:
+            raise ValueError("grids must halve dx")
+
+
 def refine_study(payoff: PayoffSpec, band: VolBand, grids,
                  finest: float | None = None) -> list:
     """Values and empirical order across a chain of dx-halving grids.
@@ -578,12 +608,7 @@ def refine_study(payoff: PayoffSpec, band: VolBand, grids,
     that grid is not solved again.
     """
     grids = list(grids)
-    if len(grids) < 3:
-        raise ValueError("need at least three grids")
-    for g1, g2 in zip(grids, grids[1:]):
-        ratio = g2.dx / g1.dx
-        if not 0.45 <= ratio <= 0.55:
-            raise ValueError("grids must halve dx")
+    check_halving(grids)
     values = [g_expectation(payoff, band, g) for g in grids[:-1]]
     values.append(g_expectation(payoff, band, grids[-1])
                   if finest is None else finest)

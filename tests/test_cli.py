@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import gexpect as gx
-from gexpect.cli import RunConfig, main
+from gexpect.cli import RunConfig, _refine_grids, main
 from gexpect.representation import terminal_defect
 
 BASE = """\
@@ -130,6 +131,17 @@ def test_price_awkward_grid_sizes(tmp_path):
         assert main(["price", "--config", str(path), "--quiet"]) == 0
         payload = json.loads((out / "price.json").read_text())
         assert len(payload["convergence"]) == 3
+
+
+def test_price_refinement_chain(tmp_path, capsys):
+    assert [g.n_x for g in _refine_grids(RunConfig())] == [101, 201, 401]
+    # odd node counts whose near-halving chain does not halve dx
+    for n_x in (5, 21, 37):
+        path, out = write_config(tmp_path, grid__n_x=n_x)
+        assert main(["price", "--config", str(path), "--quiet"]) == 1
+        assert (f"config error: grid.n_x = {n_x} "
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_price_gap_breach_exit_3(tmp_path):
@@ -313,6 +325,29 @@ def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
     assert main(["verify", "--config", str(path), "--suite", "apriori",
                  "--quiet"]) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, code", [
+    (["represent"], 2),
+    (["verify", "--suite", "bdg"], 2),
+    (["verify", "--suite", "tower,mollify"], 0),       # draws no paths
+])
+def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, code):
+    # a block of 4096 paths x 2**25 steps would need ~2.2 TB: the sweep
+    # refuses before drawing it
+    path, _ = write_config(tmp_path, grid__n_x=41, mc__n_steps=2 ** 25,
+                           run__parallel=1)
+    tracemalloc.start()
+    try:
+        assert main([args[0], "--config", str(path), "--quiet",
+                     *args[1:]]) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "numerical failure: path blocks would need ~2199.02 GB" in err
 
 
 def test_represent_symmetry_paths_excluded_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,25 @@ def test_read_independent_of_chunking(field_cache, k):
                                                 qhist[j:j + 1])
             assert np.array_equal(one[0], vals[j])
             assert one_clamped[0] == clamped[j]
+
+
+def test_read_scratch_does_not_grow_with_paths(field_cache):
+    # the read's own memory, its traced peak less its output and flags, is
+    # the same for 4096 and 32768 paths: blocks of whole paths, not the
+    # whole column batch, go through the gather
+    field = field_cache("sq(x1)")
+    t = np.linspace(0.2, 0.3, 16)
+    scratch = []
+    for n_paths in (4096, 32768):
+        x = np.random.default_rng(n_paths).normal(0.0, 2.0, (n_paths, 16))
+        tracemalloc.start()
+        try:
+            vals, clamped = field.read_along(t, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch.append(peak - vals.nbytes - clamped.nbytes)
+    assert abs(scratch[1] - scratch[0]) <= 1 << 16
 
 
 def test_clamped_flag_on_history(field_cache):
