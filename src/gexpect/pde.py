@@ -57,6 +57,8 @@ _MAGIC = b"GXVF1\n"
 _CHUNK = 1 << 14
 _BATCH = 16                       # path-grid columns per cell table
 _COLUMNS = {"value": 0, "gradient": 1, "hessian": 2}
+# bytes a solved field, or the Monte Carlo sweep's path blocks, may take
+MEMORY_LIMIT = 1_500_000_000
 
 
 def __getattr__(name):
@@ -84,7 +86,7 @@ class SpaceTimeGrid:
     x_max: float = 8.0
     cfl_fraction: float = 0.8
     param_time_slices: int = 32
-    memory_limit: int = 1_500_000_000
+    memory_limit: int = MEMORY_LIMIT
 
     def __post_init__(self):
         if self.n_x < 5 or self.n_x % 2 == 0:
@@ -316,13 +318,16 @@ class ValueField:
         ix, fx = ix.reshape(-1), fx.reshape(-1)
         first = np.flatnonzero(ix == 0)
         last = np.flatnonzero(ix == n - 2)
+        # the stencil's ends stay inside the row: at the truncation nodes
+        # they repeat a node, and only feed entries overwritten below
+        stencil[0, first] += 1
+        stencil[3, last] -= 1
         fx_left = 1.0 - fx
 
         def cell(offset):
             # x-interpolated (value, gradient, hessian) of the field row
-            # `offset` past the lower corner's; the stencil's ends outside
-            # the row feed only the edge entries, which are overwritten
-            v_left, v0, v1, v_right = flat.take(stencil + offset, mode="clip")
+            # `offset` past the lower corner's
+            v_left, v0, v1, v_right = flat.take(stencil + offset)
             g0, h0 = _central(v_left, v0, v1, dx)
             g1, h1 = _central(v0, v1, v_right, dx)
             g0[first] = _one_sided(v0[first], v1[first], dx)

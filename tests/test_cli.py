@@ -327,16 +327,19 @@ def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, code", [
-    (["represent"], 2),
-    (["verify", "--suite", "bdg"], 2),
-    (["verify", "--suite", "tower,mollify"], 0),       # draws no paths
+@pytest.mark.parametrize("args, parallel, code, message", [
+    (["represent"], 1, 2, "~2199.02 GB (> limit 1.50 GB) for 1 block(s)"),
+    (["verify", "--suite", "bdg"], 1, 2, "~2199.02 GB"),
+    (["verify", "--suite", "tower,mollify"], 1, 0, None),  # draws no paths
+    # 8000 paths are 2 blocks: no more are in flight at run.parallel 64
+    (["represent"], 64, 2, "~4398.05 GB (> limit 1.50 GB) for 2 block(s)"),
 ])
-def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, code):
+def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, parallel, code,
+                                      message):
     # a block of 4096 paths x 2**25 steps would need ~2.2 TB: the sweep
     # refuses before drawing it
     path, _ = write_config(tmp_path, grid__n_x=41, mc__n_steps=2 ** 25,
-                           run__parallel=1)
+                           run__parallel=parallel)
     tracemalloc.start()
     try:
         assert main([args[0], "--config", str(path), "--quiet",
@@ -347,7 +350,14 @@ def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, code):
     assert peak < 64 << 20
     err = capsys.readouterr().err
     if code == 2:
-        assert "numerical failure: path blocks would need ~2199.02 GB" in err
+        assert f"numerical failure: path blocks would need {message}" in err
+
+
+def test_many_threads_at_default_steps_pass_the_block_guard(tmp_path):
+    # 64 blocks of 512 steps would be ~2.15 GB, but 1000 paths fill one
+    path, _ = write_config(tmp_path, grid__n_x=41, mc__n_paths=1000,
+                           mc__n_steps=512, run__parallel=64)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 0
 
 
 def test_represent_symmetry_paths_excluded_exit_2(tmp_path, capsys):

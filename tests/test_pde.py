@@ -343,6 +343,37 @@ def test_fused_read_matches_scipy_on_nested_fields(band12, flat_read, source,
         assert np.abs(got[:, c] - want[:, c]).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("source,times,n_x", [
+    ("sq(x2 - x1)", (0.5, 1.0), 201),
+    ("sq(x3 - x2) + abs(x1)", (1 / 3, 2 / 3, 1.0), 61),
+])
+def test_nested_read_at_the_domain_edges(band12, source, times, n_x):
+    # x and every history axis at +-x_max and inside the edge cells, on the
+    # first and last time rows of each nested interval: an index that slips
+    # to a neighbouring row or parameter corner misses the oracle
+    grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
+    field = gx.conditional_expectation(gx.PayoffSpec.parse(source, times),
+                                       band12, grid)
+    x_max, dx = field.x_max, field.dx
+    edges = np.array([-x_max, -x_max + dx / 3, x_max - dx / 3, x_max])
+    t = np.concatenate([
+        [iv.t_start, (iv.times[0] + iv.times[1]) / 2,
+         (iv.times[-2] + iv.times[-1]) / 2, np.nextafter(iv.t_end, 0.0)]
+        for iv in field.intervals[1:]])
+    dim = len(times) - 1
+    hist = np.stack(np.meshgrid(*[edges] * dim, indexing="ij"),
+                    -1).reshape(-1, dim)
+    hist = np.repeat(hist, len(edges), axis=0)
+    x = np.broadcast_to(np.tile(edges, len(hist) // len(edges))[:, None],
+                        (len(hist), len(t)))
+    got, _ = field.read_along(t, x, hist)
+    want = _scipy_oracle(field, np.broadcast_to(t, x.shape).ravel(),
+                         x.ravel(), np.repeat(hist, len(t), axis=0))
+    for c in range(3):
+        scale = np.abs(want[:, c]).max()
+        assert np.abs(got[:, c] - want[:, c]).max() <= 1e-12 * scale
+
+
 def test_nested_read_exact_on_nodes(field_cache):
     field = field_cache("sq(x2 - x1)", (0.5, 1.0))
     iv = field.intervals[1]
