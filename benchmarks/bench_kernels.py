@@ -12,7 +12,12 @@ a one-date field (`sq(x1)`, no parameter axis) and on a two-date field
 axis), in two shapes: the whole (N, M) grid of 8192 paths x 257 grid times
 (2.1M queries) in one call, and the shape the decomposition march reads,
 one call per 16-column slab of a 4096-path block x 257 grid times (17
-calls, 1.05M queries).  Each line is the best of `--repeat` runs.
+calls, 1.05M queries).  Two sweep cases time whole Monte Carlo folds on
+nine constant controls and `sq(x2 - x1)` at dates 0.5 and 1: one
+`dual_value` at `price`'s shape (20000 paths x 512 steps, which reads two
+columns of each control's paths) and one block of `gmartingale_gap` at
+`represent`'s (4096 paths x 256 steps, a decomposition march per
+control).  Each line is the best of `--repeat` runs.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -77,22 +82,46 @@ def _read_case(source, times, n_paths, n_steps=256):
 def bench_read_along(source, times, repeat, n_paths=8192):
     """Every grid time of every path, as one path-grid read."""
     field, bundle, hist = _read_case(source, times, n_paths)
-    return _time(lambda: field.read_along(bundle.times, bundle.paths, hist),
-                 repeat)
+    paths = bundle.paths
+    return _time(lambda: field.read_along(bundle.times, paths, hist), repeat)
 
 
 def bench_read_slabs(source, times, repeat, n_paths=4096, width=16):
     """March-shaped read: one path-grid read per slab of `width` columns
     of one path block, as `representation.march` reads."""
     field, bundle, hist = _read_case(source, times, n_paths)
+    paths = bundle.paths
     m1 = len(bundle.times)
 
     def run():
         for start in range(0, m1, width):
             cols = slice(start, start + width)
-            field.read_along(bundle.times[cols], bundle.paths[:, cols], hist)
+            field.read_along(bundle.times[cols], paths[:, cols], hist)
 
     return _time(run, repeat)
+
+
+def _sweep_case():
+    band = gx.VolBand.scalar(1.0, 2.0)
+    payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
+    return band, payoff, gx.ControlFamily.constants(band, 9)
+
+
+def bench_dual_value(repeat, n_paths=20_000, n_steps=512):
+    """`price`'s dual sweep: the payoff at its dates under every control."""
+    _, payoff, family = _sweep_case()
+    return _time(lambda: gx.dual_value(payoff, family, n_paths, n_steps,
+                                       seed=1), repeat)
+
+
+def bench_gap_block(repeat, n_paths=4096, n_steps=256):
+    """One path block of `represent`'s gap sweep, on one thread."""
+    band, payoff, family = _sweep_case()
+    field = gx.conditional_expectation(payoff, band,
+                                       gx.SpaceTimeGrid(n_x=401, x_max=8.0))
+    return _time(lambda: gx.gmartingale_gap(payoff, band, field, family,
+                                            n_paths, n_steps, seed=1),
+                 repeat)
 
 
 def main():
@@ -109,6 +138,10 @@ def main():
          lambda: bench_march(401, 401, 782, args.repeat, 2)),
         ("bilinear read, 1e6 queries, field 1564x401",
          lambda: bench_read(1_000_000, 1564, 401, args.repeat)),
+        ("dual_value, 20000 x 512, 9 controls",
+         lambda: bench_dual_value(args.repeat)),
+        ("gap sweep, one block 4096 x 256, 9 controls",
+         lambda: bench_gap_block(args.repeat)),
     ]
     reads = [("1-date sq(x1)", "sq(x1)", (1.0,)),
              ("2-date sq(x2-x1)", "sq(x2 - x1)", (0.5, 1.0))]

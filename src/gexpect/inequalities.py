@@ -41,8 +41,14 @@ APRIORI_AGGREGATE_CONSTANT = 4.0 + math.sqrt(54.0)
 DIFFERENCE_CSTAR = 1.0
 
 
+# config keys that record a measured result beside the configuration
+_MEASURED = ("implied_cstar", "cstar_flagged")
+
+
 def _fingerprint(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str)
+    """Hash of a check's configuration, without its _MEASURED keys."""
+    blob = json.dumps({k: v for k, v in config.items() if k not in _MEASURED},
+                      sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -141,14 +147,13 @@ def bdg_check(hs, family: ControlFamily, n_paths: int, n_steps: int,
 
     def folder(h):
         def fold(_, bundle):
-            root_alpha = np.sqrt(bundle.alpha)
             integral, m_sup = [], []
-            for rows in row_blocks(bundle.paths):
-                hv = h.evaluate(bundle.times[:-1], bundle.paths[rows, :-1])
+            for rows in row_blocks(bundle):
+                x = bundle.states(rows=rows)
+                hv = h.evaluate(bundle.times[:-1], x[:, :-1])
                 integral.append(
                     ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1))
-                m_run = np.cumsum(hv * (root_alpha * bundle.increments[rows]),
-                                  axis=1)
+                m_run = np.cumsum(hv * np.diff(x, axis=1), axis=1)
                 m_sup.append(np.abs(m_run).max(axis=1))
             return (Moments.of(np.concatenate(integral)),
                     Moments.of(np.concatenate(m_sup) ** 2))

@@ -13,9 +13,12 @@ corresponding band value, and callers pair it with the PDE reference.
 Randomness contract: path draws come in fixed 4096-path blocks seeded by
 (seed, block index), so a path's increments are a pure function of
 (seed, path index).  Every family estimate is a fold of a `sweep`: each
-block is drawn once and shared by every control, and partials merge in
-block order, so results do not depend on thread count and memory not on
-path count.  Estimates on one seed share one sweep (`sweep_each`).
+block is drawn once and turned into its Brownian path W by one cumulative
+sum in place, every control's `PathBundle` on the block shares that one
+W and builds the states X = int sqrt(alpha) dW a consumer reads from it on
+demand, and partials merge in block order, so results do not depend on
+thread count and memory not on path count.  Estimates on one seed share
+one sweep (`sweep_each`).
 """
 
 import hashlib
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import NumericalError
 from .nonlinearity import VolBand, as_symmetric, sym_floor
 from .payoff import PayoffSpec
-from .pde import MEMORY_LIMIT
+from .pde import MEMORY_LIMIT, _as_slice
 
 PATH_BLOCK = 4096
 
@@ -224,37 +227,116 @@ def read_family(path, band: VolBand) -> ControlFamily:
     return ControlFamily(band, controls, floor)
 
 
+def _roots(values) -> np.ndarray:
+    """sqrt of each control value: scalars, or the symmetric root of each
+    (d, d) matrix."""
+    if values.ndim == 1:
+        return np.sqrt(values)
+    w, v = np.linalg.eigh(values)
+    return (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.swapaxes(1, 2)
+
+
 @dataclass
 class PathBundle:
-    """Simulated paths of one control: increments, states, analytic QV.
+    """Paths of one control, built on demand from a Brownian path.
 
-    alpha/qv are deterministic functions of time for piecewise-constant
-    controls and are stored once (not per path); qv increments equal
-    alpha * dt exactly by construction.
+    `brownian` holds W at steps 1..M of every path (W_0 = 0 is not stored);
+    in a sweep it is the block's one array, shared by every control's
+    bundle.  The states are not stored: `states` builds the columns a
+    consumer asks for.  On a piece of the control (a run of steps with one
+    value alpha_p, first step b) that holds step k - 1,
+
+        X_k = X_b + sqrt(alpha_p) (W_k - W_b),
+
+    one multiply for a constant control and a matrix root for d > 1; the
+    states X_b at the piece starts are built once per bundle.  alpha/qv
+    are deterministic functions of time for piecewise-constant controls
+    and are stored once (not per path); qv increments equal alpha * dt
+    exactly by construction.
     """
 
     control: ControlProcess
     seed: int
     times: np.ndarray        # (M+1,)
-    increments: np.ndarray   # (N, M) driving Brownian increments
-    paths: np.ndarray        # (N, M+1)
-    alpha: np.ndarray        # (M,) per-step control value (d=1)
-    qv: np.ndarray           # (M+1,) realized quadratic variation
+    brownian: np.ndarray     # (N, M) or (N, M, d): W at steps 1..M
+    alpha: np.ndarray        # (M,) or (M, d, d) per-step control value
+    qv: np.ndarray           # (M+1,) or (M+1, d, d) realized QV
+
+    def __post_init__(self):
+        flat = self.alpha.reshape(len(self.alpha), -1)
+        change = np.flatnonzero((flat[1:] != flat[:-1]).any(axis=1)) + 1
+        self._starts = np.concatenate(([0], change))
+        self._roots = _roots(self.alpha[self._starts])
+        self._anchors = None
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.brownian.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[1]
+        return self.brownian.shape[1]
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @property
+    def paths(self) -> np.ndarray:
+        """Every state, (N, M+1) or (N, M+1, d), built on each access."""
+        return self.states()
+
+    def states(self, cols=slice(None), rows=slice(None)) -> np.ndarray:
+        """X at columns cols (indices or a slice of 0..M) of the paths in
+        the slice rows: (n, len(cols)) or (n, len(cols), d)."""
+        cols = np.arange(self.n_steps + 1)[cols]
+        piece = np.searchsorted(self._starts, cols - 1, side="right") - 1
+        np.maximum(piece, 0, out=piece)
+        x = self._brownian_at(cols, rows)
+        if len(self._starts) == 1:
+            return self._scale(x, piece)
+        x -= self._brownian_at(self._starts[piece], rows)
+        x = self._scale(x, piece)
+        x += self._anchor_states(rows)[:, piece]
+        return x
+
+    def _brownian_at(self, cols, rows) -> np.ndarray:
+        """W at columns cols of the paths rows, a new C-ordered array (the
+        order field reads want)."""
+        w = self.brownian[rows]
+        run = _as_slice(cols)
+        if isinstance(run, slice):
+            # one run of columns, as a slab or a row block reads: a copy
+            # of a slice, several times faster than a gather
+            x = np.empty((len(w), len(cols)) + w.shape[2:])
+            lead = int(run.start == 0)
+            x[:, :lead] = 0.0
+            x[:, lead:] = w[:, run.start + lead - 1:run.stop - 1]
+            return x
+        x = np.take(w, cols - 1, axis=1)       # column 0 wraps to W_M
+        x[:, cols == 0] = 0.0
+        return x
+
+    def _scale(self, w, piece) -> np.ndarray:
+        """sqrt(alpha) of each column's piece times the W differences w."""
+        if self.control.d == 1:
+            w *= self._roots[piece]
+            return w
+        return np.einsum("cij,ncj->nci", self._roots[piece], w)
+
+    def _anchor_states(self, rows) -> np.ndarray:
+        """X at the first step of every piece, of the paths rows."""
+        if self._anchors is None:
+            w = self._brownian_at(self._starts, slice(None))
+            anchors = np.zeros_like(w)
+            for p in range(1, len(self._starts)):
+                step = self._scale(w[:, p:p + 1] - w[:, p - 1:p], [p - 1])
+                anchors[:, p] = anchors[:, p - 1] + step[:, 0]
+            self._anchors = anchors
+        return self._anchors[rows]
+
     def monitor_values(self, monitor_times) -> np.ndarray:
-        return self.paths[:, monitor_indices(monitor_times, self.n_steps)]
+        return self.states(monitor_indices(monitor_times, self.n_steps))
 
     def history(self, payoff: PayoffSpec):
         """The values at payoff's monitoring dates before the last, one row
@@ -266,16 +348,17 @@ class PathBundle:
     def to_csv(self, path, max_paths: int | None = None):
         import csv
 
-        if self.paths.ndim != 2:
+        if self.control.d != 1:
             raise ValueError("CSV export is d=1 only")
         n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
+        x = self.states(rows=slice(0, n))
         alpha_t = np.append(self.alpha, self.alpha[-1])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["path_id", "t", "X", "qv", "alpha"])
             for p in range(n):
                 for k, t in enumerate(self.times):
-                    w.writerow([p, repr(float(t)), repr(float(self.paths[p, k])),
+                    w.writerow([p, repr(float(t)), repr(float(x[p, k])),
                                 repr(float(self.qv[k])), repr(float(alpha_t[k]))])
 
 
@@ -297,34 +380,28 @@ def _check_grid(controls, n_paths: int, n_steps: int):
             raise ValueError(f"control {c.label!r} breakpoints off the grid")
 
 
-def _bundle(control: ControlProcess, seed: int, dW: np.ndarray) -> PathBundle:
-    """Paths of one control driven by increments dW, (N, M) or (N, M, d)."""
-    n_paths, n_steps = dW.shape[:2]
+def _bundle(control: ControlProcess, seed: int,
+            brownian: np.ndarray) -> PathBundle:
+    """The bundle of one control on Brownian paths W (N, M) or (N, M, d)."""
+    n_steps = brownian.shape[1]
     times = np.linspace(0.0, 1.0, n_steps + 1)
     alpha = control.step_values(times[:-1])       # (M,) or (M, d, d)
-    paths = np.empty((n_paths, n_steps + 1) + dW.shape[2:])
-    paths[:, 0] = 0.0
-    if control.d == 1:
-        np.multiply(np.sqrt(alpha), dW, out=paths[:, 1:])
-    else:
-        w, v = np.linalg.eigh(alpha)
-        root = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        paths[:, 1:] = np.einsum("kij,nkj->nki", root @ v.swapaxes(1, 2), dW)
-    np.cumsum(paths[:, 1:], axis=1, out=paths[:, 1:])
     qv = np.zeros((n_steps + 1,) + alpha.shape[1:])
     np.cumsum(alpha * (1.0 / n_steps), axis=0, out=qv[1:])
-    return PathBundle(control, seed, times, dW, paths, alpha, qv)
+    return PathBundle(control, seed, times, brownian, alpha, qv)
 
 
 def simulate(control: ControlProcess, n_paths: int, n_steps: int,
              seed: int, band: VolBand | None = None) -> PathBundle:
-    """Materialize a full bundle (`sweep` folds large runs block by block)."""
+    """Materialize a full bundle (`sweep` folds large runs block by block),
+    on the Brownian paths a sweep builds from the same blocks."""
     if band is not None:
         control.validate(band)
     _check_grid([control], n_paths, n_steps)
-    dW = np.concatenate([blk for _, _, blk in iter_increment_blocks(
+    w = np.concatenate([blk for _, _, blk in iter_increment_blocks(
         seed, n_paths, n_steps, 1.0 / n_steps, control.d)])
-    return _bundle(control, seed, dW)
+    np.cumsum(w, axis=1, out=w)
+    return _bundle(control, seed, w)
 
 
 @dataclass(frozen=True)
@@ -402,21 +479,21 @@ def _merge(a, b):
 
 def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
           fold, degree: int = 1) -> list:
-    """Fold every control over common path blocks: each block is drawn once,
-    each control's PathBundle is built from it as `simulate` builds it, and
-    `fold(control_index, bundle)` returns a tuple of partials (objects with
-    a `merge` method, or tuples of them).  They merge in block order, so the
-    per-control results are bit-identical for any `degree` (blocks folded
-    at once).
+    """Fold every control over common path blocks: each block is drawn
+    once and turned into its Brownian path by one cumulative sum in place,
+    each control's PathBundle is built on that path as `simulate` builds
+    it, and `fold(control_index, bundle)` returns a tuple of partials
+    (objects with a `merge` method, or tuples of them).  They merge in
+    block order, so the per-control results are bit-identical for any
+    `degree` (blocks folded at once).
 
     Each block in flight, at most `degree` and no more than the sweep has,
-    holds its increments and one control's paths, 2 * PATH_BLOCK *
-    (n_steps + 1) * d doubles together; a sweep whose blocks would pass
-    pde.MEMORY_LIMIT raises NumericalError before the first block is
-    drawn."""
+    holds one block-sized array, PATH_BLOCK * n_steps * d doubles; a sweep
+    whose blocks would pass pde.MEMORY_LIMIT raises NumericalError before
+    the first block is drawn."""
     _check_grid(family, n_paths, n_steps)
     in_flight = min(max(degree, 1), -(-n_paths // PATH_BLOCK))
-    need = in_flight * 2 * 8 * PATH_BLOCK * (n_steps + 1) * family.band.d
+    need = in_flight * 8 * PATH_BLOCK * n_steps * family.band.d
     if need > MEMORY_LIMIT:
         raise NumericalError(
             f"path blocks would need ~{need / 1e9:.2f} GB "
@@ -425,8 +502,9 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
             + (" or run.parallel" if in_flight > 1 else ""))
 
     def fold_block(block):
-        return [fold(j, _bundle(c, seed, block[2]))
-                for j, c in enumerate(family)]
+        w = block[2]
+        np.cumsum(w, axis=1, out=w)
+        return [fold(j, _bundle(c, seed, w)) for j, c in enumerate(family)]
 
     blocks = iter_increment_blocks(seed, n_paths, n_steps, 1.0 / n_steps,
                                    family.band.d)
@@ -511,8 +589,7 @@ def conditional_supremum(payoff: PayoffSpec, field, bundle: PathBundle,
     if k == bundle.n_steps:
         return payoff.evaluate(bundle.monitor_values(payoff.times)), \
             np.zeros(bundle.n_paths, dtype=bool)
-    values, clamped = field.read_along(times[k:k + 1],
-                                       bundle.paths[:, k:k + 1],
+    values, clamped = field.read_along(times[k:k + 1], bundle.states([k]),
                                        bundle.history(payoff))
     return values[:, 0], clamped
 
@@ -555,7 +632,7 @@ def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int,
 
     def fold(_, bundle):
         reads, _ = field.read_along(bundle.times[inner],
-                                    bundle.paths[:, inner],
+                                    bundle.states(inner),
                                     bundle.history(abs_payoff))
         sup = np.abs(reads[:, 0]).reshape(bundle.n_paths, len(inner)).max(1)
         xi = abs_payoff.evaluate(bundle.monitor_values(abs_payoff.times))
@@ -584,11 +661,12 @@ def qv_identity_check(bundle: PathBundle) -> QvReport:
     reconstruction telescopes to the realized sum of squared increments and
     the residual measures realized-vs-analytic QV (O(dt^1/2) in RMS).
     """
-    if bundle.paths.ndim != 2:
+    if bundle.control.d != 1:
         raise ValueError("qv identity check is d=1 only")
-    dx = np.diff(bundle.paths, axis=1)
-    ito = np.cumsum(bundle.paths[:, :-1] * dx, axis=1)
-    recon = bundle.paths[:, 1:] ** 2 - 2.0 * ito
+    x = bundle.paths
+    dx = np.diff(x, axis=1)
+    ito = np.cumsum(x[:, :-1] * dx, axis=1)
+    recon = x[:, 1:] ** 2 - 2.0 * ito
     resid = bundle.qv[1:][None, :] - recon
     return QvReport(float(np.abs(resid).max()),
                     float(np.sqrt(np.mean(resid[:, -1] ** 2))),

@@ -22,7 +22,8 @@ last-interval solution is restarted at each earlier date with the diagonal
 re-read v(t_i, ..., x, x) as new terminal data.  Parameter grids coincide
 with the spatial grid, so the diagonal is a node-exact read.  Solved fields
 store every time step when no parameter axes are present and a strided
-subset otherwise.
+subset otherwise; a value alone (`g_expectation` with no field) keeps
+only each interval's first two time slices and its terminal data.
 
 Fields are read in one pass, along path grids: paths (N, M) with one time
 per column.  The value, the gradient and the second difference all come
@@ -139,9 +140,12 @@ def _store_steps(n_steps: int, param_dim: int, interior: int) -> np.ndarray:
 
 
 def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
-                   interval, degree: int = 1) -> IntervalField:
+                   interval, degree: int = 1,
+                   value_only: bool = False) -> IntervalField:
     """March terminal_data (..., n_x) backward over interval = (s, t), on
-    up to `degree` threads."""
+    up to `degree` threads.  value_only stores only the last two slices of
+    the full schedule: the start slice, which a restart and the (0, 0)
+    read use, and the slice the read brackets it with."""
     if band.d != 1:
         raise ValueError("the PDE solver is implemented for d = 1")
     t0, t1 = float(interval[0]), float(interval[1])
@@ -157,6 +161,8 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     dt = (t1 - t0) / n_steps
     param_shape = data.shape[:-1]
     steps = _store_steps(n_steps, len(param_shape), grid.param_time_slices)
+    if value_only:
+        steps = steps[-2:]
     n_stored = len(steps) + 1
 
     rows = int(np.prod(param_shape, dtype=np.int64)) if param_shape else 1
@@ -544,6 +550,25 @@ def conditional_expectation(payoff: PayoffSpec, band: VolBand,
     threads.  Rejects more than three monitoring dates (parameter storage
     grows as n_x^(n-1)).
     """
+    return _solve(payoff, band, grid, degree, value_only=False)
+
+
+def g_expectation(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
+                  field: ValueField | None = None, degree: int = 1) -> float:
+    """Worst-case expectation: the solved field read at (t=0, x=0).
+
+    With no field, the intervals are marched as `conditional_expectation`
+    marches them but store only the slices that the restarts and that read
+    use, so the value is the same bit for bit."""
+    if field is None:
+        field = _solve(payoff, band, grid, degree, value_only=True)
+    return field.value(0.0, (), 0.0)
+
+
+def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
+           degree: int, value_only: bool) -> ValueField:
+    """The interval loop of `conditional_expectation`; with value_only, a
+    field that can be read at t = 0 only."""
     if payoff.n > 3:
         raise ValueError("at most three monitoring dates are supported")
     if band.d != 1:
@@ -559,20 +584,13 @@ def conditional_expectation(payoff: PayoffSpec, band: VolBand,
     intervals = [None] * n
     for i in range(n, 0, -1):
         intervals[i - 1] = solve_interval(terminal, band, grid,
-                                          (times[i - 1], times[i]), degree)
+                                          (times[i - 1], times[i]), degree,
+                                          value_only)
         if i > 1:
             first = intervals[i - 1].values[..., 0, :]
             terminal = np.ascontiguousarray(
                 np.diagonal(first, axis1=-2, axis2=-1))
     return ValueField(intervals, x, payoff=payoff, band=band, grid=grid)
-
-
-def g_expectation(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
-                  field: ValueField | None = None) -> float:
-    """Worst-case expectation: the solved field read at (t=0, x=0)."""
-    if field is None:
-        field = conditional_expectation(payoff, band, grid)
-    return field.value(0.0, (), 0.0)
 
 
 def derivatives(field: ValueField):

@@ -33,8 +33,7 @@ from .errors import NumericalError
 from .montecarlo import ControlFamily, Moments, PathBundle, PathFold, sweep
 from .nonlinearity import VolBand, eval_g_scalar
 from .payoff import PayoffSpec
-from .pde import (_BATCH, _CHUNK, ValueField, conditional_expectation,
-                  g_expectation)
+from .pde import _BATCH, _CHUNK, ValueField, g_expectation
 
 SYMMETRY_PATHS = 2048   # `represent` classifies symmetry on the first paths
 
@@ -127,18 +126,20 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
     """Yield the decomposition along every path of the bundle as Slabs of
     _BATCH columns, left to right.
 
-    Each slab reads the field once, through `read_along`, and holds its
-    arrays in Fortran order, so that a column of every path is contiguous:
-    numpy reduces and accumulates along rows of 16 several times slower.
+    Each slab builds the states of its columns and of the next slab's
+    first, which give its steps' dX, reads the field once, through
+    `read_along`, and holds its arrays in Fortran order, so that a column
+    of every path is contiguous: numpy reduces and accumulates along rows
+    of 16 several times slower.
     K and int H dX enter a slab as the first column of their running sums,
     which add one column at a time in np.cumsum's order, so the slabs
     agree bit for bit with one cumulative sum over all columns.  The
     march's memory does not grow with the step count.
     """
-    if bundle.paths.ndim != 2:
+    if bundle.control.d != 1:
         raise ValueError("decomposition extraction is d=1 only")
-    paths, times, alpha = bundle.paths, bundle.times, bundle.alpha
-    n_paths, m1 = paths.shape
+    times, alpha = bundle.times, bundle.alpha
+    n_paths, m1 = bundle.n_paths, bundle.n_steps + 1
     history = bundle.history(payoff)
     lo, up = band.lower_scalar, band.upper_scalar
     y0, k_in, int_in = None, 0.0, 0.0
@@ -146,7 +147,9 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
         cols = slice(start, min(start + _BATCH, m1))
         steps = slice(start, min(cols.stop, m1 - 1))
         n = steps.stop - start
-        read, _ = field.read_along(times[cols], paths[:, cols], history)
+        x = bundle.states(slice(start, steps.stop + 1))
+        read, _ = field.read_along(times[cols], x[:, :cols.stop - start],
+                                   history)
         y, h, d2u = (np.asfortranarray(column.reshape(n_paths, -1))
                      for column in read.T)
         if y0 is None:
@@ -168,8 +171,7 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
         # h * dX, the increments of int H dX
         int_h_dx = np.empty((n_paths, n + 1), order="F")
         int_h_dx[:, 0] = int_in
-        np.subtract(paths[:, start + 1:steps.stop + 1], paths[:, steps],
-                    out=int_h_dx[:, 1:])
+        np.subtract(x[:, 1:n + 1], x[:, :n], out=int_h_dx[:, 1:])
         int_h_dx[:, 1:] *= h[:, :n]
         _accumulate(int_h_dx, first)
 
@@ -184,20 +186,20 @@ def _accumulate(a, first: int):
         np.add(a[:, j], a[:, j + 1], out=a[:, j + 1])
 
 
-def row_blocks(a):
-    """Slices of a's rows, each of about _CHUNK elements: blocks of whole
-    paths, over which per-path reductions stay bit-identical."""
-    step = max(1, _CHUNK // a.shape[1])
-    return (slice(start, start + step) for start in range(0, len(a), step))
+def row_blocks(bundle: PathBundle):
+    """Slices of the bundle's paths, each of about _CHUNK states: blocks of
+    whole paths, over which per-path reductions stay bit-identical."""
+    step = max(1, _CHUNK // (bundle.n_steps + 1))
+    return (slice(start, start + step)
+            for start in range(0, bundle.n_paths, step))
 
 
 def excluded_paths(field: ValueField, bundle: PathBundle,
                    exit_margin_nodes: int = 2) -> np.ndarray:
     """Flags of the paths that come within exit_margin_nodes of the
     truncation, from max |X| over blocks of whole paths."""
-    paths = bundle.paths
-    peak = np.concatenate([np.abs(paths[rows]).max(axis=1)
-                           for rows in row_blocks(paths)])
+    peak = np.concatenate([np.abs(bundle.states(rows=rows)).max(axis=1)
+                           for rows in row_blocks(bundle)])
     return peak > field.x_max - exit_margin_nodes * field.dx
 
 
@@ -205,7 +207,7 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
             bundle: PathBundle, exit_margin_nodes: int = 2) -> Decomposition:
     """Sample the decomposition along every path of the bundle: the slabs
     of `march`, stacked."""
-    arrays = np.empty((4,) + bundle.paths.shape)
+    arrays = np.empty((4, bundle.n_paths, bundle.n_steps + 1))
     for s in march(payoff, band, field, bundle):
         for whole, part in zip(arrays, (s.y, s.h, s.k, s.int_h_dx)):
             whole[:, s.cols] = part
@@ -371,14 +373,13 @@ def symmetry_evidence(payoff: PayoffSpec, band: VolBand, field: ValueField,
                       family: ControlFamily, tol: float, k_abs: list,
                       degree: int = 1) -> SymmetryEvidence:
     """`is_symmetric`'s verdict from each control's `Moments` of the
-    per-path max |K| over its included paths.  The negated payoff's field
-    is marched on up to `degree` threads."""
+    per-path max |K| over its included paths.  The negated payoff's value
+    is marched on up to `degree` threads, with no field stored."""
     stats = [(m,) for m in k_abs]
     require_included(family, stats)
     k_max = max(0.0, *(m.hi for m, in stats))
     value = field.value(0.0, (), 0.0)
     grid = field.grid
-    neg_field = conditional_expectation(payoff.negated(), band, grid, degree)
-    value_neg = g_expectation(payoff.negated(), band, grid, neg_field)
+    value_neg = g_expectation(payoff.negated(), band, grid, degree=degree)
     return SymmetryEvidence(k_max <= tol, k_max, tol, value, value_neg,
                             value + value_neg)

@@ -328,15 +328,15 @@ def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, parallel, code, message", [
-    (["represent"], 1, 2, "~2199.02 GB (> limit 1.50 GB) for 1 block(s)"),
-    (["verify", "--suite", "bdg"], 1, 2, "~2199.02 GB"),
+    (["represent"], 1, 2, "~1099.51 GB (> limit 1.50 GB) for 1 block(s)"),
+    (["verify", "--suite", "bdg"], 1, 2, "~1099.51 GB"),
     (["verify", "--suite", "tower,mollify"], 1, 0, None),  # draws no paths
     # 8000 paths are 2 blocks: no more are in flight at run.parallel 64
-    (["represent"], 64, 2, "~4398.05 GB (> limit 1.50 GB) for 2 block(s)"),
+    (["represent"], 64, 2, "~2199.02 GB (> limit 1.50 GB) for 2 block(s)"),
 ])
 def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, parallel, code,
                                       message):
-    # a block of 4096 paths x 2**25 steps would need ~2.2 TB: the sweep
+    # a block of 4096 paths x 2**25 steps would need ~1.1 TB: the sweep
     # refuses before drawing it
     path, _ = write_config(tmp_path, grid__n_x=41, mc__n_steps=2 ** 25,
                            run__parallel=parallel)
@@ -354,9 +354,9 @@ def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, parallel, code,
 
 
 def test_many_threads_at_default_steps_pass_the_block_guard(tmp_path):
-    # 64 blocks of 512 steps would be ~2.15 GB, but 1000 paths fill one
+    # 128 blocks of 512 steps would be ~2.15 GB, but 1000 paths fill one
     path, _ = write_config(tmp_path, grid__n_x=41, mc__n_paths=1000,
-                           mc__n_steps=512, run__parallel=64)
+                           mc__n_steps=512, run__parallel=128)
     assert main(["represent", "--config", str(path), "--quiet"]) == 0
 
 

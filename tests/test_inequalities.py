@@ -31,6 +31,21 @@ def test_report_semantics():
     assert payload["name"] == "demo" and payload["passed"] is True
 
 
+def test_fingerprint_ignores_measured_results():
+    # difference-decomposition records its implied C* beside the config;
+    # a last-bit change of that result must not change the fingerprint
+    config = {"check": "difference", "seed": 7}
+    one = ineq.InequalityReport("demo", 1.0, 2.0, 1.0, 0.0, {}, dict(
+        config, implied_cstar=0.23, cstar_flagged=False))
+    two = ineq.InequalityReport("demo", 1.0, 2.0, 1.0, 0.0, {}, dict(
+        config, implied_cstar=0.23 + 2.8e-17, cstar_flagged=False))
+    assert one.fingerprint == two.fingerprint
+    assert one.config["implied_cstar"] != two.config["implied_cstar"]
+    other = ineq.InequalityReport("demo", 1.0, 2.0, 1.0, 0.0, {}, dict(
+        config, seed=8, implied_cstar=0.23, cstar_flagged=False))
+    assert other.fingerprint != one.fingerprint
+
+
 def test_bdg_constant_integrand(band12, fam5):
     lower, upper = ineq.bdg_check([ineq.H_BUILTINS["one"]], fam5, 20_000,
                                   128, seed=41)
@@ -206,8 +221,7 @@ def _old_bdg_check(h, family, n_paths, n_steps, seed):
     def fold(_, bundle):
         hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
         integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
-        m_run = np.cumsum(hv * (np.sqrt(bundle.alpha) * bundle.increments),
-                          axis=1)
+        m_run = np.cumsum(hv * np.diff(bundle.paths, axis=1), axis=1)
         return Moments.of(integral), Moments.of(np.abs(m_run).max(axis=1) ** 2)
 
     stats = mc.sweep(family, n_paths, n_steps, seed, fold)

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import gexpect as gx
 from gexpect import montecarlo as mc
+from gexpect.representation import Rows
 
 
 def test_constant_control_qv_exact(band12):
@@ -262,8 +264,7 @@ def test_qv_identity_scaling(band12):
 def test_qv_identity_zero_increments(band12):
     bundle = gx.simulate(mc.ControlProcess.constant(1.0), 1, 16, seed=1)
     silent = mc.PathBundle(bundle.control, 1, bundle.times,
-                           np.zeros_like(bundle.increments),
-                           np.zeros_like(bundle.paths),
+                           np.zeros_like(bundle.brownian),
                            bundle.alpha, np.zeros_like(bundle.qv))
     assert gx.qv_identity_check(silent).max_abs_residual == 0.0
 
@@ -279,6 +280,105 @@ def test_simulate_matrix_control():
     assert np.allclose(bundle.qv[-1], 1.5 * np.eye(2), atol=1e-12)
     with pytest.raises(ValueError):
         gx.qv_identity_check(bundle)
+
+
+def _cumsum_oracle(control, n_paths, n_steps, seed):
+    """X as the sum of sqrt(alpha) dW over the steps: the construction that
+    built every control's paths from its own scaled increments."""
+    dw = np.concatenate([blk for _, _, blk in mc.iter_increment_blocks(
+        seed, n_paths, n_steps, 1.0 / n_steps, control.d)])
+    alpha = control.step_values(np.linspace(0.0, 1.0, n_steps + 1)[:-1])
+    if control.d == 1:
+        dx = np.sqrt(alpha) * dw
+    else:
+        w, v = np.linalg.eigh(alpha)
+        root = (v * np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
+        dx = np.einsum("kij,nkj->nki", root, dw)
+    x = np.zeros((n_paths, n_steps + 1) + dw.shape[2:])
+    np.cumsum(dx, axis=1, out=x[:, 1:])
+    return x
+
+
+MATRIX_BAND = gx.VolBand(np.eye(2), 2.0 * np.eye(2))
+SKEW = np.array([[1.5, 0.2], [0.2, 1.2]])
+
+
+def _controls():
+    band = gx.VolBand.scalar(1.0, 2.0)
+    pieces = gx.ControlFamily.with_random_piecewise(band, 1, 4, seed=3)
+    return [(mc.ControlProcess.constant(1.5), band),
+            (pieces.controls[0], band),
+            (mc.ControlProcess([0.0, 1.0], np.array([1.5 * np.eye(2)]),
+                               label="iso-1.5"), MATRIX_BAND),
+            (mc.ControlProcess([0.0, 0.5, 1.0],
+                               np.array([SKEW, 1.9 * np.eye(2) - SKEW / 2]),
+                               label="skew"), MATRIX_BAND)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_states_match_scaled_increment_sums(case):
+    # X from the shared Brownian path, piece by piece, against the running
+    # sum of sqrt(alpha) dW: equal up to rounding
+    control, band = _controls()[case]
+    bundle = gx.simulate(control, 300, 64, seed=5, band=band)
+    want = _cumsum_oracle(control, 300, 64, 5)
+    got = bundle.paths
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+    assert (got[:, 0] == 0.0).all()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sweep_bundles_match_simulate_bit_for_bit(d):
+    # the same (seed, path index) gives the same states, whether the
+    # bundle is a sweep block's or simulate's
+    cases = [(c, b) for c, b in _controls() if c.d == d]
+    family = gx.ControlFamily(cases[0][1], [c for c, _ in cases])
+    n_paths, n_steps = mc.PATH_BLOCK + 100, 16
+    cols = np.array([0, 1, 7, 8, 9, 16])
+
+    def fold(_, bundle):
+        return Rows(n_paths, (bundle.paths, bundle.states(cols))),
+
+    stats = mc.sweep(family, n_paths, n_steps, 61, fold, degree=2)
+    for control, (rows,) in zip(family, stats):
+        whole, some = rows.arrays
+        want = gx.simulate(control, n_paths, n_steps, seed=61).paths
+        assert np.array_equal(whole, want)
+        assert np.array_equal(some, want[:, cols])
+
+
+def test_monitor_values_are_columns_of_paths(band12):
+    control = gx.ControlFamily.with_random_piecewise(
+        band12, 1, 4, seed=9).controls[0]
+    bundle = gx.simulate(control, 500, 64, seed=7)
+    paths = bundle.paths
+    times = (0.25, 0.5, 0.75, 1.0)
+    assert np.array_equal(bundle.monitor_values(times),
+                          paths[:, [16, 32, 48, 64]])
+    assert np.array_equal(bundle.states(slice(10, 40), rows=slice(3, 9)),
+                          paths[3:9, 10:40])
+    payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
+    assert np.array_equal(bundle.history(payoff), paths[:, [32]])
+
+
+def test_exports_build_states_once(tmp_path, monkeypatch):
+    # the CSV export and the QV check build their states in one call, not
+    # one per path or per element
+    bundle = gx.simulate(mc.ControlProcess.constant(1.0), 5, 8, seed=2)
+    calls = Counter()
+    states = mc.PathBundle.states
+
+    def counting(self, *args, **kwargs):
+        calls["states"] += 1
+        return states(self, *args, **kwargs)
+
+    monkeypatch.setattr(mc.PathBundle, "states", counting)
+    bundle.to_csv(tmp_path / "paths.csv", max_paths=3)
+    assert calls["states"] == 1
+    calls.clear()
+    gx.qv_identity_check(bundle)
+    assert calls["states"] == 1
 
 
 def test_derive_seed_stable():

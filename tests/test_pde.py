@@ -236,6 +236,40 @@ def test_refine_study_reuses_finest_value(band12):
         assert gx.refine_study(payoff, band12, grids, finest=value) == fresh
 
 
+@pytest.mark.parametrize("source, times, n_x", [
+    ("call(x1, 0.3)", (1.0,), 201),
+    ("sq(x2 - x1)", (0.5, 1.0), 201),
+    ("sq(x3 - x2) + abs(x1)", (0.25, 0.5, 1.0), 41),
+])
+def test_value_only_solve_bit_equal_to_field_read(band12, source, times,
+                                                  n_x):
+    # with no field given, g_expectation marches the same intervals but
+    # keeps only the slices the restarts and the (0, 0) read use
+    grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
+    payoff = gx.PayoffSpec.parse(source, times)
+    field = gx.conditional_expectation(payoff, band12, grid)
+    assert (gx.g_expectation(payoff, band12, grid)
+            == field.value(0.0, (), 0.0))
+    assert (gx.g_expectation(payoff, band12, grid, degree=2)
+            == field.value(0.0, (), 0.0))
+
+
+def test_value_only_interval_keeps_the_start_slices(band12, grid201):
+    data = np.abs(grid201.x_nodes())
+    full = solve_interval(data, band12, grid201, (0.0, 0.5))
+    lean = solve_interval(data, band12, grid201, (0.0, 0.5),
+                          value_only=True)
+    assert lean.values.shape == (3, grid201.n_x)
+    assert np.array_equal(lean.times, full.times[[0, 1, -1]])
+    assert np.array_equal(lean.values, full.values[[0, 1, -1]])
+    rows = np.stack([data, 2.0 * data])
+    full = solve_interval(rows, band12, grid201, (0.5, 1.0))
+    lean = solve_interval(rows, band12, grid201, (0.5, 1.0),
+                          value_only=True)
+    assert lean.values.shape == (2, 3, grid201.n_x)
+    assert np.array_equal(lean.values, full.values[:, [0, 1, -1]])
+
+
 def test_nested_field_independent_of_degree(band12, grid201):
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
     one = gx.conditional_expectation(payoff, band12, grid201, degree=1)
