@@ -82,7 +82,7 @@ def _read_case(source, times, n_paths, n_steps=256):
 def bench_read_along(source, times, repeat, n_paths=8192):
     """Every grid time of every path, as one path-grid read."""
     field, bundle, hist = _read_case(source, times, n_paths)
-    paths = bundle.paths
+    paths = bundle.states()
     return _time(lambda: field.read_along(bundle.times, paths, hist), repeat)
 
 
@@ -90,7 +90,7 @@ def bench_read_slabs(source, times, repeat, n_paths=4096, width=16):
     """March-shaped read: one path-grid read per slab of `width` columns
     of one path block, as `representation.march` reads."""
     field, bundle, hist = _read_case(source, times, n_paths)
-    paths = bundle.paths
+    paths = bundle.states()
     m1 = len(bundle.times)
 
     def run():

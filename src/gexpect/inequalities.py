@@ -27,8 +27,7 @@ from .montecarlo import ControlFamily, Moments, PathFold, derive_seed
 from .nonlinearity import VolBand
 from .payoff import Expr, PayoffSpec
 from .pde import SpaceTimeGrid, ValueField, conditional_expectation, solve_interval
-from .representation import (excluded_paths, march, require_included,
-                             row_blocks)
+from .representation import excluded, march, require_included, row_blocks
 
 # frozen aggregate constants from the energy-argument chain:
 # E[K_1^2] <= 54 E[sup Y^2]  and  E[int a H^2] <= 16 E[sup Y^2]
@@ -191,7 +190,7 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
         for s in march(payoff, band, field, bundle):
             sup_y.add(np.abs(s.y))
             hint.add(mc.energy(s.h_left, bundle.alpha[s.steps], bundle.dt))
-        inc = ~excluded_paths(field, bundle)
+        inc = ~excluded(field, s.x_peak)
         return (Moments.of(s.k[inc, -1] ** 2),
                 Moments.of(sup_y.value[inc] ** 2),
                 Moments.of(hint.value[inc]))
@@ -248,10 +247,10 @@ def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
                 dy.add(np.abs(s1.y[:, on_grid] - s2.y[:, on_grid]))
                 dh.add(mc.energy(s1.h_left - s2.h_left, alpha, bundle.dt))
                 dk.add(np.abs(s1.k - s2.k))
-        inc1 = ~excluded_paths(f1, bundle)
+        inc1 = ~excluded(f1, s1.x_peak)
         partials = []
         for f2, (dy, dh, dk) in zip(fields2, folds):
-            inc = inc1 & ~excluded_paths(f2, bundle)
+            inc = inc1 & ~excluded(f2, s1.x_peak)
             partials.append((Moments.of(dy.value[inc] ** 2),
                              Moments.of(dh.value[inc]),
                              Moments.of(dk.value[inc] ** 2)))

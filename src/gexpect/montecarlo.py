@@ -248,8 +248,8 @@ class PathBundle:
 
         X_k = X_b + sqrt(alpha_p) (W_k - W_b),
 
-    one multiply for a constant control and a matrix root for d > 1; the
-    states X_b at the piece starts are built once per bundle.  alpha/qv
+    one multiply for a constant control and a matrix root for d > 1; W_b
+    and X_b at the piece starts are built once per bundle.  alpha/qv
     are deterministic functions of time for piecewise-constant controls
     and are stored once (not per path); qv increments equal alpha * dt
     exactly by construction.
@@ -281,23 +281,20 @@ class PathBundle:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def paths(self) -> np.ndarray:
-        """Every state, (N, M+1) or (N, M+1, d), built on each access."""
-        return self.states()
-
     def states(self, cols=slice(None), rows=slice(None)) -> np.ndarray:
         """X at columns cols (indices or a slice of 0..M) of the paths in
-        the slice rows: (n, len(cols)) or (n, len(cols), d)."""
+        the slice rows: (n, len(cols)) or (n, len(cols), d).  The default
+        builds every state."""
         cols = np.arange(self.n_steps + 1)[cols]
         piece = np.searchsorted(self._starts, cols - 1, side="right") - 1
         np.maximum(piece, 0, out=piece)
         x = self._brownian_at(cols, rows)
         if len(self._starts) == 1:
             return self._scale(x, piece)
-        x -= self._brownian_at(self._starts[piece], rows)
+        w_starts, x_starts = self._piece_starts(rows)
+        x -= w_starts[:, piece]
         x = self._scale(x, piece)
-        x += self._anchor_states(rows)[:, piece]
+        x += x_starts[:, piece]
         return x
 
     def _brownian_at(self, cols, rows) -> np.ndarray:
@@ -324,16 +321,17 @@ class PathBundle:
             return w
         return np.einsum("cij,ncj->nci", self._roots[piece], w)
 
-    def _anchor_states(self, rows) -> np.ndarray:
-        """X at the first step of every piece, of the paths rows."""
+    def _piece_starts(self, rows):
+        """W and X at the first step of every piece, of the paths rows."""
         if self._anchors is None:
             w = self._brownian_at(self._starts, slice(None))
             anchors = np.zeros_like(w)
             for p in range(1, len(self._starts)):
                 step = self._scale(w[:, p:p + 1] - w[:, p - 1:p], [p - 1])
                 anchors[:, p] = anchors[:, p - 1] + step[:, 0]
-            self._anchors = anchors
-        return self._anchors[rows]
+            self._anchors = w, anchors
+        w, anchors = self._anchors
+        return w[rows], anchors[rows]
 
     def monitor_values(self, monitor_times) -> np.ndarray:
         return self.states(monitor_indices(monitor_times, self.n_steps))
@@ -663,7 +661,7 @@ def qv_identity_check(bundle: PathBundle) -> QvReport:
     """
     if bundle.control.d != 1:
         raise ValueError("qv identity check is d=1 only")
-    x = bundle.paths
+    x = bundle.states()
     dx = np.diff(x, axis=1)
     ito = np.cumsum(x[:, :-1] * dx, axis=1)
     recon = x[:, 1:] ** 2 - 2.0 * ito

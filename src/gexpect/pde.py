@@ -264,8 +264,10 @@ def _cell_table(values, it, wt, dx):
 
 
 def _as_slice(cols):
-    """cols (ascending) as a slice when they are one run, else unchanged."""
-    if len(cols) and cols[-1] - cols[0] == len(cols) - 1:
+    """cols as a slice when they are one ascending run of consecutive
+    indices, else unchanged."""
+    if (len(cols) and cols[-1] - cols[0] == len(cols) - 1
+            and (np.diff(cols) == 1).all()):
         return slice(int(cols[0]), int(cols[-1]) + 1)
     return cols
 

@@ -92,6 +92,8 @@ class Slab:
     columns and, for every slab but the last, at the next slab's first
     column too, so that the increment of each step that starts in the slab
     (`steps`) is in it.  y0 is Y at column 0, shared by every slab.
+    x_peak (N,) is each path's max |X| over columns 0..cols.stop - 1, so
+    the last slab's spans the whole path.
     """
 
     cols: slice
@@ -101,6 +103,7 @@ class Slab:
     h: np.ndarray
     k_ext: np.ndarray
     int_ext: np.ndarray
+    x_peak: np.ndarray
 
     @property
     def k(self) -> np.ndarray:
@@ -131,6 +134,9 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
     `read_along`, and holds its arrays in Fortran order, so that a column
     of every path is contiguous: numpy reduces and accumulates along rows
     of 16 several times slower.
+    The slab's states also give its paths' running max |X| (`x_peak`),
+    from which the caller flags excluded paths without building the
+    states again.
     K and int H dX enter a slab as the first column of their running sums,
     which add one column at a time in np.cumsum's order, so the slabs
     agree bit for bit with one cumulative sum over all columns.  The
@@ -142,12 +148,14 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
     n_paths, m1 = bundle.n_paths, bundle.n_steps + 1
     history = bundle.history(payoff)
     lo, up = band.lower_scalar, band.upper_scalar
-    y0, k_in, int_in = None, 0.0, 0.0
+    y0, k_in, int_in, x_peak = None, 0.0, 0.0, None
     for start in range(0, m1, _BATCH):
         cols = slice(start, min(start + _BATCH, m1))
         steps = slice(start, min(cols.stop, m1 - 1))
         n = steps.stop - start
         x = bundle.states(slice(start, steps.stop + 1))
+        peak = np.abs(x[:, :cols.stop - start], order="F").max(axis=1)
+        x_peak = peak if x_peak is None else np.maximum(x_peak, peak)
         read, _ = field.read_along(times[cols], x[:, :cols.stop - start],
                                    history)
         y, h, d2u = (np.asfortranarray(column.reshape(n_paths, -1))
@@ -175,7 +183,7 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
         int_h_dx[:, 1:] *= h[:, :n]
         _accumulate(int_h_dx, first)
 
-        yield Slab(cols, steps, y0, y, h, k, int_h_dx)
+        yield Slab(cols, steps, y0, y, h, k, int_h_dx, x_peak)
         k_in, int_in = k[:, -1], int_h_dx[:, -1]
 
 
@@ -194,13 +202,10 @@ def row_blocks(bundle: PathBundle):
             for start in range(0, bundle.n_paths, step))
 
 
-def excluded_paths(field: ValueField, bundle: PathBundle,
-                   exit_margin_nodes: int = 2) -> np.ndarray:
-    """Flags of the paths that come within exit_margin_nodes of the
-    truncation, from max |X| over blocks of whole paths."""
-    peak = np.concatenate([np.abs(bundle.states(rows=rows)).max(axis=1)
-                           for rows in row_blocks(bundle)])
-    return peak > field.x_max - exit_margin_nodes * field.dx
+def excluded(field: ValueField, x_peak, exit_margin_nodes: int = 2):
+    """Flags of the paths whose max |X|, x_peak (a last `Slab`'s), comes
+    within exit_margin_nodes of the truncation."""
+    return x_peak > field.x_max - exit_margin_nodes * field.dx
 
 
 def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
@@ -212,8 +217,8 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
         for whole, part in zip(arrays, (s.y, s.h, s.k, s.int_h_dx)):
             whole[:, s.cols] = part
     return Decomposition(payoff, bundle.control.label, bundle.times,
-                         *arrays, excluded_paths(field, bundle,
-                                                 exit_margin_nodes))
+                         *arrays, excluded(field, s.x_peak,
+                                           exit_margin_nodes))
 
 
 def _abs_defect(y, y0, int_h_dx, k) -> np.ndarray:
@@ -317,8 +322,8 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
             res.add(_abs_defect(s.y, s.y0, s.int_h_dx, s.k))
             dk.add(s.dk)
             k_peak.add(np.abs(s.k[:SYMMETRY_PATHS]))
-        inc = ~excluded_paths(field, bundle)
-        # s is the last slab, which holds K_1 and Y_1
+        # s is the last slab, which holds K_1, Y_1 and max |X|
+        inc = ~excluded(field, s.x_peak)
         return (Moments.of(-s.k[inc, -1]),
                 Moments.of(res.value[inc] ** 2),
                 Moments.of(dk.value[inc]),
@@ -362,7 +367,7 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
         k_peak = PathFold(np.maximum)
         for s in march(payoff, band, field, bundle):
             k_peak.add(np.abs(s.k))
-        return Moments.of(k_peak.value[~excluded_paths(field, bundle)]),
+        return Moments.of(k_peak.value[~excluded(field, s.x_peak)]),
 
     stats = sweep(family, n_paths, n_steps, seed, fold)
     return symmetry_evidence(payoff, band, field, family, tol,

@@ -75,8 +75,9 @@ def full_extract():
     bit for bit."""
 
     def extract(payoff, band, field, bundle, exit_margin_nodes=2):
-        n_paths, m1 = bundle.paths.shape
-        read, _ = field.read_along(bundle.times, bundle.paths,
+        x = bundle.states()
+        n_paths, m1 = x.shape
+        read, _ = field.read_along(bundle.times, x,
                                    bundle.history(payoff))
         y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
         gamma = d2u[:, :-1]
@@ -90,13 +91,13 @@ def full_extract():
         k = np.zeros((n_paths, m1))
         np.cumsum(integrand, axis=1, out=k[:, 1:])
 
-        h_dx = np.diff(bundle.paths, axis=1)
+        h_dx = np.diff(x, axis=1)
         h_dx *= h[:, :-1]
         int_h_dx = np.zeros((n_paths, m1))
         np.cumsum(h_dx, axis=1, out=int_h_dx[:, 1:])
 
         cutoff = field.x_max - exit_margin_nodes * field.dx
-        excluded = np.abs(bundle.paths).max(axis=1) > cutoff
+        excluded = np.abs(x).max(axis=1) > cutoff
         return gx.Decomposition(payoff, bundle.control.label, bundle.times,
                                 y, h, k, int_h_dx, excluded)
 

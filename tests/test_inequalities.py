@@ -219,9 +219,10 @@ def _old_bdg_check(h, family, n_paths, n_steps, seed):
         raise ValueError("integral-bound check is d=1 only")
 
     def fold(_, bundle):
-        hv = h.evaluate(bundle.times[:-1], bundle.paths[:, :-1])
+        x = bundle.states()
+        hv = h.evaluate(bundle.times[:-1], x[:, :-1])
         integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
-        m_run = np.cumsum(hv * np.diff(bundle.paths, axis=1), axis=1)
+        m_run = np.cumsum(hv * np.diff(x, axis=1), axis=1)
         return Moments.of(integral), Moments.of(np.abs(m_run).max(axis=1) ** 2)
 
     stats = mc.sweep(family, n_paths, n_steps, seed, fold)

@@ -14,7 +14,7 @@ def test_constant_control_qv_exact(band12):
     bundle = gx.simulate(ctrl, 50, 64, seed=1, band=band12)
     assert bundle.qv[-1] == pytest.approx(1.5, abs=1e-12)
     assert np.allclose(np.diff(bundle.qv), 1.5 / 64)
-    assert np.all(bundle.paths[:, 0] == 0.0)
+    assert np.all(bundle.states()[:, 0] == 0.0)
 
 
 def test_two_piece_control_qv(band12):
@@ -27,7 +27,7 @@ def test_two_piece_control_qv(band12):
 def test_sample_variance_of_terminal(band12):
     bundle = gx.simulate(mc.ControlProcess.constant(2.0), 100_000, 4, seed=3,
                          band=band12)
-    var = bundle.paths[:, -1].var(ddof=1)
+    var = bundle.states()[:, -1].var(ddof=1)
     # var of the sample variance of a Gaussian: 2 sigma^4 / (n-1)
     three_sigma = 3.0 * math.sqrt(2.0 * 4.0 / 99_999)
     assert abs(var - 2.0) <= three_sigma
@@ -37,19 +37,19 @@ def test_determinism_and_prefix_stability():
     ctrl = mc.ControlProcess.constant(1.0)
     b1 = gx.simulate(ctrl, 100, 32, seed=9)
     b2 = gx.simulate(ctrl, 100, 32, seed=9)
-    assert np.array_equal(b1.paths, b2.paths)
+    assert np.array_equal(b1.states(), b2.states())
     # a path's draws do not depend on how many paths are requested
     b3 = gx.simulate(ctrl, 40, 32, seed=9)
-    assert np.array_equal(b1.paths[:40], b3.paths)
+    assert np.array_equal(b1.states()[:40], b3.states())
     b4 = gx.simulate(ctrl, 100, 32, seed=10)
-    assert not np.array_equal(b1.paths, b4.paths)
+    assert not np.array_equal(b1.states(), b4.states())
 
 
 def test_block_boundary_stability():
     ctrl = mc.ControlProcess.constant(1.0)
     big = gx.simulate(ctrl, mc.PATH_BLOCK + 7, 4, seed=5)
     small = gx.simulate(ctrl, mc.PATH_BLOCK - 1, 4, seed=5)
-    assert np.array_equal(big.paths[:mc.PATH_BLOCK - 1], small.paths)
+    assert np.array_equal(big.states()[:mc.PATH_BLOCK - 1], small.states())
 
 
 def test_control_validation(band12):
@@ -155,12 +155,12 @@ def test_conditional_supremum_quadratic(band12, field_cache):
     payoff = gx.PayoffSpec.parse("sq(x1)")
     bundle = gx.simulate(mc.ControlProcess.constant(1.5), 500, 64, seed=5)
     vals, clamped = gx.conditional_supremum(payoff, field, bundle, 0.5)
-    x = bundle.paths[:, 32]
+    x = bundle.states()[:, 32]
     assert not clamped.any()
     assert np.abs(vals - (x * x + 1.0)).max() <= 5e-3
     # terminal read is the payoff itself, exactly
     vals1, _ = gx.conditional_supremum(payoff, field, bundle, 1.0)
-    assert np.array_equal(vals1, bundle.paths[:, -1] ** 2)
+    assert np.array_equal(vals1, bundle.states()[:, -1] ** 2)
     # time-0 read is deterministic
     vals0, _ = gx.conditional_supremum(payoff, field, bundle, 0.0)
     assert np.ptp(vals0) == 0.0
@@ -240,7 +240,7 @@ def test_path_fold_energy_and_sup(band12):
     sup = fold(np.maximum, np.abs(np.full((2000, 65), -3.0)))
     assert (sup == 3.0).all()
     # running maxima and minima are exact, whatever the slab width
-    y = bundles[0].paths
+    y = bundles[0].states()
     assert np.array_equal(fold(np.maximum, y), y.max(axis=1))
     assert np.array_equal(fold(np.minimum, y), y.min(axis=1))
     # a slab with no column leaves the fold as it was
@@ -274,8 +274,8 @@ def test_simulate_matrix_control():
     ctrl = mc.ControlProcess([0.0, 1.0], np.array([1.5 * np.eye(2)]),
                              label="iso-1.5")
     bundle = gx.simulate(ctrl, 20_000, 8, seed=17, band=band)
-    assert bundle.paths.shape == (20_000, 9, 2)
-    cov = np.cov(bundle.paths[:, -1, :].T)
+    assert bundle.states().shape == (20_000, 9, 2)
+    cov = np.cov(bundle.states()[:, -1, :].T)
     assert np.allclose(cov, 1.5 * np.eye(2), atol=0.06)
     assert np.allclose(bundle.qv[-1], 1.5 * np.eye(2), atol=1e-12)
     with pytest.raises(ValueError):
@@ -322,10 +322,32 @@ def test_states_match_scaled_increment_sums(case):
     control, band = _controls()[case]
     bundle = gx.simulate(control, 300, 64, seed=5, band=band)
     want = _cumsum_oracle(control, 300, 64, 5)
-    got = bundle.paths
+    got = bundle.states()
     assert got.shape == want.shape
     assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
     assert (got[:, 0] == 0.0).all()
+
+
+@pytest.mark.parametrize("pieces,n_steps", [(4, 64), (32, 512)])
+def test_states_of_piece_aligned_windows(pieces, n_steps):
+    # pieces of 16 steps start where a march slab starts, so a slab's 17
+    # columns straddle a piece start; every window, and scattered, repeated
+    # and unsorted columns, must give the oracle's states
+    band = gx.VolBand.scalar(1.0, 2.0)
+    control = gx.ControlFamily.with_random_piecewise(
+        band, 1, pieces, seed=3).controls[0]
+    bundle = gx.simulate(control, 200, n_steps, seed=5)
+    want = _cumsum_oracle(control, 200, n_steps, 5)
+
+    def close(got, ref):
+        return (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+
+    for start in range(0, n_steps + 1, 16):
+        cols = slice(start, min(start + 17, n_steps + 1))
+        assert close(bundle.states(cols), want[:, cols]), start
+    for cols in ([0, 16, 16, 16], [16, 0, 32], [3, 10, 5], [32, 31, 30],
+                 [n_steps, 0], [17] * 5):
+        assert close(bundle.states(cols), want[:, cols]), cols
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -338,12 +360,12 @@ def test_sweep_bundles_match_simulate_bit_for_bit(d):
     cols = np.array([0, 1, 7, 8, 9, 16])
 
     def fold(_, bundle):
-        return Rows(n_paths, (bundle.paths, bundle.states(cols))),
+        return Rows(n_paths, (bundle.states(), bundle.states(cols))),
 
     stats = mc.sweep(family, n_paths, n_steps, 61, fold, degree=2)
     for control, (rows,) in zip(family, stats):
         whole, some = rows.arrays
-        want = gx.simulate(control, n_paths, n_steps, seed=61).paths
+        want = gx.simulate(control, n_paths, n_steps, seed=61).states()
         assert np.array_equal(whole, want)
         assert np.array_equal(some, want[:, cols])
 
@@ -352,7 +374,7 @@ def test_monitor_values_are_columns_of_paths(band12):
     control = gx.ControlFamily.with_random_piecewise(
         band12, 1, 4, seed=9).controls[0]
     bundle = gx.simulate(control, 500, 64, seed=7)
-    paths = bundle.paths
+    paths = bundle.states()
     times = (0.25, 0.5, 0.75, 1.0)
     assert np.array_equal(bundle.monitor_values(times),
                           paths[:, [16, 32, 48, 64]])

@@ -594,3 +594,11 @@ def test_grid_read_bit_equal_on_nested_fields(band12, flat_read, source, times,
         field.read_along(t, x)
     with pytest.raises(ValueError):
         field.read_along(t, x, hist[1:])
+
+
+def test_as_slice_takes_only_consecutive_runs():
+    assert pde._as_slice(np.array([4, 5, 6])) == slice(4, 7)
+    # the span of a run, but not a run: kept as indices
+    for cols in ([0, 16, 16, 16], [3, 10, 5], [2, 2, 3]):
+        got = pde._as_slice(np.array(cols))
+        assert isinstance(got, np.ndarray) and got.tolist() == cols

@@ -82,7 +82,7 @@ def test_paths_escaping_truncation_are_excluded(band12):
     dec = gx.extract(payoff, band12, field, bundle)
     # variance-2 paths leave |x|<2 often; they must be flagged, not used
     assert dec.excluded.any()
-    assert dec.excluded.sum() == (np.abs(bundle.paths).max(axis=1)
+    assert dec.excluded.sum() == (np.abs(bundle.states()).max(axis=1)
                                   > 2.0 - 2 * grid.dx).sum()
 
 
@@ -177,8 +177,8 @@ def test_nested_payoff_extraction(band12, grid401):
     inc = dec.included
     assert np.abs(dec.k[inc, -1] - 0.5).max() <= 1e-2
     assert np.abs(dec.k[inc, 512]).max() <= 1e-9      # flat before the date
-    x_mid = bundle.paths[:, 512]
-    h_expect = 2.0 * (bundle.paths[:, 768] - x_mid)
+    x_mid, x_late = bundle.states([512, 768]).T
+    h_expect = 2.0 * (x_late - x_mid)
     assert np.abs(dec.h[:, 768] - h_expect)[inc].max() <= 2e-2
     assert rep.residual_rms(dec) <= 0.1
     assert rep.monotonicity(dec) >= -1e-12
@@ -232,16 +232,17 @@ def _flat_extract(flat_read, payoff, band, field, bundle,
                   exit_margin_nodes=2):
     """extract as it read the field before the path-grid read: one oracle
     query per (path, step), with broadcast times and repeated history."""
-    if bundle.paths.ndim != 2:
+    x = bundle.states()
+    if x.ndim != 2:
         raise ValueError("decomposition extraction is d=1 only")
-    n_paths, m1 = bundle.paths.shape
+    n_paths, m1 = x.shape
     hist = None
     if payoff.n > 1:
         mon = bundle.monitor_values(payoff.times[:-1])
         hist = np.repeat(mon, m1, axis=0)
     qt = np.broadcast_to(bundle.times, (n_paths, m1)).ravel()
 
-    read, _ = flat_read(field, qt, bundle.paths, hist)
+    read, _ = flat_read(field, qt, x, hist)
     del qt, hist    # free the queries before the (N, M) temporaries below
     y, h, d2u = (column.reshape(n_paths, m1) for column in read.T)
     gamma = d2u[:, :-1]
@@ -252,11 +253,11 @@ def _flat_extract(flat_read, payoff, band, field, bundle,
     np.cumsum(integrand * bundle.dt, axis=1, out=k[:, 1:])
 
     int_h_dx = np.zeros((n_paths, m1))
-    np.cumsum(h[:, :-1] * np.diff(bundle.paths, axis=1), axis=1,
+    np.cumsum(h[:, :-1] * np.diff(x, axis=1), axis=1,
               out=int_h_dx[:, 1:])
 
     cutoff = field.x_max - exit_margin_nodes * field.dx
-    excluded = np.abs(bundle.paths).max(axis=1) > cutoff
+    excluded = np.abs(x).max(axis=1) > cutoff
     return rep.Decomposition(payoff, bundle.control.label, bundle.times,
                              y, h, k, int_h_dx, excluded)
 
@@ -292,7 +293,7 @@ def _flat_conditional_supremum(flat_read, payoff, field, bundle, t):
     if payoff.n > 1:
         hist = bundle.monitor_values(payoff.times[:-1])
     qt = np.full(bundle.n_paths, times[k])
-    values, clamped = flat_read(field, qt, bundle.paths[:, k], hist)
+    values, clamped = flat_read(field, qt, bundle.states()[:, k], hist)
     return values[:, 0], clamped
 
 
@@ -365,7 +366,22 @@ def test_march_bit_equal_to_full_extract(band12, field_cache, full_extract,
     h_left = np.concatenate([s.h_left for s in slabs], axis=1)
     assert _same_bits(dk, np.diff(want.k, axis=1))
     assert _same_bits(h_left, want.h[:, :-1])
-    assert _same_bits(rep.excluded_paths(field, bundle), want.excluded)
+    assert _same_bits(rep.excluded(field, slabs[-1].x_peak), want.excluded)
+
+
+def test_march_on_piece_aligned_controls(band12, field_cache, full_extract):
+    # a piecewise control whose pieces start at slab starts: each slab's
+    # states straddle a piece start, and the march must still agree with
+    # the one-pass oracle bit for bit
+    payoff = gx.PayoffSpec.parse("sq(x1)", (1.0,))
+    field = field_cache("sq(x1)", (1.0,))
+    control = gx.ControlFamily.with_random_piecewise(
+        band12, 1, 4, seed=3).controls[0]
+    bundle = gx.simulate(control, 300, 64, seed=29)
+    want = full_extract(payoff, band12, field, bundle)
+    got = gx.extract(payoff, band12, field, bundle)
+    for name in ("y", "h", "k", "int_h_dx", "excluded"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
 def _full_gap(payoff, band, field, family, n_paths, n_steps, seed, degree,
