@@ -340,6 +340,8 @@ MARCH_CASES = [
     ("call(x1, 0)", (1.0,), 1.3, 40),     # 41 columns
     ("min(abs(x1), 1)", (1.0,), 2.0, 32),  # a last slab of one column
     ("sq(x2 - x1)", (0.5, 1.0), 1.0, 46),  # the date inside a slab
+    # pieces of 16 steps: each slab's states straddle a piece start
+    ("sq(x1)", (1.0,), (1.2, 1.9, 1.4, 1.7), 64),
 ]
 
 
@@ -353,8 +355,9 @@ def test_march_bit_equal_to_full_extract(band12, field_cache, full_extract,
                                          source, times, alpha, n_steps):
     payoff = gx.PayoffSpec.parse(source, times)
     field = field_cache(source, times)
-    bundle = gx.simulate(mc.ControlProcess.constant(alpha), 700, n_steps,
-                         seed=29)
+    values = np.atleast_1d(alpha)
+    control = mc.ControlProcess(np.linspace(0.0, 1.0, len(values) + 1), values)
+    bundle = gx.simulate(control, 700, n_steps, seed=29)
     want = full_extract(payoff, band12, field, bundle)
     got = gx.extract(payoff, band12, field, bundle)
     for name in ("times", "y", "h", "k", "int_h_dx", "excluded"):
@@ -367,21 +370,6 @@ def test_march_bit_equal_to_full_extract(band12, field_cache, full_extract,
     assert _same_bits(dk, np.diff(want.k, axis=1))
     assert _same_bits(h_left, want.h[:, :-1])
     assert _same_bits(rep.excluded(field, slabs[-1].x_peak), want.excluded)
-
-
-def test_march_on_piece_aligned_controls(band12, field_cache, full_extract):
-    # a piecewise control whose pieces start at slab starts: each slab's
-    # states straddle a piece start, and the march must still agree with
-    # the one-pass oracle bit for bit
-    payoff = gx.PayoffSpec.parse("sq(x1)", (1.0,))
-    field = field_cache("sq(x1)", (1.0,))
-    control = gx.ControlFamily.with_random_piecewise(
-        band12, 1, 4, seed=3).controls[0]
-    bundle = gx.simulate(control, 300, 64, seed=29)
-    want = full_extract(payoff, band12, field, bundle)
-    got = gx.extract(payoff, band12, field, bundle)
-    for name in ("y", "h", "k", "int_h_dx", "excluded"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
 def _full_gap(payoff, band, field, family, n_paths, n_steps, seed, degree,
