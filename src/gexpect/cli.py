@@ -29,14 +29,45 @@ from .payoff import PayoffSpec
 from .pde import (SpaceTimeGrid, check_halving, conditional_expectation,
                   refine_study)
 
-_KNOWN_KEYS = {
-    "band": {"a_lower", "a_upper"},
-    "payoff": {"expression", "times", "lipschitz", "sup_bound"},
-    "grid": {"n_x", "x_max", "cfl_fraction", "param_time_slices"},
-    "mc": {"n_paths", "n_steps", "seed"},
-    "family": {"constant_controls", "floor", "file"},
-    "run": {"out_dir", "parallel", "gap_tolerance", "csv_paths"},
-}
+
+def _times(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(","))
+
+
+# The one list of config keys, in emit order: (section, key, RunConfig field,
+# parser).  The known-key check, parsing, emit() and fingerprint() (every
+# section but [run]) all derive from it.
+_KEYS = (
+    ("band", "a_lower", "a_lower", float),
+    ("band", "a_upper", "a_upper", float),
+    ("payoff", "expression", "expression", str),
+    ("payoff", "times", "times", _times),
+    ("payoff", "lipschitz", "lipschitz", float),
+    ("payoff", "sup_bound", "sup_bound", float),
+    ("grid", "n_x", "n_x", int),
+    ("grid", "x_max", "x_max", float),
+    ("grid", "cfl_fraction", "cfl_fraction", float),
+    ("grid", "param_time_slices", "param_time_slices", int),
+    ("mc", "n_paths", "n_paths", int),
+    ("mc", "n_steps", "n_steps", int),
+    ("mc", "seed", "seed", int),
+    ("family", "constant_controls", "constant_controls", int),
+    ("family", "floor", "floor", float),
+    ("family", "file", "family_file", str),
+    ("run", "out_dir", "out_dir", str),
+    ("run", "parallel", "parallel", int),
+    ("run", "gap_tolerance", "gap_tolerance", float),
+    ("run", "csv_paths", "csv_paths", int),
+)
+
+
+def _read(text: str, source: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    return parser
 
 
 @dataclass
@@ -90,75 +121,39 @@ class RunConfig:
     # -- parse / emit --------------------------------------------------------
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path) as fh:
-                parser.read_file(fh)
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        return cls.from_parser(parser)
+        return cls.from_parser(_read(text, str(path)))
 
     @classmethod
     def from_string(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        return cls.from_parser(parser)
+        return cls.from_parser(_read(text, "<string>"))
 
     @classmethod
     def from_parser(cls, parser) -> "RunConfig":
+        """A validated config from parser's sections; an empty value keeps
+        the key's default."""
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            known = {key for s, key, _, _ in _KEYS if s == section}
+            if not known:
                 raise ConfigError(f"unknown config section [{section}]")
-            unknown = set(parser[section]) - _KNOWN_KEYS[section]
+            unknown = set(parser[section]) - known
             if unknown:
                 raise ConfigError(f"unknown key(s) in [{section}]: "
                                   f"{', '.join(sorted(unknown))}")
-        cfg = cls.__new__(cls)
-        defaults = cls()
-
-        def get(section, key, conv, default):
-            if parser.has_option(section, key):
-                raw = parser.get(section, key).strip()
-                if raw == "":
-                    return None if default is None else default
+        values = {}
+        for section, key, name, parse in _KEYS:
+            raw = parser.get(section, key, fallback="").strip()
+            if raw:
                 try:
-                    return conv(raw)
+                    values[name] = parse(raw)
                 except ValueError as exc:
                     raise ConfigError(
                         f"bad value for {section}.{key}: {raw!r}") from exc
-            return default
-
-        cfg.a_lower = get("band", "a_lower", float, defaults.a_lower)
-        cfg.a_upper = get("band", "a_upper", float, defaults.a_upper)
-        cfg.expression = get("payoff", "expression", str, defaults.expression)
-        cfg.times = get("payoff", "times",
-                        lambda s: tuple(float(v) for v in s.split(",")),
-                        defaults.times)
-        cfg.lipschitz = get("payoff", "lipschitz", float, None)
-        cfg.sup_bound = get("payoff", "sup_bound", float, None)
-        cfg.n_x = get("grid", "n_x", int, defaults.n_x)
-        cfg.x_max = get("grid", "x_max", float, defaults.x_max)
-        cfg.cfl_fraction = get("grid", "cfl_fraction", float,
-                               defaults.cfl_fraction)
-        cfg.param_time_slices = get("grid", "param_time_slices", int,
-                                    defaults.param_time_slices)
-        cfg.n_paths = get("mc", "n_paths", int, defaults.n_paths)
-        cfg.n_steps = get("mc", "n_steps", int, defaults.n_steps)
-        cfg.seed = get("mc", "seed", int, defaults.seed)
-        cfg.constant_controls = get("family", "constant_controls", int,
-                                    defaults.constant_controls)
-        cfg.floor = get("family", "floor", float, defaults.floor)
-        cfg.family_file = get("family", "file", str, "")
-        cfg.out_dir = get("run", "out_dir", str, defaults.out_dir)
-        cfg.parallel = get("run", "parallel", int, defaults.parallel)
-        cfg.gap_tolerance = get("run", "gap_tolerance", float,
-                                defaults.gap_tolerance)
-        cfg.csv_paths = get("run", "csv_paths", int, defaults.csv_paths)
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -194,58 +189,26 @@ class RunConfig:
             raise ConfigError(f"{exc} of mc.n_steps = {self.n_steps}") from exc
 
     def emit(self) -> str:
-        lines = [
-            "[band]",
-            f"a_lower = {self.a_lower!r}",
-            f"a_upper = {self.a_upper!r}",
-            "",
-            "[payoff]",
-            f"expression = {self.expression}",
-            "times = " + ",".join(repr(t) for t in self.times),
-        ]
-        if self.lipschitz is not None:
-            lines.append(f"lipschitz = {self.lipschitz!r}")
-        if self.sup_bound is not None:
-            lines.append(f"sup_bound = {self.sup_bound!r}")
-        lines += [
-            "",
-            "[grid]",
-            f"n_x = {self.n_x}",
-            f"x_max = {self.x_max!r}",
-            f"cfl_fraction = {self.cfl_fraction!r}",
-            f"param_time_slices = {self.param_time_slices}",
-            "",
-            "[mc]",
-            f"n_paths = {self.n_paths}",
-            f"n_steps = {self.n_steps}",
-            f"seed = {self.seed}",
-            "",
-            "[family]",
-            f"constant_controls = {self.constant_controls}",
-            f"floor = {self.floor!r}",
-        ]
-        if self.family_file:
-            lines.append(f"file = {self.family_file}")
-        lines += [
-            "",
-            "[run]",
-            f"out_dir = {self.out_dir}",
-            f"parallel = {self.parallel}",
-            f"gap_tolerance = {self.gap_tolerance!r}",
-            f"csv_paths = {self.csv_paths}",
-        ]
-        return "\n".join(lines) + "\n"
+        """The config as INI text; a key whose default is None or empty is
+        left out while it keeps that default."""
+        defaults, lines, current = type(self)(), [], None
+        for section, key, name, parse in _KEYS:
+            value, default = getattr(self, name), getattr(defaults, name)
+            if default in (None, "") and value == default:
+                continue
+            if section != current:
+                lines += ["", f"[{section}]"]
+                current = section
+            text = (",".join(map(repr, value)) if parse is _times
+                    else repr(value) if parse is float else str(value))
+            lines.append(f"{key} = {text}")
+        return "\n".join(lines[1:]) + "\n"
 
     def fingerprint(self) -> str:
-        numeric = {
-            "band": [self.a_lower, self.a_upper],
-            "payoff": [self.expression, list(self.times), self.lipschitz,
-                       self.sup_bound],
-            "grid": [self.n_x, self.x_max, self.cfl_fraction,
-                     self.param_time_slices],
-            "mc": [self.n_paths, self.n_steps, self.seed],
-            "family": [self.constant_controls, self.floor, self.family_file],
-        }
+        numeric = {}
+        for section, _, name, _ in _KEYS:
+            if section != "run":
+                numeric.setdefault(section, []).append(getattr(self, name))
         blob = json.dumps(numeric, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -51,6 +51,14 @@ def _fingerprint(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _mc_config(band: VolBand, family: ControlFamily, n_paths: int,
+               n_steps: int, seed: int) -> dict:
+    """The config keys every Monte Carlo check shares."""
+    return {"band": [band.lower_scalar, band.upper_scalar],
+            "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
+            "family": [c.label for c in family]}
+
+
 @dataclass
 class InequalityReport:
     name: str
@@ -164,10 +172,8 @@ def bdg_check(hs, family: ControlFamily, n_paths: int, n_steps: int,
     for h, stats in zip(hs, per_h, strict=True):
         h_norm, h_se = max((s[0].root(2) for s in stats), key=lambda r: r[0])
         m_norm, m_se = max((s[1].root(2) for s in stats), key=lambda r: r[0])
-        config = {"check": "bdg", "integrand": h.name, "n_paths": n_paths,
-                  "n_steps": n_steps, "seed": seed,
-                  "family": [c.label for c in family],
-                  "band": [family.band.lower_scalar, family.band.upper_scalar]}
+        config = {"check": "bdg", "integrand": h.name,
+                  **_mc_config(family.band, family, n_paths, n_steps, seed)}
         stderr = {"integrand_norm": h_se, "integral_norm": m_se}
         slack = 2.0 * (h_se + m_se)
         reports += [
@@ -203,9 +209,7 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
     k1sq, supy, _ = stats[worst]
     k2, y2, h2 = (max(s[i].mean for s in stats) for i in range(3))
     config = {"check": "apriori", "payoff": payoff.source(),
-              "band": [band.lower_scalar, band.upper_scalar],
-              "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
-              "family": [c.label for c in family]}
+              **_mc_config(band, family, n_paths, n_steps, seed)}
     reports = [InequalityReport(
         f"apriori-k[{family.controls[worst].label}]", k1sq.mean,
         APRIORI_K_CONSTANT * supy.mean, APRIORI_K_CONSTANT, 0.0,
@@ -304,10 +308,8 @@ def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
             payoffs2, dxis, xi2s, norms, strict=True):
         config = {"check": "difference", "payoff1": payoff1.source(),
                   "payoff2": payoff2.source(),
-                  "band": [band.lower_scalar, band.upper_scalar],
                   "grid": [grid.n_x, grid.x_max, grid.cfl_fraction],
-                  "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
-                  "family": [c.label for c in family]}
+                  **_mc_config(band, family, n_paths, n_steps, seed)}
         slack1 = 2.0 * (dy_se + dxi.stderr) + 1e-9 * (1.0 + dxi.value)
         r1 = InequalityReport("difference-value", dy, dxi.value, 1.0, slack1,
                               {"delta_y": dy_se, "delta_xi": dxi.stderr},
@@ -389,9 +391,7 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     for payoff, lhs_norm, stats in zip(payoffs, lhs, per_payoff, strict=True):
         rhs, rhs_se = max((m for m, in stats), key=lambda m: m.mean).root(p)
         config = {"check": "doob", "payoff": payoff.source(), "p": p,
-                  "band": [band.lower_scalar, band.upper_scalar],
-                  "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
-                  "family": [c.label for c in family]}
+                  **_mc_config(band, family, n_paths, n_steps, seed)}
         reports.append(InequalityReport(
             f"doob[p={p:g}]", lhs_norm.value, c_p * rhs, c_p,
             2.0 * (lhs_norm.stderr + c_p * rhs_se),

@@ -246,10 +246,10 @@ class PathBundle:
     consumer asks for.  On a piece of the control (a run of steps with one
     value alpha_p, first step b) that holds step k - 1,
 
-        X_k = X_b + sqrt(alpha_p) (W_k - W_b),
+        X_k = sqrt(alpha_p) W_k + c_p,   c_p = X_b - sqrt(alpha_p) W_b,
 
-    one multiply for a constant control and a matrix root for d > 1; W_b
-    and X_b at the piece starts are built once per bundle.  alpha/qv
+    one multiply for a constant control (c_0 = 0) and a matrix root for
+    d > 1; the offsets c_p are built once per bundle.  alpha/qv
     are deterministic functions of time for piecewise-constant controls
     and are stored once (not per path); qv increments equal alpha * dt
     exactly by construction.
@@ -267,7 +267,7 @@ class PathBundle:
         change = np.flatnonzero((flat[1:] != flat[:-1]).any(axis=1)) + 1
         self._starts = np.concatenate(([0], change))
         self._roots = _roots(self.alpha[self._starts])
-        self._anchors = None
+        self._offsets = None
 
     @property
     def n_paths(self) -> int:
@@ -288,13 +288,9 @@ class PathBundle:
         cols = np.arange(self.n_steps + 1)[cols]
         piece = np.searchsorted(self._starts, cols - 1, side="right") - 1
         np.maximum(piece, 0, out=piece)
-        x = self._brownian_at(cols, rows)
-        if len(self._starts) == 1:
-            return self._scale(x, piece)
-        w_starts, x_starts = self._piece_starts(rows)
-        x -= w_starts[:, piece]
-        x = self._scale(x, piece)
-        x += x_starts[:, piece]
+        x = self._scale(self._brownian_at(cols, rows), self._roots[piece])
+        if len(self._starts) > 1:
+            x += self._piece_offsets()[rows][:, piece]
         return x
 
     def _brownian_at(self, cols, rows) -> np.ndarray:
@@ -314,24 +310,21 @@ class PathBundle:
         x[:, cols == 0] = 0.0
         return x
 
-    def _scale(self, w, piece) -> np.ndarray:
-        """sqrt(alpha) of each column's piece times the W differences w."""
+    def _scale(self, w, roots) -> np.ndarray:
+        """Each column of w times its root (a scalar, or a matrix for d > 1)."""
         if self.control.d == 1:
-            w *= self._roots[piece]
+            w *= roots
             return w
-        return np.einsum("cij,ncj->nci", self._roots[piece], w)
+        return np.einsum("cij,ncj->nci", roots, w)
 
-    def _piece_starts(self, rows):
-        """W and X at the first step of every piece, of the paths rows."""
-        if self._anchors is None:
+    def _piece_offsets(self) -> np.ndarray:
+        """c_p of every piece and path: X is continuous at each piece start
+        b_p, so c_p = c_{p-1} + (sqrt(alpha_{p-1}) - sqrt(alpha_p)) W_{b_p}."""
+        if self._offsets is None:
             w = self._brownian_at(self._starts, slice(None))
-            anchors = np.zeros_like(w)
-            for p in range(1, len(self._starts)):
-                step = self._scale(w[:, p:p + 1] - w[:, p - 1:p], [p - 1])
-                anchors[:, p] = anchors[:, p - 1] + step[:, 0]
-            self._anchors = w, anchors
-        w, anchors = self._anchors
-        return w[rows], anchors[rows]
+            w[:, 1:] = self._scale(w[:, 1:], self._roots[:-1] - self._roots[1:])
+            self._offsets = np.cumsum(w, axis=1, out=w)
+        return self._offsets
 
     def monitor_values(self, monitor_times) -> np.ndarray:
         return self.states(monitor_indices(monitor_times, self.n_steps))

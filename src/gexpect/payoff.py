@@ -363,10 +363,12 @@ class PayoffSpec:
     """A cylinder payoff phi(W_{t_1}, ..., W_{t_n}) with monitoring dates.
 
     times must be strictly increasing with last equal to 1.  lipschitz and
-    sup_bound may be declared.  A declared lipschitz is validated and carried
-    along but feeds no computation.  sup_bound, when omitted, is derived
-    from the tree (it stays None for unbounded payoffs, in which case
-    sup-norm invariants are skipped downstream).
+    sup_bound may be declared, each >= 0.  A declared lipschitz is validated
+    and carried along but feeds no computation.  sup_bound, when omitted, is
+    derived from the tree (it stays None for unbounded payoffs, in which
+    case sup-norm invariants are skipped downstream).  On the CLI a
+    declared sup_bound feeds no computation either: the doob suite runs
+    its own bounded payoffs.
     """
 
     expr: Expr
@@ -389,6 +391,8 @@ class PayoffSpec:
                              "monitoring times")
         if self.lipschitz is not None and self.lipschitz < 0:
             raise ValueError("declared Lipschitz bound must be >= 0")
+        if self.sup_bound is not None and self.sup_bound < 0:
+            raise ValueError("declared sup bound must be >= 0")
         object.__setattr__(self, "times", times)
         if self.sup_bound is None:
             object.__setattr__(self, "sup_bound", self.expr.sup_bound())

@@ -124,7 +124,6 @@ class IntervalField:
     t_end: float
     times: np.ndarray
     values: np.ndarray
-    dt: float
 
     @property
     def param_dim(self) -> int:
@@ -188,7 +187,7 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     times = times[::-1].copy()
     times[0], times[-1] = t0, t1
     return IntervalField(t0, t1, times,
-                         values.reshape(*param_shape, n_stored, grid.n_x), dt)
+                         values.reshape(*param_shape, n_stored, grid.n_x))
 
 
 def field_bytes(rows: int, n_stored: int, n_x: int) -> int:
@@ -286,11 +285,10 @@ class ValueField:
     chunks.
     """
 
-    def __init__(self, intervals, x_nodes, payoff=None, band=None, grid=None):
+    def __init__(self, intervals, x_nodes, payoff=None, grid=None):
         self.intervals = list(intervals)
         self.x = np.asarray(x_nodes, dtype=float)
         self.payoff = payoff
-        self.band = band
         self.grid = grid
         self.dx = float(self.x[1] - self.x[0])
         self.x_max = float(self.x[-1])
@@ -537,8 +535,7 @@ class ValueField:
                 count = n_x ** pd * n_t * n_x
                 vals = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
                 vals = vals.reshape((n_x,) * pd + (n_t, n_x))
-                dt = times[1] - times[0] if n_t > 1 else t1 - t0
-                intervals.append(IntervalField(t0, t1, times, vals, dt))
+                intervals.append(IntervalField(t0, t1, times, vals))
         return cls(intervals, x)
 
 
@@ -592,7 +589,7 @@ def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
             first = intervals[i - 1].values[..., 0, :]
             terminal = np.ascontiguousarray(
                 np.diagonal(first, axis1=-2, axis2=-1))
-    return ValueField(intervals, x, payoff=payoff, band=band, grid=grid)
+    return ValueField(intervals, x, payoff=payoff, grid=grid)
 
 
 def derivatives(field: ValueField):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -68,12 +69,81 @@ def _set_key(body, section, name, val):
     return "\n".join(out) + "\n"
 
 
+ALL_KEYS = """\
+[band]
+a_lower = 0.5
+a_upper = 1.5
+
+[payoff]
+expression = min(abs(x2 - x1), 1)
+times = 0.25, 1
+lipschitz = 2.5
+sup_bound = 1.0
+
+[grid]
+n_x = 161
+x_max = 6.5
+cfl_fraction = 0.7
+param_time_slices = 8
+
+[mc]
+n_paths = 300
+n_steps = 32
+seed = 7
+
+[family]
+constant_controls = 4
+floor = 1e-05
+file = {family}
+
+[run]
+out_dir = {out}
+parallel = 3
+gap_tolerance = 0.05
+csv_paths = 5
+"""
+
+
 def test_config_round_trip(tmp_path):
-    path, _ = write_config(tmp_path)
-    cfg = RunConfig.from_file(path)
-    again = RunConfig.from_string(cfg.emit())
-    assert again == cfg
-    assert again.fingerprint() == cfg.fingerprint()
+    fam_path = tmp_path / "family.txt"
+    gx.write_family(gx.ControlFamily.constants(gx.VolBand.scalar(0.5, 1.5), 2),
+                    fam_path)
+    base, _ = write_config(tmp_path)
+    every = tmp_path / "every.cfg"
+    every.write_text(ALL_KEYS.format(family=fam_path, out=tmp_path / "o"))
+    defaults = RunConfig()
+    for path in (base, every):
+        cfg = RunConfig.from_file(path)
+        again = RunConfig.from_string(cfg.emit())
+        assert again == cfg
+        assert again.fingerprint() == cfg.fingerprint()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in fields(RunConfig))
+
+
+def test_emit_and_fingerprint_are_pinned():
+    # literals: a key reordered, renamed or dropped in cli._KEYS fails here
+    default_text = (
+        "[band]\na_lower = 1.0\na_upper = 2.0\n\n"
+        "[payoff]\nexpression = sq(x1)\ntimes = 1.0\n\n"
+        "[grid]\nn_x = 401\nx_max = 8.0\ncfl_fraction = 0.8\n"
+        "param_time_slices = 32\n\n"
+        "[mc]\nn_paths = 20000\nn_steps = 512\nseed = 20100920\n\n"
+        "[family]\nconstant_controls = 9\nfloor = 1e-06\n\n"
+        "[run]\nout_dir = out\nparallel = 0\ngap_tolerance = 0.03\n"
+        "csv_paths = 64\n")
+    base_text = (default_text
+                 .replace("n_x = 401", "n_x = 201")
+                 .replace("n_paths = 20000\nn_steps = 512\nseed = 20100920",
+                          "n_paths = 8000\nn_steps = 64\nseed = 99")
+                 .replace("constant_controls = 9", "constant_controls = 5")
+                 .replace("out_dir = out", "out_dir = pinned"))
+    default = RunConfig()
+    base = RunConfig.from_string(BASE.format(out="pinned"))
+    assert default.emit() == default_text
+    assert default.fingerprint() == "b5128bfd1d980152"
+    assert base.emit() == base_text
+    assert base.fingerprint() == "e2f240c395609818"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -268,9 +338,11 @@ def test_negative_csv_paths_rejected(tmp_path, capsys):
     ({"grid__param_time_slices": 0}, "param_time_slices must be >= 1"),
     ({"grid__param_time_slices": -5}, "param_time_slices must be >= 1"),
     ({"run__parallel": -3}, "run.parallel must be >= 0"),
+    ({"payoff__sup_bound": -3}, "declared sup bound must be >= 0"),
     ({"payoff__expression": "sq(x2 - x1)", "payoff__times": "0.3,1",
       "mc__n_steps": 16}, "monitoring times must lie on the path grid"),
-], ids=["slices-0", "slices-negative", "parallel-negative", "dates-off-grid"])
+], ids=["slices-0", "slices-negative", "parallel-negative",
+        "sup-bound-negative", "dates-off-grid"])
 @pytest.mark.parametrize("command", ["price", "represent"])
 def test_bad_setting_is_config_error(tmp_path, capsys, command, overrides,
                                      message):
