@@ -62,7 +62,10 @@ _KEYS = (
 
 
 def _read(text: str, source: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no config line can name the section "\n", so [DEFAULT] is an ordinary
+    # (and unknown) section, not defaults merged into every other section
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="\n")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:

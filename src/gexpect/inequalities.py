@@ -223,7 +223,7 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
 
 
 def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
-                 seed, t_nodes=17) -> list:
+                 seed) -> list:
     """sup-over-family norms of the pathwise differences (dY, dH, dK) of
     payoff1 against each of payoffs2, in one sweep.
 
@@ -236,7 +236,7 @@ def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
     """
     f1 = conditional_expectation(payoff1, band, grid)
     fields2 = [conditional_expectation(p2, band, grid) for p2 in payoffs2]
-    grid_idx = mc.sup_grid(payoff1.times, n_steps, t_nodes)
+    grid_idx = mc.sup_grid(payoff1.times, n_steps)
 
     def fold(_, bundle):
         folds = [(PathFold(np.maximum), PathFold(np.add),
@@ -251,14 +251,10 @@ def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
                 dy.add(np.abs(s1.y[:, on_grid] - s2.y[:, on_grid]))
                 dh.add(mc.energy(s1.h_left - s2.h_left, alpha, bundle.dt))
                 dk.add(np.abs(s1.k - s2.k))
-        inc1 = ~excluded(f1, s1.x_peak)
-        partials = []
-        for f2, (dy, dh, dk) in zip(fields2, folds):
-            inc = inc1 & ~excluded(f2, s1.x_peak)
-            partials.append((Moments.of(dy.value[inc] ** 2),
-                             Moments.of(dh.value[inc]),
-                             Moments.of(dk.value[inc] ** 2)))
-        return tuple(partials)
+        # every field is solved on `grid`, so one exclusion mask holds for all
+        inc = ~excluded(f1, s1.x_peak)
+        return tuple((Moments.of(dy.value[inc] ** 2), Moments.of(dh.value[inc]),
+                      Moments.of(dk.value[inc] ** 2)) for dy, dh, dk in folds)
 
     stats = mc.sweep(family, n_paths, n_steps,
                      derive_seed(seed, "difference-paths"), fold)

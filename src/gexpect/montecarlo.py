@@ -256,7 +256,6 @@ class PathBundle:
     """
 
     control: ControlProcess
-    seed: int
     times: np.ndarray        # (M+1,)
     brownian: np.ndarray     # (N, M) or (N, M, d): W at steps 1..M
     alpha: np.ndarray        # (M,) or (M, d, d) per-step control value
@@ -371,15 +370,14 @@ def _check_grid(controls, n_paths: int, n_steps: int):
             raise ValueError(f"control {c.label!r} breakpoints off the grid")
 
 
-def _bundle(control: ControlProcess, seed: int,
-            brownian: np.ndarray) -> PathBundle:
+def _bundle(control: ControlProcess, brownian: np.ndarray) -> PathBundle:
     """The bundle of one control on Brownian paths W (N, M) or (N, M, d)."""
     n_steps = brownian.shape[1]
     times = np.linspace(0.0, 1.0, n_steps + 1)
     alpha = control.step_values(times[:-1])       # (M,) or (M, d, d)
     qv = np.zeros((n_steps + 1,) + alpha.shape[1:])
     np.cumsum(alpha * (1.0 / n_steps), axis=0, out=qv[1:])
-    return PathBundle(control, seed, times, brownian, alpha, qv)
+    return PathBundle(control, times, brownian, alpha, qv)
 
 
 def simulate(control: ControlProcess, n_paths: int, n_steps: int,
@@ -392,7 +390,7 @@ def simulate(control: ControlProcess, n_paths: int, n_steps: int,
     w = np.concatenate([blk for _, _, blk in iter_increment_blocks(
         seed, n_paths, n_steps, 1.0 / n_steps, control.d)])
     np.cumsum(w, axis=1, out=w)
-    return _bundle(control, seed, w)
+    return _bundle(control, w)
 
 
 @dataclass(frozen=True)
@@ -495,7 +493,7 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     def fold_block(block):
         w = block[2]
         np.cumsum(w, axis=1, out=w)
-        return [fold(j, _bundle(c, seed, w)) for j, c in enumerate(family)]
+        return [fold(j, _bundle(c, w)) for j, c in enumerate(family)]
 
     blocks = iter_increment_blocks(seed, n_paths, n_steps, 1.0 / n_steps,
                                    family.band.d)
@@ -593,24 +591,22 @@ class NormEstimate:
 
 
 def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
-                   field, n_paths: int, n_steps: int, seed: int,
-                   t_nodes: int = 17) -> NormEstimate:
+                   field, n_paths: int, n_steps: int,
+                   seed: int) -> NormEstimate:
     """sup over the family of E[ sup_t (conditional |payoff|)^p ]^(1/p).
 
-    `field` must be solved for payoff.absolute(); the time sup runs over a
-    t_nodes-point grid joined with the monitoring dates (lower bound of the
-    continuous-time sup, as documented).  Per block, the grid times before
-    t = 1 are read in one path-grid read, and t = 1 evaluates the payoff,
-    as conditional_supremum does.  One `sweep` of `lp_norm_fold`, finished
+    `field` must be solved for payoff.absolute(); the time sup runs over
+    `sup_grid` (a lower bound of the continuous-time sup, as documented).
+    Per block, the grid times before t = 1 are read in one path-grid read,
+    and t = 1 evaluates the payoff, as conditional_supremum does.  One `sweep` of `lp_norm_fold`, finished
     by `norm_estimate`; norms on a shared seed fold in one `sweep_each`.
     """
-    fold = lp_norm_fold(payoff, p, field, n_steps, t_nodes)
+    fold = lp_norm_fold(payoff, p, field, n_steps)
     stats = sweep(family, n_paths, n_steps, seed, fold)
     return norm_estimate(family, stats, p)
 
 
-def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int,
-                 t_nodes: int = 17):
+def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int):
     """The per-block fold of `lp_norm_detail`: one Moments of
     sup_t |conditional value|^p per control."""
     if p < 1:
@@ -618,7 +614,7 @@ def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int,
     abs_payoff = payoff.absolute()
     if field.payoff is not None and field.payoff.expr != abs_payoff.expr:
         raise ValueError("field must be solved for the absolute payoff")
-    grid_idx = sup_grid(payoff.times, n_steps, t_nodes)
+    grid_idx = sup_grid(payoff.times, n_steps)
     inner = grid_idx[grid_idx < n_steps]   # t = 1, the last date, reads xi
 
     def fold(_, bundle):

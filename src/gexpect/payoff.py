@@ -1,26 +1,44 @@
 """Cylinder payoffs: expression trees over monitored coordinates and a parser.
 
 A payoff phi(w_1, ..., w_n) of the monitored values is a small expression
-tree with the built-ins const, coord (x1..x3), +, -, *, neg, abs, sq, min,
-max, clamp, call, put.  Trees evaluate vectorized over numpy arrays, report
-their own Lipschitz constant and value range on a box (interval arithmetic),
-and round-trip through a text form:
+tree over the coordinates x1..x3 and the operators of `_OPS`, the one table
+of them.  Trees evaluate vectorized over numpy arrays, report their own
+Lipschitz constant and value range on a box (interval arithmetic), and
+round-trip through a text form:
 
     sq(x1)          (x2 - x1) * (x2 - x1)        min(abs(x1), 1)
     call(x1, 0)     0.5 * x1 + const(1)          clamp(x2, -1, 2)
 """
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 
-_UNARY = {"neg", "abs", "sq"}
-_BINARY = {"add", "sub", "mul", "min", "max"}
-_FUNCS = {"const", "abs", "min", "max", "call", "put", "sq", "neg", "clamp"}
+
+# The one table of payoff operators: name -> (infix symbol or None, count of
+# expression arguments, count of constant arguments after them, numpy form of
+# their values).  Evaluation, to_source, the parser's function names (infix
+# operators are not functions) and build's argument checks all derive from
+# it; value_range and lipschitz keep their own per-operator interval rules.
+_OPS = {
+    "const": (None, 0, 1, float),
+    "add": ("+", 2, 0, operator.add),
+    "sub": ("-", 2, 0, operator.sub),
+    "mul": ("*", 2, 0, operator.mul),
+    "neg": (None, 1, 0, operator.neg),
+    "abs": (None, 1, 0, np.abs),
+    "sq": (None, 1, 0, lambda v: v * v),
+    "min": (None, 2, 0, np.minimum),
+    "max": (None, 2, 0, np.maximum),
+    "clamp": (None, 1, 2, np.clip),
+    "call": (None, 1, 1, lambda v, k: np.maximum(v - k, 0.0)),
+    "put": (None, 1, 1, lambda v, k: np.maximum(k - v, 0.0)),
+}
 
 
 class Expr:
@@ -67,34 +85,10 @@ class Expr:
     # -- evaluation --------------------------------------------------------
     def __call__(self, *coords):
         op, a = self.op, self.args
-        if op == "const":
-            return float(a[0])
         if op == "coord":
             return np.asarray(coords[a[0] - 1], dtype=float)
-        if op == "add":
-            return a[0](*coords) + a[1](*coords)
-        if op == "sub":
-            return a[0](*coords) - a[1](*coords)
-        if op == "mul":
-            return a[0](*coords) * a[1](*coords)
-        if op == "neg":
-            return -a[0](*coords)
-        if op == "abs":
-            return np.abs(a[0](*coords))
-        if op == "sq":
-            v = a[0](*coords)
-            return v * v
-        if op == "min":
-            return np.minimum(a[0](*coords), a[1](*coords))
-        if op == "max":
-            return np.maximum(a[0](*coords), a[1](*coords))
-        if op == "clamp":
-            return np.clip(a[0](*coords), a[1], a[2])
-        if op == "call":
-            return np.maximum(a[0](*coords) - a[1], 0.0)
-        if op == "put":
-            return np.maximum(a[1] - a[0](*coords), 0.0)
-        raise ValueError(f"unknown op {op!r}")
+        _, n, _, form = _OPS[op]
+        return form(*(e(*coords) for e in a[:n]), *a[n:])
 
     # -- static analysis ---------------------------------------------------
     @property
@@ -111,7 +105,7 @@ class Expr:
             return (a[0], a[0])
         if op == "coord":
             return (-half_width, half_width)
-        if op in ("add", "sub", "mul", "min", "max"):
+        if _OPS[op][1] == 2:
             l1, h1 = a[0].value_range(half_width)
             l2, h2 = a[1].value_range(half_width)
             if op == "add":
@@ -134,7 +128,7 @@ class Expr:
             m = max(_iv_mul(lo, lo), _iv_mul(hi, hi))
             return (0.0 if lo <= 0.0 <= hi else min(_iv_mul(lo, lo), _iv_mul(hi, hi)), m)
         if op == "clamp":
-            return (max(lo, a[1]), min(hi, a[2]))
+            return tuple(min(max(v, a[1]), a[2]) for v in (lo, hi))
         if op == "call":
             return (max(lo - a[1], 0.0), max(hi - a[1], 0.0))
         if op == "put":
@@ -176,22 +170,15 @@ class Expr:
             return _fmt(a[0])
         if op == "coord":
             return f"x{a[0]}"
-        if op in ("add", "sub", "mul"):
-            sym = {"add": "+", "sub": "-", "mul": "*"}[op]
-            return f"({a[0].to_source()} {sym} {a[1].to_source()})"
-        if op in ("min", "max"):
-            return f"{op}({a[0].to_source()}, {a[1].to_source()})"
-        if op in ("neg", "abs", "sq"):
-            return f"{op}({a[0].to_source()})"
-        if op == "clamp":
-            return f"clamp({a[0].to_source()}, {_fmt(a[1])}, {_fmt(a[2])})"
-        if op in ("call", "put"):
-            return f"{op}({a[0].to_source()}, {_fmt(a[1])})"
-        raise ValueError(f"unknown op {op!r}")
+        infix, n, _, _ = _OPS[op]
+        parts = [e.to_source() for e in a[:n]] + [_fmt(c) for c in a[n:]]
+        if infix:
+            return f"({parts[0]} {infix} {parts[1]})"
+        return f"{op}({', '.join(parts)})"
 
 
 def _wrap(v):
-    return v if isinstance(v, Expr) else Expr("const", float(v))
+    return v if isinstance(v, Expr) else const(v)
 
 
 def _fmt(v: float) -> str:
@@ -311,7 +298,7 @@ class _Parser:
             raise ConfigError(f"unexpected token {val!r} in payoff expression")
         if re.fullmatch(r"x[123]", val):
             return coord(int(val[1]))
-        if val not in _FUNCS:
+        if val not in _OPS or _OPS[val][0]:     # infix: no function form
             raise ConfigError(f"unknown payoff function {val!r}")
         self.expect("(")
         args = [self.expr()]
@@ -322,29 +309,14 @@ class _Parser:
         return self.build(val, args)
 
     def build(self, name, args):
-        def need(n):
-            if len(args) != n:
-                raise ConfigError(f"{name} takes {n} argument(s), got {len(args)}")
-
-        if name == "const":
-            need(1)
-            return Expr("const", _const_value(args[0]))
-        if name in ("neg", "abs", "sq"):
-            need(1)
-            return Expr(name, args[0])
-        if name in ("min", "max"):
-            need(2)
-            return Expr(name, args[0], args[1])
-        if name in ("call", "put"):
-            need(2)
-            return Expr(name, args[0], _const_value(args[1]))
-        if name == "clamp":
-            need(3)
-            lo, hi = _const_value(args[1]), _const_value(args[2])
-            if lo > hi:
-                raise ConfigError("clamp bounds out of order")
-            return Expr(name, args[0], lo, hi)
-        raise ConfigError(f"unknown payoff function {name!r}")
+        _, n, n_consts, _ = _OPS[name]
+        if len(args) != n + n_consts:
+            raise ConfigError(
+                f"{name} takes {n + n_consts} argument(s), got {len(args)}")
+        consts = [_const_value(c) for c in args[n:]]
+        if name == "clamp" and consts[0] > consts[1]:
+            raise ConfigError("clamp bounds out of order")
+        return Expr(name, *args[:n], *consts)
 
 
 def _const_value(e: Expr) -> float:
@@ -415,18 +387,14 @@ class PayoffSpec:
         return np.broadcast_to(out, arr.shape[:-1]).copy()
 
     def absolute(self) -> "PayoffSpec":
-        bound = self.sup_bound
-        return PayoffSpec(Expr("abs", self.expr), self.times,
-                          self.lipschitz, bound)
+        return replace(self, expr=Expr("abs", self.expr))
 
     def negated(self) -> "PayoffSpec":
-        return PayoffSpec(Expr("neg", self.expr), self.times,
-                          self.lipschitz, self.sup_bound)
+        return replace(self, expr=Expr("neg", self.expr))
 
     def shifted(self, c: float) -> "PayoffSpec":
         bound = None if self.sup_bound is None else self.sup_bound + abs(c)
-        return PayoffSpec(self.expr + const(c), self.times,
-                          self.lipschitz, bound)
+        return replace(self, expr=self.expr + const(c), sup_bound=bound)
 
     def with_prepended_time(self, t: float) -> "PayoffSpec":
         """Insert an extra (ignored) monitoring date before the others.
@@ -436,8 +404,8 @@ class PayoffSpec:
         """
         if not 0.0 < t < self.times[0]:
             raise ValueError("prepended time must precede the first date")
-        return PayoffSpec(_shift_coords(self.expr, 1), (t,) + self.times,
-                          self.lipschitz, self.sup_bound)
+        return replace(self, expr=_shift_coords(self.expr, 1),
+                       times=(t,) + self.times)
 
     def source(self) -> str:
         return self.expr.to_source()

@@ -36,6 +36,7 @@ from .payoff import PayoffSpec
 from .pde import _BATCH, _CHUNK, ValueField, g_expectation
 
 SYMMETRY_PATHS = 2048   # `represent` classifies symmetry on the first paths
+EXIT_MARGIN_NODES = 2   # paths this close to the truncation are excluded
 
 
 @dataclass
@@ -207,14 +208,14 @@ def row_blocks(bundle: PathBundle):
             for start in range(0, bundle.n_paths, step))
 
 
-def excluded(field: ValueField, x_peak, exit_margin_nodes: int = 2):
+def excluded(field: ValueField, x_peak):
     """Flags of the paths whose max |X|, x_peak (a march's, once its last
-    slab is yielded), comes within exit_margin_nodes of the truncation."""
-    return x_peak > field.x_max - exit_margin_nodes * field.dx
+    slab is yielded), comes within EXIT_MARGIN_NODES of the truncation."""
+    return x_peak > field.x_max - EXIT_MARGIN_NODES * field.dx
 
 
 def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
-            bundle: PathBundle, exit_margin_nodes: int = 2) -> Decomposition:
+            bundle: PathBundle) -> Decomposition:
     """Sample the decomposition along every path of the bundle: the slabs
     of `march`, stacked."""
     arrays = np.empty((4, bundle.n_paths, bundle.n_steps + 1))
@@ -222,8 +223,7 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
         for whole, part in zip(arrays, (s.y, s.h, s.k, s.int_h_dx)):
             whole[:, s.cols] = part
     return Decomposition(payoff, bundle.control.label, bundle.times,
-                         *arrays, excluded(field, s.x_peak,
-                                           exit_margin_nodes))
+                         *arrays, excluded(field, s.x_peak))
 
 
 def _abs_defect(y, y0, int_h_dx, k) -> np.ndarray:

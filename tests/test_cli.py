@@ -159,6 +159,23 @@ def test_unknown_section_rejected(tmp_path):
     assert main(["price", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 5\n\n[band]\na_lower = 1.0\n",
+    "[DEFAULT]\nseed = 5\n",
+    "[DEFAULT]\nseed = 5\n\n[mc]\nn_paths = 100\n",
+], ids=["beside-band", "alone", "beside-mc"])
+def test_default_section_rejected(tmp_path, capsys, text):
+    # [DEFAULT] is an unknown section, not defaults merged into the others
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["price", "--config", str(path), "--quiet",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert ("config error: unknown config section [DEFAULT]"
+            in capsys.readouterr().err)
+    with pytest.raises(gx.ConfigError, match=r"\[DEFAULT\]"):
+        RunConfig.from_string(text)
+
+
 def test_missing_config_is_usage_error(tmp_path):
     assert main(["price", "--config", str(tmp_path / "absent.cfg")]) == 1
 

@@ -243,10 +243,10 @@ def _old_bdg_check(h, family, n_paths, n_steps, seed):
 
 
 def _old_delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps,
-                     seed, t_nodes=17):
+                     seed):
     f1 = conditional_expectation(payoff1, band, grid)
     f2 = conditional_expectation(payoff2, band, grid)
-    grid_idx = mc.sup_grid(payoff1.times, n_steps, t_nodes)
+    grid_idx = mc.sup_grid(payoff1.times, n_steps)
 
     def fold(_, bundle):
         d1 = extract(payoff1, band, f1, bundle)

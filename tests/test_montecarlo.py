@@ -263,7 +263,7 @@ def test_qv_identity_scaling(band12):
 
 def test_qv_identity_zero_increments(band12):
     bundle = gx.simulate(mc.ControlProcess.constant(1.0), 1, 16, seed=1)
-    silent = mc.PathBundle(bundle.control, 1, bundle.times,
+    silent = mc.PathBundle(bundle.control, bundle.times,
                            np.zeros_like(bundle.brownian),
                            bundle.alpha, np.zeros_like(bundle.qv))
     assert gx.qv_identity_check(silent).max_abs_residual == 0.0

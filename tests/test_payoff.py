@@ -5,7 +5,28 @@ import pytest
 
 import gexpect as gx
 from gexpect.errors import ConfigError
-from gexpect.payoff import parse_expr
+from gexpect.payoff import _OPS, parse_expr
+
+W1 = np.array([-2.5, -0.5, 0.0, 0.75, 3.0])
+W2 = np.array([1.0, -1.5, 0.25, 0.75, -3.0])
+
+# every operator of the table: a text using it on x1 (and x2), and its
+# numpy form written out, of the values W1 (and W2)
+OPERATORS = {
+    "const": ("const(1.5)", lambda a, b: 1.5),
+    "add": ("x1 + x2", lambda a, b: a + b),
+    "sub": ("x1 - x2", lambda a, b: a - b),
+    "mul": ("x1 * x2", lambda a, b: a * b),
+    "neg": ("neg(x1)", lambda a, b: -a),
+    "abs": ("abs(x1)", lambda a, b: np.abs(a)),
+    "sq": ("sq(x1)", lambda a, b: a * a),
+    "min": ("min(x1, x2)", lambda a, b: np.minimum(a, b)),
+    "max": ("max(x1, x2)", lambda a, b: np.maximum(a, b)),
+    "clamp": ("clamp(x1, -1, 2)", lambda a, b: np.clip(a, -1.0, 2.0)),
+    "call": ("call(x1, 0.5)", lambda a, b: np.maximum(a - 0.5, 0.0)),
+    "put": ("put(x1, 0.5)", lambda a, b: np.maximum(0.5 - a, 0.0)),
+}
+INFIX = ("add", "sub", "mul")
 
 
 @pytest.mark.parametrize("source,args,expected", [
@@ -24,6 +45,44 @@ from gexpect.payoff import parse_expr
 def test_eval(source, args, expected):
     expr = parse_expr(source)
     assert float(expr(*args)) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_operator_evaluates_its_numpy_form(op):
+    source, form = OPERATORS[op]
+    expr = parse_expr(source)
+    assert expr.op == op
+    got = np.broadcast_to(expr(W1, W2), W1.shape)
+    assert np.array_equal(got, np.broadcast_to(form(W1, W2), W1.shape))
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_operator_round_trips_through_source(op):
+    expr = parse_expr(OPERATORS[op][0])
+    again = parse_expr(expr.to_source())
+    assert again == expr
+    assert again.to_source() == expr.to_source()
+
+
+@pytest.mark.parametrize("op", sorted(set(_OPS) - set(INFIX)))
+def test_operator_wrong_argument_count_is_config_error(op):
+    source = OPERATORS[op][0]
+    n = source.count(",") + 1
+    extra = source[:-1] + ", 1)"
+    with pytest.raises(ConfigError, match=rf"^{op} takes {n} argument\(s\), "
+                                          rf"got {n + 1}$"):
+        parse_expr(extra)
+    if n > 1:
+        fewer = source[:source.rindex(",")] + ")"
+        with pytest.raises(ConfigError, match=rf"got {n - 1}$"):
+            parse_expr(fewer)
+
+
+@pytest.mark.parametrize("op", INFIX)
+def test_infix_operator_is_no_function(op):
+    assert {name for name, entry in _OPS.items() if entry[0]} == set(INFIX)
+    with pytest.raises(ConfigError, match=f"unknown payoff function '{op}'"):
+        parse_expr(f"{op}(x1, x2)")
 
 
 def test_eval_vectorized():
@@ -73,6 +132,13 @@ def test_sup_bounds():
     assert parse_expr("sq(x1)").sup_bound() is None
     assert parse_expr("call(x1, 0)").sup_bound() is None
     assert parse_expr("const(3)").sup_bound() == 3.0
+    # clamp clips both ends of its argument's range into its bounds
+    above = parse_expr("clamp(abs(x1) + 5, -1, 2)")
+    assert above.value_range() == (2.0, 2.0)
+    assert above.sup_bound() == 2.0
+    below = parse_expr("clamp(neg(abs(x1)) - 5, 3, 4)")
+    assert below.value_range() == (3.0, 3.0)
+    assert parse_expr("clamp(x1, -1, 2)").value_range() == (-1.0, 2.0)
 
 
 def test_payoff_spec_validation():
