@@ -105,7 +105,7 @@ class Expr:
             return (a[0], a[0])
         if op == "coord":
             return (-half_width, half_width)
-        if _OPS[op][1] == 2:
+        if _OPS[op][1] == 2:        # two sub-expressions
             l1, h1 = a[0].value_range(half_width)
             l2, h2 = a[1].value_range(half_width)
             if op == "add":
