@@ -15,7 +15,7 @@ from .nonlinearity import (MollifiedNonlinearity, VolBand, eval_g,
 from .payoff import Expr, PayoffSpec, const, coord, parse_expr, x1, x2, x3
 from .pde import (IntervalField, SpaceTimeGrid, ValueField,
                   conditional_expectation, derivatives, g_expectation,
-                  refine_study, solve_interval)
+                  refine_study, solve_interval, value_field)
 from .montecarlo import (ControlFamily, ControlProcess, DualResult,
                          PathBundle, conditional_supremum, derive_seed,
                          dual_value, lp_norm_detail, qv_identity_check,
@@ -35,7 +35,7 @@ __all__ = [
     "Expr", "PayoffSpec", "const", "coord", "parse_expr", "x1", "x2", "x3",
     "IntervalField", "SpaceTimeGrid", "ValueField",
     "conditional_expectation", "derivatives", "g_expectation",
-    "refine_study", "solve_interval",
+    "refine_study", "solve_interval", "value_field",
     "ControlFamily", "ControlProcess", "DualResult", "PathBundle",
     "conditional_supremum", "derive_seed", "dual_value", "lp_norm_detail",
     "qv_identity_check", "read_family", "simulate", "write_family",

@@ -27,7 +27,7 @@ from .errors import ConfigError, GExpectError, NumericalError
 from .nonlinearity import VolBand
 from .payoff import PayoffSpec
 from .pde import (SpaceTimeGrid, check_halving, conditional_expectation,
-                  refine_study)
+                  g_expectation, refine_study)
 
 
 def _times(raw: str) -> tuple:
@@ -265,8 +265,7 @@ def cmd_price(cfg: RunConfig, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
     try:
-        field = conditional_expectation(payoff, band, grid, cfg.degree())
-        value = field.value(0.0, (), 0.0)
+        value = g_expectation(payoff, band, grid, degree=cfg.degree())
         if not np.isfinite(value):
             raise NumericalError("solved value is not finite")
         table = refine_study(payoff, band, grids, finest=value)

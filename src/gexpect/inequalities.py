@@ -26,7 +26,8 @@ from .errors import ConfigError
 from .montecarlo import ControlFamily, Moments, PathFold, derive_seed
 from .nonlinearity import VolBand
 from .payoff import Expr, PayoffSpec
-from .pde import SpaceTimeGrid, ValueField, conditional_expectation, solve_interval
+from .pde import (SpaceTimeGrid, ValueField, conditional_expectation,
+                  solve_interval, value_field)
 from .representation import excluded, march, require_included, row_blocks
 
 # frozen aggregate constants from the energy-argument chain:
@@ -333,20 +334,22 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     t must be a monitoring date of the nested solve; single-date payoffs can
     be lifted with with_prepended_time first.  The conditional slice is read
     back through the interpolator (diagonal in history and position) and
-    re-fed as terminal data to a fresh solve of [0, t].
+    re-fed as terminal data to a fresh solve of [0, t].  Both solves keep
+    only their start slices and terminal data, all that these reads use.
     """
     times = payoff.times
     match = [i for i, ti in enumerate(times[:-1]) if abs(ti - t) < 1e-12]
     if not match:
         raise ValueError("t must be an interior monitoring date of the payoff")
     i = match[0]
-    field = conditional_expectation(payoff, band, grid)
+    field = value_field(payoff, band, grid)
     x = field.x
     if i > 0:
         raise ValueError("re-feeding supported at the first monitoring date")
     column = x.reshape(-1, 1)
     inner, _ = field.read_along([t], column, column)
-    refed = solve_interval(inner[:, 0], band, grid, (0.0, t))
+    refed = solve_interval(inner[:, 0], band, grid, (0.0, t),
+                           value_only=True)
     outer = float(refed.values[0, grid.n_x // 2])
     base = field.value(0.0, (), 0.0)
     config = {"check": "tower", "payoff": payoff.source(), "t": t,

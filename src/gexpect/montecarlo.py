@@ -53,7 +53,9 @@ def iter_increment_blocks(seed: int, n_paths: int, n_steps: int, dt: float,
     """Yield (lo, hi, dW) blocks of N(0, dt) increments.
 
     Full blocks are always drawn before truncation, so path i's numbers do
-    not depend on n_paths.
+    not depend on n_paths.  The generator drops its own reference to a
+    block once the block is yielded, so it holds none while it draws the
+    next one.
     """
     scale = math.sqrt(dt)
     n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
@@ -64,6 +66,7 @@ def iter_increment_blocks(seed: int, n_paths: int, n_steps: int, dt: float,
         dw = _block_rng(seed, b).standard_normal(shape)
         dw *= scale
         yield lo, hi, dw[:hi - lo]
+        del dw
 
 
 class ControlProcess:
@@ -387,8 +390,11 @@ def simulate(control: ControlProcess, n_paths: int, n_steps: int,
     if band is not None:
         control.validate(band)
     _check_grid([control], n_paths, n_steps)
-    w = np.concatenate([blk for _, _, blk in iter_increment_blocks(
-        seed, n_paths, n_steps, 1.0 / n_steps, control.d)])
+    w = np.empty((n_paths, n_steps) + ((control.d,) if control.d > 1 else ()))
+    for lo, hi, block in iter_increment_blocks(seed, n_paths, n_steps,
+                                               1.0 / n_steps, control.d):
+        w[lo:hi] = block
+        del block       # before the next draw: one block is held at a time
     np.cumsum(w, axis=1, out=w)
     return _bundle(control, w)
 
@@ -479,7 +485,8 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     Each block in flight, at most `degree` and no more than the sweep has,
     holds one block-sized array, PATH_BLOCK * n_steps * d doubles; a sweep
     whose blocks would pass pde.MEMORY_LIMIT raises NumericalError before
-    the first block is drawn."""
+    the first block is drawn.  A batch of blocks is released before the
+    next one is drawn, so the blocks in flight are the only ones held."""
     _check_grid(family, n_paths, n_steps)
     in_flight = min(max(degree, 1), -(-n_paths // PATH_BLOCK))
     need = in_flight * 8 * PATH_BLOCK * n_steps * family.band.d
@@ -507,6 +514,7 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
             for partials in run(fold_block, batch):
                 totals = partials if totals is None else [
                     _merge(t, p) for t, p in zip(totals, partials)]
+            del batch       # before the next draw
     return totals
 
 

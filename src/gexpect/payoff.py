@@ -154,6 +154,13 @@ class Expr:
         if op == "sq":
             s = _abs_sup(a[0].value_range(half_width))
             return _iv_mul(2.0 * a[0].lipschitz(half_width), s)
+        # clamp, call and put are constant where their argument's range lies
+        # on a flat side of them
+        lo, hi = a[0].value_range(half_width)
+        if ((op == "clamp" and (lo >= a[2] or hi <= a[1]))
+                or (op == "call" and hi <= a[1])
+                or (op == "put" and lo >= a[1])):
+            return 0.0
         # neg, abs, clamp, call, put are 1-Lipschitz wrappers
         return a[0].lipschitz(half_width)
 

@@ -22,8 +22,10 @@ last-interval solution is restarted at each earlier date with the diagonal
 re-read v(t_i, ..., x, x) as new terminal data.  Parameter grids coincide
 with the spatial grid, so the diagonal is a node-exact read.  Solved fields
 store every time step when no parameter axes are present and a strided
-subset otherwise; a value alone (`g_expectation` with no field) keeps
-only each interval's first two time slices and its terminal data.
+subset otherwise.  A value field (`value_field`), which `price`,
+`g_expectation` and the tower check use, keeps only each interval's first
+two time slices and its terminal data: all that a read at t = 0 or at an
+interval's start uses.
 
 Fields are read in one pass, along path grids: paths (N, M) with one time
 per column.  The value, the gradient and the second difference all come
@@ -552,22 +554,30 @@ def conditional_expectation(payoff: PayoffSpec, band: VolBand,
     return _solve(payoff, band, grid, degree, value_only=False)
 
 
+def value_field(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
+                degree: int = 1) -> ValueField:
+    """The intervals `conditional_expectation` marches, each storing only
+    its two start slices and its terminal data.
+
+    A read at the start of an interval (the price at t = 0, a restart
+    date) brackets the same two slices as on the full field, so it gives
+    the same value bit for bit; a read later in an interval lerps across
+    the slices that were not stored."""
+    return _solve(payoff, band, grid, degree, value_only=True)
+
+
 def g_expectation(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
                   field: ValueField | None = None, degree: int = 1) -> float:
-    """Worst-case expectation: the solved field read at (t=0, x=0).
-
-    With no field, the intervals are marched as `conditional_expectation`
-    marches them but store only the slices that the restarts and that read
-    use, so the value is the same bit for bit."""
+    """Worst-case expectation: the solved field read at (t=0, x=0), on
+    `value_field`'s intervals when no field is given."""
     if field is None:
-        field = _solve(payoff, band, grid, degree, value_only=True)
+        field = value_field(payoff, band, grid, degree)
     return field.value(0.0, (), 0.0)
 
 
 def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
            degree: int, value_only: bool) -> ValueField:
-    """The interval loop of `conditional_expectation`; with value_only, a
-    field that can be read at t = 0 only."""
+    """The interval loop of `conditional_expectation` and `value_field`."""
     if payoff.n > 3:
         raise ValueError("at most three monitoring dates are supported")
     if band.d != 1:

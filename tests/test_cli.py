@@ -245,6 +245,28 @@ def test_represent_csv_embeds_fingerprint(tmp_path):
     assert first == f"# fingerprint={RunConfig.from_file(path).fingerprint()}"
 
 
+def test_price_stores_no_field(tmp_path):
+    # price reads its value at (0, 0) only: its peak stays below the full
+    # field of the nested payoff (the small Monte Carlo sizes keep the
+    # 0.5 MB path block from setting the peak)
+    path, out = write_config(tmp_path, payoff__expression="sq(x2 - x1)",
+                             payoff__times="0.5,1.0", mc__n_paths=256,
+                             mc__n_steps=16)
+    cfg = RunConfig.from_file(path)
+    field = gx.conditional_expectation(cfg.payoff(), cfg.band(), cfg.grid())
+    full = sum(iv.values.nbytes for iv in field.intervals)
+    value = field.value(0.0, (), 0.0)
+    del field
+    tracemalloc.start()
+    try:
+        assert main(["price", "--config", str(path), "--quiet"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full
+    assert json.loads((out / "price.json").read_text())["value"] == value
+
+
 def test_price_numerical_failure_exit_2(tmp_path):
     path, _ = write_config(tmp_path, payoff__expression="sq(x3)",
                            payoff__times="0.3,0.6,1.0", grid__n_x=401,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,45 @@ def test_determinism_and_prefix_stability():
     assert np.array_equal(b1.states()[:40], b3.states())
     b4 = gx.simulate(ctrl, 100, 32, seed=10)
     assert not np.array_equal(b1.states(), b4.states())
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_paths", [1, mc.PATH_BLOCK, mc.PATH_BLOCK + 1])
+def test_simulate_holds_one_path_array(n_paths):
+    # the blocks are copied into one array as they are drawn: the same
+    # Brownian path as their concatenation, and no second copy of it
+    ctrl = mc.ControlProcess.constant(1.0)
+    n_steps = 64
+    blocks = mc.iter_increment_blocks(7, n_paths, n_steps, 1.0 / n_steps)
+    want = np.cumsum(np.concatenate([blk for _, _, blk in blocks]), axis=1)
+    assert np.array_equal(gx.simulate(ctrl, n_paths, n_steps, 7).brownian,
+                          want)
+    del want
+    block = 8 * mc.PATH_BLOCK * n_steps
+    peak = _traced_peak(gx.simulate, ctrl, n_paths, n_steps, 7)
+    assert peak < 8 * n_paths * n_steps + block + (64 << 10)
+
+
+@pytest.mark.parametrize("n_blocks, degree", [(3, 1), (5, 2)])
+def test_sweep_holds_only_its_blocks_in_flight(band12, n_blocks, degree):
+    # with a fold that keeps nothing, the peak is the `degree` blocks in
+    # flight: no block of the batch before them is held while they are
+    # drawn
+    family = gx.ControlFamily(band12, [mc.ControlProcess.constant(1.5)])
+    n_steps = 64
+    block = 8 * mc.PATH_BLOCK * n_steps           # 2 MiB
+    peak = _traced_peak(mc.sweep, family, n_blocks * mc.PATH_BLOCK, n_steps,
+                        5, lambda _, bundle: (), degree)
+    assert peak < (degree + 0.5) * block
 
 
 def test_block_boundary_stability():

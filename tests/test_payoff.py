@@ -124,6 +124,17 @@ def test_lipschitz_bounds():
     assert math.isinf(parse_expr("sq(x1)").lipschitz())
     # 3-Lipschitz scaling
     assert parse_expr("3 * x1").lipschitz() == pytest.approx(3.0)
+    # constant where the argument's range lies on a flat side
+    assert parse_expr("clamp(sq(x1) + 5, -1, 2)").lipschitz() == 0.0
+    assert parse_expr("clamp(neg(abs(x1)) - 5, 3, 4)").lipschitz() == 0.0
+    assert parse_expr("clamp(x1, -1, 2)").lipschitz() == 1.0
+    assert parse_expr("clamp(sq(x1), -1, 2)").lipschitz(1.0) == 2.0
+    assert parse_expr("call(neg(sq(x1)), 0)").lipschitz() == 0.0
+    assert parse_expr("call(x1, 3)").lipschitz(2.0) == 0.0
+    assert parse_expr("call(x1, 3)").lipschitz(4.0) == 1.0
+    assert parse_expr("put(sq(x1) + 1, 1)").lipschitz() == 0.0
+    assert parse_expr("put(x1, -3)").lipschitz(2.0) == 0.0
+    assert parse_expr("put(x1, -3)").lipschitz() == 1.0
 
 
 def test_sup_bounds():

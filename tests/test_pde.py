@@ -252,6 +252,13 @@ def test_value_only_solve_bit_equal_to_field_read(band12, source, times,
             == field.value(0.0, (), 0.0))
     assert (gx.g_expectation(payoff, band12, grid, degree=2)
             == field.value(0.0, (), 0.0))
+    # reads at a monitoring date, on the diagonal as the tower check reads
+    lean = gx.value_field(payoff, band12, grid)
+    column = grid.x_nodes().reshape(-1, 1)
+    history = np.repeat(column, len(times) - 1, axis=1)
+    for t in times[:-1]:
+        assert np.array_equal(lean.read_along([t], column, history)[0],
+                              field.read_along([t], column, history)[0])
 
 
 def test_value_only_interval_keeps_the_start_slices(band12, grid201):
