@@ -17,7 +17,9 @@ nine constant controls and `sq(x2 - x1)` at dates 0.5 and 1: one
 `dual_value` at `price`'s shape (20000 paths x 512 steps, which reads two
 columns of each control's paths) and one block of `gmartingale_gap` at
 `represent`'s (4096 paths x 256 steps, a decomposition march per
-control).  Each line is the best of `--repeat` runs.
+control).  Each line is the best of `--repeat` runs; a march line also
+gives it per interior node update (rows x (n_x - 2) x steps), so the
+1-row and 401-row costs compare.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -129,13 +131,12 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
+    marches = [("march 1 row, n_x=401, 1563 steps", (1, 401, 1563, 1)),
+               ("march 401 rows, n_x=401, 782 steps, degree 1",
+                (401, 401, 782, 1)),
+               ("march 401 rows, n_x=401, 782 steps, degree 2",
+                (401, 401, 782, 2))]
     cases = [
-        ("march 1 row, n_x=401, 1563 steps",
-         lambda: bench_march(1, 401, 1563, args.repeat)),
-        ("march 401 rows, n_x=401, 782 steps, degree 1",
-         lambda: bench_march(401, 401, 782, args.repeat)),
-        ("march 401 rows, n_x=401, 782 steps, degree 2",
-         lambda: bench_march(401, 401, 782, args.repeat, 2)),
         ("bilinear read, 1e6 queries, field 1564x401",
          lambda: bench_read(1_000_000, 1564, 401, args.repeat)),
         ("dual_value, 20000 x 512, 9 controls",
@@ -153,6 +154,11 @@ def main():
         best = bench_read_slabs(source, dates, args.repeat)
         print(f"{f'read_along, 17 slabs x 4096, {label}':48s} "
               f"{best * 1e3:9.1f}ms")
+    for label, (n_rows, n_x, n_steps, degree) in marches:
+        best = bench_march(n_rows, n_x, n_steps, args.repeat, degree)
+        per_node = best / (n_rows * (n_x - 2) * n_steps)
+        print(f"{label:48s} {best * 1e3:9.1f}ms "
+              f"{per_node * 1e9:6.2f}ns/node")
     for label, bench in cases:
         print(f"{label:48s} {bench() * 1e3:9.1f}ms")
 

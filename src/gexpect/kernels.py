@@ -1,7 +1,11 @@
 """Numpy kernels: the explicit backward march and the clamped bilinear read.
 
 The march is the PDE engine's inner loop; `bilinear_read` is the reference
-arithmetic the field reads in `pde` are tested against.
+arithmetic the field reads in `pde` are tested against.  The march takes
+each chunk of rows as one flat run of contiguous nodes: every step is a few
+whole-run ufuncs, the band sup is one `maximum` of the two bound products,
+and the nodes at the seams between rows, which the flat stencil also
+updates, are saved before the step and restored after it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,14 +22,17 @@ def backend() -> str:
 
 
 def _scratch(n_rows, n_x):
-    """Work arrays of a march of an (n_rows, n_x) block."""
-    shape = (min(n_rows, _ROWS), n_x - 2)
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    """Work arrays of a march of an (n_rows, n_x) block: two flat runs of
+    a chunk's stencil nodes and the saved seam nodes of its rows."""
+    rows = min(n_rows, _ROWS)
+    run = rows * n_x - 2
+    return np.empty(run), np.empty(run), np.empty((rows - 1, 2))
 
 
 def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out,
                       degree=1):
-    """March `values` (n_rows, n_x) backward `n_steps` explicit steps in place.
+    """March `values` (n_rows, n_x), C-contiguous, backward `n_steps`
+    explicit steps in place.
 
     Interior nodes pick up dt * g(second difference) with
     g(gamma) = 0.5*(a_upper*gamma) for gamma > 0 else 0.5*(a_lower*gamma);
@@ -33,11 +40,20 @@ def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, ou
     Snapshots are copied into out[j] after step store_steps[j]; store_steps
     must increase.
 
+    The kernel takes g as the larger of the two bound products (the
+    smaller, when a_lower exceeds a_upper by rounding), which is the same
+    double as the case split, and applies 0.5 and dt as one multiply by
+    0.5 * dt, which gives the double of the two multiplies unless 0.5 * g
+    is subnormal.
+
     With degree > 1 the rows are split into at most `degree` contiguous
     slabs of at least _SLAB_ROWS rows, marched on as many threads (numpy
     releases the GIL); rows never interact, so the result does not depend
     on the split.
     """
+    if not values.flags.c_contiguous:
+        # the flat runs are reshaped views: a copy would march unseen
+        raise ValueError("march_explicit_1d needs C-contiguous values")
     n_rows, n_x = values.shape
     args = (a_lower, a_upper, dt, dx, n_steps, store_steps)
     n_slabs = min(int(degree), n_rows // _SLAB_ROWS)
@@ -60,29 +76,49 @@ def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, ou
 def _march(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out, work):
     """The march of march_explicit_1d in the arrays of `work` (from
     `_scratch`): each chunk of _ROWS rows runs through every step on its
-    own, snapshotting into its rows of out, which may be a strided view."""
+    own, snapshotting into its rows of out, which may be a strided view.
+
+    A chunk of R rows is one flat run of R * n_x nodes, and one stencil
+    over it updates every node but the run's two ends.  That includes the
+    two nodes at each seam between rows (last of one row, first of the
+    next), so they are copied out before each step and back after it,
+    which keeps them frozen bit for bit; a one-row chunk has none."""
     dx2 = dx * dx
+    half_dt = 0.5 * dt
+    # the larger bound product is a_upper's for gamma > 0 and a_lower's
+    # otherwise; a_lower's comes second, which numpy returns on a tie (only
+    # +0.0 and -0.0 tie with different bits)
+    sup = np.maximum if a_lower <= a_upper else np.minimum
+    n_x = values.shape[1]
     n_store = len(store_steps)
     for start in range(0, values.shape[0], _ROWS):
         rows = values[start:start + _ROWS]
         snaps = out[:, start:start + _ROWS]
-        left, cur, right = rows[:, :-2], rows[:, 1:-1], rows[:, 2:]
-        gamma, g, convex = (w[:len(rows)] for w in work)
+        flat = rows.reshape(-1)
+        left, cur, right = flat[:-2], flat[1:-1], flat[2:]
+        n_seams = len(rows) - 1
+        seams = (flat[n_x - 1:n_x - 1 + n_seams * n_x]
+                 .reshape(n_seams, n_x)[:, :2])
+        gamma, g = (w[:len(cur)] for w in work[:2])
+        frozen = work[2][:n_seams]
         ns = 0
         for step in range(1, n_steps + 1):
+            if n_seams:
+                np.copyto(frozen, seams)
             # gamma = (right - 2.0 * cur + left) / dx2
             np.multiply(cur, 2.0, out=gamma)
             np.subtract(right, gamma, out=gamma)
             np.add(gamma, left, out=gamma)
             np.divide(gamma, dx2, out=gamma)
-            # g = 0.5 * (a * gamma), a = a_upper where gamma > 0.0
-            np.greater(gamma, 0.0, out=convex)
+            # g = sup over a of a * gamma
             np.multiply(gamma, a_lower, out=g)
-            np.multiply(gamma, a_upper, out=g, where=convex)
-            np.multiply(g, 0.5, out=g)
-            # cur + dt * g
-            np.multiply(g, dt, out=g)
+            np.multiply(gamma, a_upper, out=gamma)
+            sup(gamma, g, out=g)
+            # cur + (0.5 * dt) * g
+            np.multiply(g, half_dt, out=g)
             np.add(cur, g, out=cur)
+            if n_seams:
+                np.copyto(seams, frozen)
             if ns < n_store and store_steps[ns] == step:
                 snaps[ns] = rows
                 ns += 1

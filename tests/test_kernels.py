@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,66 @@ def test_march_bit_equal_to_old_loop(n_rows, degree, store):
                               degree=degree)
     assert np.array_equal(got, want)
     assert np.array_equal(got_out, want_out)
+
+
+def _signed_zero_rows(n_rows, n_x, seed):
+    # normal rows with -0.0 on truncation nodes and in an interior run, and
+    # whole rows of -0.0 (whose interior marches to +0.0)
+    values = np.random.default_rng(seed).standard_normal((n_rows, n_x))
+    values[::3, 0] = -0.0
+    values[1::3, -1] = -0.0
+    values[::4, 1:n_x // 2] = -0.0
+    values[2::5] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("band", [(0.0, 2.0), (1.0, 1.0), (1.0, 1.0 - 1e-11),
+                                  (0.7, 1.9)],
+                         ids=["degenerate", "point", "reversed", "wide"])
+@pytest.mark.parametrize("n_rows,n_x,degree",
+                         [(1, 5, 1), (7, 5, 1), (129, 41, 1), (129, 41, 3),
+                          (300, 5, 2)])
+def test_march_bits_equal_to_old_loop_with_signed_zeros(band, n_rows, n_x,
+                                                        degree):
+    # compares the raw bits, so a -0.0 turned into +0.0 at a row seam or in
+    # the interior fails where np.array_equal would not see it; 129 rows
+    # put a chunk seam (degree 1) or two slab seams (degree 3) in the
+    # block, 300 rows at degree 2 both
+    base = _signed_zero_rows(n_rows, n_x, n_rows + n_x)
+    steps = np.array([1, 9, 30], dtype=np.intp)
+    want, want_out = base.copy(), np.full((3, n_rows, n_x), np.nan)
+    _old_march(want, *band, 4e-4, 0.05, 30, steps, want_out)
+    got, got_out = base.copy(), np.full_like(want_out, np.nan)
+    kernels.march_explicit_1d(got, *band, 4e-4, 0.05, 30, steps, got_out,
+                              degree=degree)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got_out.view(np.int64), want_out.view(np.int64))
+
+
+def test_march_rejects_non_contiguous_values():
+    # a column slice is not C-contiguous: the kernel would march a copy
+    values = np.zeros((4, 42))[:, :41]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.march_explicit_1d(values, 1.0, 2.0, 1e-4, 0.1, 3,
+                                  np.array([], dtype=np.intp),
+                                  np.empty((0, 4, 41)))
+
+
+def test_march_allocates_only_its_scratch():
+    # every step writes into the scratch made on the calling thread; a
+    # per-step temporary of a chunk's size would show as ~400 KB more
+    values = np.random.default_rng(3).standard_normal((401, 401))
+    steps = np.array([40], dtype=np.intp)
+    out = np.empty((1, 401, 401))
+    scratch = sum(w.nbytes for w in kernels._scratch(200, 401))
+    tracemalloc.start()
+    try:
+        kernels.march_explicit_1d(values, 1.0, 2.0, 2e-4, 0.04, 80, steps, out,
+                                  degree=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * scratch + 64 * 1024
 
 
 def test_march_boundary_frozen():
