@@ -38,17 +38,6 @@ def test_march_bit_equal_to_old_loop(n_rows, degree, store):
     assert np.array_equal(got_out, want_out)
 
 
-def _signed_zero_rows(n_rows, n_x, seed):
-    # normal rows with -0.0 on truncation nodes and in an interior run, and
-    # whole rows of -0.0 (whose interior marches to +0.0)
-    values = np.random.default_rng(seed).standard_normal((n_rows, n_x))
-    values[::3, 0] = -0.0
-    values[1::3, -1] = -0.0
-    values[::4, 1:n_x // 2] = -0.0
-    values[2::5] = -0.0
-    return values
-
-
 @pytest.mark.parametrize("band", [(0.0, 2.0), (1.0, 1.0), (1.0, 1.0 - 1e-11),
                                   (0.7, 1.9)],
                          ids=["degenerate", "point", "reversed", "wide"])
@@ -61,7 +50,13 @@ def test_march_bits_equal_to_old_loop_with_signed_zeros(band, n_rows, n_x,
     # the interior fails where np.array_equal would not see it; 129 rows
     # put a chunk seam (degree 1) or two slab seams (degree 3) in the
     # block, 300 rows at degree 2 both
-    base = _signed_zero_rows(n_rows, n_x, n_rows + n_x)
+    base = np.random.default_rng(n_rows + n_x).standard_normal((n_rows, n_x))
+    # -0.0 on truncation nodes, in interior runs and in whole rows (whose
+    # interior marches to +0.0)
+    base[::3, 0] = -0.0
+    base[1::3, -1] = -0.0
+    base[::4, 1:n_x // 2] = -0.0
+    base[2::5] = -0.0
     steps = np.array([1, 9, 30], dtype=np.intp)
     want, want_out = base.copy(), np.full((3, n_rows, n_x), np.nan)
     _old_march(want, *band, 4e-4, 0.05, 30, steps, want_out)
