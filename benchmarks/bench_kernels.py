@@ -3,13 +3,14 @@
 
 Workloads mirror the engine's hot paths: the explicit backward march at the
 default pricing resolution (a single row, and the 401-row nested parameter
-block of a two-date payoff at degree 1 and 2, i.e. in one slab or in two
-row slabs on two threads), the bilinear kernel (kept as the reference the
-field read is tested against), and `ValueField.read_along`, the fused
-path-grid read of value, gradient and second difference.  The read runs on
-a one-date field (`sq(x1)`, no parameter axis) and on a two-date field
-(`sq(x2 - x1)`, whose second interval carries the first date as a parameter
-axis), in two shapes: the whole (N, M) grid of 8192 paths x 257 grid times
+block of a two-date payoff on 1 and 2 cores, i.e. in one slab or in two
+row slabs on two threads) and on `price`'s two coarser refinement grids
+(the 201- and 101-row nested blocks, on the host's cores), the bilinear
+kernel (kept as the reference the field read is tested against), and
+`ValueField.read_along`, the fused path-grid read of value, gradient and
+second difference.  The read runs on a one-date field (`sq(x1)`, no
+parameter axis) and on a two-date field (`sq(x2 - x1)`, whose second
+interval carries the first date as a parameter axis), in two shapes: the whole (N, M) grid of 8192 paths x 257 grid times
 (2.1M queries) in one call, and the shape the decomposition march reads,
 one call per 16-column slab of a 4096-path block x 257 grid times (17
 calls, 1.05M queries).  Two sweep cases time whole Monte Carlo folds on
@@ -19,7 +20,8 @@ columns of each control's paths) and one block of `gmartingale_gap` at
 `represent`'s (4096 paths x 256 steps, a decomposition march per
 control).  Each line is the best of `--repeat` runs; a march line also
 gives it per interior node update (rows x (n_x - 2) x steps), so the
-1-row and 401-row costs compare.
+1-row and 401-row costs compare, and the number of row slabs the march
+picks on the cores it is given (`kernels._cores` is substituted).
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -42,7 +44,10 @@ def _time(fn, repeat):
     return best
 
 
-def bench_march(n_rows, n_x, n_steps, repeat, degree=1):
+def bench_march(n_rows, n_x, n_steps, repeat, cores=None):
+    """Best time of the march of an (n_rows, n_x) block on `cores` cores
+    (the host's when None), and the slab count it marches in."""
+    cores = cores or kernels._cores()
     rng = np.random.default_rng(0)
     base = np.ascontiguousarray(rng.standard_normal((n_rows, n_x)))
     steps = np.array([n_steps], dtype=np.intp)
@@ -52,10 +57,14 @@ def bench_march(n_rows, n_x, n_steps, repeat, degree=1):
 
     def run():
         work = base.copy()
-        kernels.march_explicit_1d(work, 1.0, 2.0, dt, dx, n_steps, steps,
-                                  out, degree=degree)
+        kernels.march_explicit_1d(work, 1.0, 2.0, dt, dx, n_steps, steps, out)
 
-    return _time(run, repeat)
+    host = kernels._cores
+    kernels._cores = lambda: cores
+    try:
+        return _time(run, repeat), kernels._slab_count(n_rows, n_x, cores)
+    finally:
+        kernels._cores = host
 
 
 def bench_read(n_queries, n_t, n_x, repeat):
@@ -131,11 +140,14 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    marches = [("march 1 row, n_x=401, 1563 steps", (1, 401, 1563, 1)),
-               ("march 401 rows, n_x=401, 782 steps, degree 1",
+    marches = [("march 1 row, n_x=401, 1563 steps", (1, 401, 1563, None)),
+               ("march 401 rows, n_x=401, 782 steps, 1 core",
                 (401, 401, 782, 1)),
-               ("march 401 rows, n_x=401, 782 steps, degree 2",
-                (401, 401, 782, 2))]
+               ("march 401 rows, n_x=401, 782 steps, 2 cores",
+                (401, 401, 782, 2)),
+               ("march 201 rows, n_x=201, 196 steps",
+                (201, 201, 196, None)),
+               ("march 101 rows, n_x=101, 49 steps", (101, 101, 49, None))]
     cases = [
         ("bilinear read, 1e6 queries, field 1564x401",
          lambda: bench_read(1_000_000, 1564, 401, args.repeat)),
@@ -154,11 +166,11 @@ def main():
         best = bench_read_slabs(source, dates, args.repeat)
         print(f"{f'read_along, 17 slabs x 4096, {label}':48s} "
               f"{best * 1e3:9.1f}ms")
-    for label, (n_rows, n_x, n_steps, degree) in marches:
-        best = bench_march(n_rows, n_x, n_steps, args.repeat, degree)
+    for label, (n_rows, n_x, n_steps, cores) in marches:
+        best, slabs = bench_march(n_rows, n_x, n_steps, args.repeat, cores)
         per_node = best / (n_rows * (n_x - 2) * n_steps)
         print(f"{label:48s} {best * 1e3:9.1f}ms "
-              f"{per_node * 1e9:6.2f}ns/node")
+              f"{per_node * 1e9:6.2f}ns/node  {slabs} slab(s)")
     for label, bench in cases:
         print(f"{label:48s} {bench() * 1e3:9.1f}ms")
 

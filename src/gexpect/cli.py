@@ -13,6 +13,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -94,14 +95,12 @@ class RunConfig:
     floor: float = 1e-6
     family_file: str = ""
     out_dir: str = "out"
-    parallel: int = 0           # 0 = all available cores
+    parallel: int = 0           # Monte Carlo path blocks in flight; 0 = cores
     gap_tolerance: float = 3e-2
     csv_paths: int = 64
 
     def degree(self) -> int:
-        import os
-
-        return self.parallel if self.parallel > 0 else (os.cpu_count() or 1)
+        return self.parallel or os.cpu_count() or 1
 
     # -- domain objects ------------------------------------------------------
     def band(self) -> VolBand:
@@ -265,7 +264,7 @@ def cmd_price(cfg: RunConfig, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
     try:
-        value = g_expectation(payoff, band, grid, degree=cfg.degree())
+        value = g_expectation(payoff, band, grid)
         if not np.isfinite(value):
             raise NumericalError("solved value is not finite")
         table = refine_study(payoff, band, grids, finest=value)
@@ -318,18 +317,17 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
     family = cfg.family()
     seed = mc.derive_seed(cfg.seed, "represent")
-    degree = cfg.degree()
     try:
-        field = conditional_expectation(payoff, band, grid, degree)
+        field = conditional_expectation(payoff, band, grid)
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
-                                  cfg.n_steps, seed, degree=degree)
+                                  cfg.n_steps, seed, degree=cfg.degree())
         argmax = next(c for c in family if c.label == gap.argmax_label)
         # one row at least, for the csv header
         head = rep.extract(payoff, band, field, mc.simulate(
             argmax, min(max(cfg.csv_paths, 1), cfg.n_paths), cfg.n_steps,
             seed))
         sym = rep.symmetry_evidence(payoff, band, field, family, 1e-8,
-                                    gap.symmetry, degree)
+                                    gap.symmetry)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,9 @@ APRIORI_AGGREGATE_CONSTANT = 4.0 + math.sqrt(54.0)
 # scaled versions, band [1,2], seed 1234); largest implied ratio measured
 # 0.23, frozen with 4x headroom.  difference_check flags pairs implying > 2x.
 DIFFERENCE_CSTAR = 1.0
+TOWER_SLACK = 2e-2                     # grid tolerance of the tower identity
+MOLLIFY_EPSILONS = (0.1, 0.05, 0.025)  # smoothing widths of the mollify sweep
+MOLLIFY_RATIO_TOL = 0.25               # largest spread of gap / epsilon
 
 
 # config keys that record a measured result beside the configuration
@@ -327,7 +330,7 @@ def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
 
 
 def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
-                t: float, slack: float = 2e-2) -> InequalityReport:
+                t: float) -> InequalityReport:
     """Nested-evaluation identity: re-pricing the time-t conditional value
     reproduces the time-0 value within grid tolerance.
 
@@ -341,12 +344,10 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     match = [i for i, ti in enumerate(times[:-1]) if abs(ti - t) < 1e-12]
     if not match:
         raise ValueError("t must be an interior monitoring date of the payoff")
-    i = match[0]
-    field = value_field(payoff, band, grid)
-    x = field.x
-    if i > 0:
+    if match[0] > 0:
         raise ValueError("re-feeding supported at the first monitoring date")
-    column = x.reshape(-1, 1)
+    field = value_field(payoff, band, grid)
+    column = field.x.reshape(-1, 1)
     inner, _ = field.read_along([t], column, column)
     refed = solve_interval(inner[:, 0], band, grid, (0.0, t),
                            value_only=True)
@@ -356,7 +357,7 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
               "band": [band.lower_scalar, band.upper_scalar],
               "grid": [grid.n_x, grid.x_max, grid.cfl_fraction]}
     return InequalityReport(f"tower[t={t:g}]", abs(outer - base), 0.0, None,
-                            slack, {}, config)
+                            TOWER_SLACK, {}, config)
 
 
 def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
@@ -398,8 +399,7 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     return reports
 
 
-def mollify_check(band: VolBand, epsilons=(0.1, 0.05, 0.025),
-                  ratio_tol: float = 0.25) -> list:
+def mollify_check(band: VolBand) -> list:
     """Smoothing sweep: gap non-negative, gap/epsilon stable across the
     sweep, conjugate pinned in [-cstar*eps, 0] on the lifted band."""
     from .nonlinearity import legendre, mollify, sandwich_check
@@ -407,7 +407,7 @@ def mollify_check(band: VolBand, epsilons=(0.1, 0.05, 0.025),
     grid = np.arange(-20.0, 20.0 + 1e-9, 0.5)
     reports = []
     ratios = []
-    for eps in epsilons:
+    for eps in MOLLIFY_EPSILONS:
         mol = mollify(band, eps)
         gap = sandwich_check(mol, grid)
         ratios.append(gap / eps)
@@ -423,8 +423,8 @@ def mollify_check(band: VolBand, epsilons=(0.1, 0.05, 0.025),
             0.0, mol.cstar, 1e-9, {}, config))
     spread = (max(ratios) - min(ratios)) / max(ratios)
     reports.append(InequalityReport(
-        "mollify-ratio-stability", spread, ratio_tol, None, 0.0,
-        {}, {"check": "mollify", "epsilons": list(epsilons),
+        "mollify-ratio-stability", spread, MOLLIFY_RATIO_TOL, None, 0.0,
+        {}, {"check": "mollify", "epsilons": list(MOLLIFY_EPSILONS),
              "band": [band.lower_scalar, band.upper_scalar],
              "ratios": ratios}))
     return reports

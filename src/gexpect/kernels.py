@@ -5,20 +5,32 @@ arithmetic the field reads in `pde` are tested against.  The march takes
 each chunk of rows as one flat run of contiguous nodes: every step is a few
 whole-run ufuncs, the band sup is one `maximum` of the two bound products,
 and the nodes at the seams between rows, which the flat stencil also
-updates, are saved before the step and restored after it.
+updates, are saved before the step and restored after it.  Large blocks
+are marched in row slabs, one thread each (`_slab_count`).
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _ROWS = 128       # rows marched together: a chunk and its scratch stay in cache
-_SLAB_ROWS = 32   # fewest rows worth a thread of their own
+_SLAB_NODES = 1 << 16  # fewest nodes worth a thread of their own
 
 
 def backend() -> str:
     """Name of the kernel backend, recorded in every run's metadata."""
     return "reference"
+
+
+def _cores() -> int:
+    """Cores the march may thread over: all the host has."""
+    return os.cpu_count() or 1
+
+
+def _slab_count(n_rows, n_x, cores):
+    """One slab per _SLAB_NODES nodes, at most one per core and per row."""
+    return max(1, min(cores, n_rows, n_rows * n_x // _SLAB_NODES))
 
 
 def _scratch(n_rows, n_x):
@@ -29,8 +41,7 @@ def _scratch(n_rows, n_x):
     return np.empty(run), np.empty(run), np.empty((rows - 1, 2))
 
 
-def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out,
-                      degree=1):
+def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out):
     """March `values` (n_rows, n_x), C-contiguous, backward `n_steps`
     explicit steps in place.
 
@@ -46,30 +57,26 @@ def march_explicit_1d(values, a_lower, a_upper, dt, dx, n_steps, store_steps, ou
     0.5 * dt, which gives the double of the two multiplies unless 0.5 * g
     is subnormal.
 
-    With degree > 1 the rows are split into at most `degree` contiguous
-    slabs of at least _SLAB_ROWS rows, marched on as many threads (numpy
-    releases the GIL); rows never interact, so the result does not depend
-    on the split.
+    Rows never interact, so `_slab_count` contiguous slabs of them are
+    marched on as many threads (numpy releases the GIL), bit for bit.
     """
     if not values.flags.c_contiguous:
         # the flat runs are reshaped views: a copy would march unseen
         raise ValueError("march_explicit_1d needs C-contiguous values")
     n_rows, n_x = values.shape
     args = (a_lower, a_upper, dt, dx, n_steps, store_steps)
-    n_slabs = min(int(degree), n_rows // _SLAB_ROWS)
-    if n_slabs < 2:
-        _march(values, *args, out, _scratch(n_rows, n_x))
-        return
+    n_slabs = _slab_count(n_rows, n_x, _cores())
     bounds = [n_rows * i // n_slabs for i in range(n_slabs + 1)]
     # scratch comes from this thread: scratch allocated on the workers stayed
     # in glibc's per-thread arenas and raised represent's peak RSS by up to
     # 54 MB (2-vCPU VM, represent-2date workload)
-    slabs = [(values[lo:hi], out[:, lo:hi], _scratch(hi - lo, n_x))
+    slabs = [(values[lo:hi], *args, out[:, lo:hi], _scratch(hi - lo, n_x))
              for lo, hi in zip(bounds, bounds[1:])]
+    if n_slabs == 1:
+        _march(*slabs[0])
+        return
     with ThreadPoolExecutor(max_workers=n_slabs) as pool:
-        futures = [pool.submit(_march, rows, *args, snaps, work)
-                   for rows, snaps, work in slabs]
-        for future in futures:
+        for future in [pool.submit(_march, *slab) for slab in slabs]:
             future.result()
 
 

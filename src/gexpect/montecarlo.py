@@ -519,20 +519,20 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
 
 
 def sweep_each(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
-               folds, degree: int = 1) -> list:
+               folds) -> list:
     """Several folds on one seed in one sweep: each block is drawn and each
     control's bundle built once for all of them.  Returns, per fold, the
     list `sweep` would return for that fold alone, bit for bit."""
     stats = sweep(family, n_paths, n_steps, seed,
-                  lambda j, bundle: tuple(f(j, bundle) for f in folds), degree)
+                  lambda j, bundle: tuple(f(j, bundle) for f in folds))
     return [list(per_fold) for per_fold in zip(*stats)]
 
 
-def sup_grid(monitor_times, n_steps: int, t_nodes: int = 17) -> np.ndarray:
-    """Step indices of a time sup: t_nodes even nodes plus the monitoring
+def sup_grid(monitor_times, n_steps: int) -> np.ndarray:
+    """Step indices of a time sup: 17 even nodes plus the monitoring
     dates (a lower bound of the continuous-time sup)."""
     return np.unique(np.concatenate([
-        np.round(np.linspace(0, n_steps, t_nodes)).astype(int),
+        np.round(np.linspace(0, n_steps, 17)).astype(int),
         np.round(np.asarray(monitor_times) * n_steps).astype(int)]))
 
 

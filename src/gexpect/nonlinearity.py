@@ -201,8 +201,7 @@ class MollifiedNonlinearity:
         return self.g_eps(gamma)
 
 
-def mollify(band: VolBand, epsilon: float,
-            quadrature_nodes: int = 129) -> MollifiedNonlinearity:
+def mollify(band: VolBand, epsilon: float) -> MollifiedNonlinearity:
     """Build the smoothed band form for a scalar band.
 
     The bump exp(-1/(1-y^2)) on (-1, 1) is normalized against the same
@@ -214,8 +213,8 @@ def mollify(band: VolBand, epsilon: float,
         raise ValueError("mollification implemented for scalar bands only")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    nodes = np.linspace(-1.0, 1.0, quadrature_nodes)
-    weights = _simpson_weights(quadrature_nodes, -1.0, 1.0) * _bump(nodes)
+    nodes = np.linspace(-1.0, 1.0, 129)
+    weights = _simpson_weights(len(nodes), -1.0, 1.0) * _bump(nodes)
     weights /= weights.sum()
     lifted = max(band.lower_scalar, epsilon)
     mol = MollifiedNonlinearity(band=band, epsilon=epsilon, nodes=nodes,
@@ -226,9 +225,7 @@ def mollify(band: VolBand, epsilon: float,
     return mol
 
 
-def legendre(mol: MollifiedNonlinearity, a: float,
-             gamma_truncation: float | None = None,
-             gamma_nodes: int = 2001) -> float:
+def legendre(mol: MollifiedNonlinearity, a: float) -> float:
     """Convex conjugate sup_gamma {(1/2) a gamma - g_eps(gamma)} over [-G, G].
 
     Finite exactly on the lifted band [lifted_lower, a_upper]; outside it the
@@ -238,12 +235,10 @@ def legendre(mol: MollifiedNonlinearity, a: float,
     a = float(a)
     if a < mol.lifted_lower - 1e-12 or a > mol.upper + 1e-12:
         return math.inf
-    trunc = gamma_truncation if gamma_truncation is not None else 100.0 * (1.0 + abs(a))
-    if trunc <= 0:
-        raise ValueError("gamma truncation must be positive")
+    trunc = 100.0 * (1.0 + abs(a))
     # the slope of g_eps transitions inside [-eps, eps]; refine there
     grid = np.unique(np.concatenate([
-        np.linspace(-trunc, trunc, gamma_nodes),
+        np.linspace(-trunc, trunc, 2001),
         np.linspace(-2.0 * mol.epsilon, 2.0 * mol.epsilon, 401),
     ]))
     best = -math.inf

@@ -13,9 +13,8 @@ which is monotone under the step bound dt <= dx^2 / a_upper and therefore
 converges to the (viscosity) solution on refinement.  At the spatial
 truncation +-x_max the second difference is forced to zero, so the equation
 degenerates to du/dt = 0 there (Lipschitz payoffs are asymptotically affine).
-Rows of a march block (one per history node) never interact, so a block is
-marched in contiguous row slabs on up to `degree` threads, with results
-bit-identical for any degree.
+Rows of a march block (one per history node) never interact, so `kernels`
+marches large blocks in row slabs on threads, bit-identical to one slab.
 
 Payoffs on several monitoring dates are solved interval by interval: the
 last-interval solution is restarted at each earlier date with the diagonal
@@ -82,14 +81,13 @@ class SpaceTimeGrid:
     n_x must be odd so x = 0 is a node.  cfl_fraction scales the monotone
     step bound dx^2 / a_upper; values above 1 would break monotonicity and
     are rejected.  param_time_slices bounds the stored interior time slices
-    of parameter-carrying intervals; memory_limit guards total field bytes.
+    of parameter-carrying intervals.
     """
 
     n_x: int = 401
     x_max: float = 8.0
     cfl_fraction: float = 0.8
     param_time_slices: int = 32
-    memory_limit: int = MEMORY_LIMIT
 
     def __post_init__(self):
         if self.n_x < 5 or self.n_x % 2 == 0:
@@ -140,13 +138,28 @@ def _store_steps(n_steps: int, param_dim: int, interior: int) -> np.ndarray:
     return marks[marks > 0].astype(np.intp)
 
 
+def _schedule(band, grid, interval, rows, param_dim, value_only):
+    """March steps over interval and the stored ones (the last two when
+    value_only); NumericalError if storing `rows` rows passes MEMORY_LIMIT."""
+    n_steps = grid.steps_for(band, *interval)
+    steps = _store_steps(n_steps, param_dim, grid.param_time_slices)
+    if value_only:
+        steps = steps[-2:]
+    need = field_bytes(rows, len(steps) + 1, grid.n_x)
+    if need > MEMORY_LIMIT:
+        raise NumericalError(
+            f"field storage would need ~{need / 1e9:.2f} GB "
+            f"(> limit {MEMORY_LIMIT / 1e9:.2f} GB); "
+            "coarsen n_x or param_time_slices")
+    return n_steps, steps
+
+
 def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
-                   interval, degree: int = 1,
-                   value_only: bool = False) -> IntervalField:
-    """March terminal_data (..., n_x) backward over interval = (s, t), on
-    up to `degree` threads.  value_only stores only the last two slices of
-    the full schedule: the start slice, which a restart and the (0, 0)
-    read use, and the slice the read brackets it with."""
+                   interval, value_only: bool = False) -> IntervalField:
+    """March terminal_data (..., n_x) backward over interval = (s, t).
+    value_only stores only the last two slices of the full schedule: the
+    start slice, which a restart and the (0, 0) read use, and the slice
+    the read brackets it with."""
     if band.d != 1:
         raise ValueError("the PDE solver is implemented for d = 1")
     t0, t1 = float(interval[0]), float(interval[1])
@@ -158,21 +171,12 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     if not np.isfinite(data).all():
         raise NumericalError("terminal data contains non-finite values")
 
-    n_steps = grid.steps_for(band, t0, t1)
-    dt = (t1 - t0) / n_steps
     param_shape = data.shape[:-1]
-    steps = _store_steps(n_steps, len(param_shape), grid.param_time_slices)
-    if value_only:
-        steps = steps[-2:]
-    n_stored = len(steps) + 1
-
     rows = int(np.prod(param_shape, dtype=np.int64)) if param_shape else 1
-    need = field_bytes(rows, n_stored, grid.n_x)
-    if need > grid.memory_limit:
-        raise NumericalError(
-            f"field storage would need ~{need / 1e9:.2f} GB "
-            f"(> limit {grid.memory_limit / 1e9:.2f} GB); "
-            "coarsen n_x or param_time_slices")
+    n_steps, steps = _schedule(band, grid, (t0, t1), rows, len(param_shape),
+                               value_only)
+    dt = (t1 - t0) / n_steps
+    n_stored = len(steps) + 1
 
     work = np.array(data.reshape(rows, grid.n_x))
     values = np.empty((rows, n_stored, grid.n_x))
@@ -180,8 +184,7 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     stored = values[:, ::-1].swapaxes(0, 1)
     stored[0] = work
     kernels.march_explicit_1d(work, band.lower_scalar, band.upper_scalar,
-                              dt, grid.dx, n_steps, steps, stored[1:],
-                              degree=degree)
+                              dt, grid.dx, n_steps, steps, stored[1:])
 
     times = np.empty(n_stored)
     times[0] = t1
@@ -542,20 +545,18 @@ class ValueField:
 
 
 def conditional_expectation(payoff: PayoffSpec, band: VolBand,
-                            grid: SpaceTimeGrid,
-                            degree: int = 1) -> ValueField:
+                            grid: SpaceTimeGrid) -> ValueField:
     """Solve the nested field so conditional values are readable anywhere.
 
     Marches the last interval first, restarting each earlier one with the
-    node-exact diagonal of its successor, each march on up to `degree`
-    threads.  Rejects more than three monitoring dates (parameter storage
-    grows as n_x^(n-1)).
+    node-exact diagonal of its successor.  Rejects more than three
+    monitoring dates (parameter storage grows as n_x^(n-1)).
     """
-    return _solve(payoff, band, grid, degree, value_only=False)
+    return _solve(payoff, band, grid, value_only=False)
 
 
-def value_field(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
-                degree: int = 1) -> ValueField:
+def value_field(payoff: PayoffSpec, band: VolBand,
+                grid: SpaceTimeGrid) -> ValueField:
     """The intervals `conditional_expectation` marches, each storing only
     its two start slices and its terminal data.
 
@@ -563,20 +564,17 @@ def value_field(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     date) brackets the same two slices as on the full field, so it gives
     the same value bit for bit; a read later in an interval lerps across
     the slices that were not stored."""
-    return _solve(payoff, band, grid, degree, value_only=True)
+    return _solve(payoff, band, grid, value_only=True)
 
 
-def g_expectation(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
-                  field: ValueField | None = None, degree: int = 1) -> float:
-    """Worst-case expectation: the solved field read at (t=0, x=0), on
-    `value_field`'s intervals when no field is given."""
-    if field is None:
-        field = value_field(payoff, band, grid, degree)
-    return field.value(0.0, (), 0.0)
+def g_expectation(payoff: PayoffSpec, band: VolBand,
+                  grid: SpaceTimeGrid) -> float:
+    """Worst-case expectation: `value_field` read at (t=0, x=0)."""
+    return value_field(payoff, band, grid).value(0.0, (), 0.0)
 
 
 def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
-           degree: int, value_only: bool) -> ValueField:
+           value_only: bool) -> ValueField:
     """The interval loop of `conditional_expectation` and `value_field`."""
     if payoff.n > 3:
         raise ValueError("at most three monitoring dates are supported")
@@ -584,16 +582,18 @@ def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
         raise ValueError("conditional solves are implemented for d = 1")
     x = grid.x_nodes()
     n = payoff.n
+    times = (0.0,) + payoff.times
+    # charge the last interval before its n_x^n terminal block is evaluated
+    _schedule(band, grid, times[-2:], grid.n_x ** (n - 1), n - 1, value_only)
     open_axes = [x.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
                  for j in range(n)]
     terminal = np.asarray(payoff.expr(*open_axes), dtype=float)
     terminal = np.broadcast_to(terminal, (grid.n_x,) * n).copy()
 
-    times = (0.0,) + payoff.times
     intervals = [None] * n
     for i in range(n, 0, -1):
         intervals[i - 1] = solve_interval(terminal, band, grid,
-                                          (times[i - 1], times[i]), degree,
+                                          (times[i - 1], times[i]),
                                           value_only)
         if i > 1:
             first = intervals[i - 1].values[..., 0, :]

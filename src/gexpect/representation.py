@@ -358,7 +358,7 @@ class SymmetryEvidence:
 
 def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
                  family: ControlFamily, tol: float, n_paths: int,
-                 n_steps: int, seed: int, degree: int = 1) -> SymmetryEvidence:
+                 n_steps: int, seed: int) -> SymmetryEvidence:
     """Classify the conditional-value process as a two-sided martingale.
 
     True iff the monitor K stays below tol over every family control and
@@ -376,20 +376,19 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
 
     stats = sweep(family, n_paths, n_steps, seed, fold)
     return symmetry_evidence(payoff, band, field, family, tol,
-                             [k_abs for k_abs, in stats], degree)
+                             [k_abs for k_abs, in stats])
 
 
 def symmetry_evidence(payoff: PayoffSpec, band: VolBand, field: ValueField,
-                      family: ControlFamily, tol: float, k_abs: list,
-                      degree: int = 1) -> SymmetryEvidence:
+                      family: ControlFamily, tol: float,
+                      k_abs: list) -> SymmetryEvidence:
     """`is_symmetric`'s verdict from each control's `Moments` of the
     per-path max |K| over its included paths.  The negated payoff's value
-    is marched on up to `degree` threads, with no field stored."""
+    is marched with no field stored."""
     stats = [(m,) for m in k_abs]
     require_included(family, stats)
     k_max = max(0.0, *(m.hi for m, in stats))
     value = field.value(0.0, (), 0.0)
-    grid = field.grid
-    value_neg = g_expectation(payoff.negated(), band, grid, degree=degree)
+    value_neg = g_expectation(payoff.negated(), band, field.grid)
     return SymmetryEvidence(k_max <= tol, k_max, tol, value, value_neg,
                             value + value_neg)

@@ -504,8 +504,7 @@ def test_represent_symmetry_matches_is_symmetric(tmp_path, expression, times,
     field = gx.conditional_expectation(payoff, band, cfg.grid())
     ev = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,
                          n_paths=min(n_paths, 2048), n_steps=cfg.n_steps,
-                         seed=gx.derive_seed(cfg.seed, "represent"),
-                         degree=parallel)
+                         seed=gx.derive_seed(cfg.seed, "represent"))
     assert ev.k_abs_max > 0.0
     if n_paths > 2048:
         every = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,

@@ -7,6 +7,7 @@ import pytest
 
 import gexpect as gx
 from gexpect import inequalities as ineq
+from gexpect import kernels
 from gexpect import montecarlo as mc
 from gexpect.errors import NumericalError
 from gexpect.inequalities import DIFFERENCE_CSTAR, InequalityReport
@@ -154,6 +155,36 @@ def test_tower_requires_monitoring_date(band12, grid201):
     payoff = gx.PayoffSpec.parse("sq(x1)")
     with pytest.raises(ValueError):
         ineq.tower_check(payoff, band12, grid201, 0.5)
+
+
+def test_tower_rejects_a_later_date_before_solving(band12, grid201,
+                                                   monkeypatch):
+    def no_solve(*_):
+        raise AssertionError("value_field called")
+
+    monkeypatch.setattr(ineq, "value_field", no_solve)
+    payoff = gx.PayoffSpec.parse("sq(x3 - x2) + abs(x1)", (0.25, 0.5, 1.0))
+    with pytest.raises(ValueError, match="first monitoring date"):
+        ineq.tower_check(payoff, band12, grid201, 0.5)
+
+
+def test_tower_suite_marches_its_block_on_two_slabs(band12, grid401, fam5,
+                                                    monkeypatch):
+    # verify passes no thread count: on two cores the tower check's 401-row
+    # nested block must still be marched in two slabs of about 200 rows
+    marched = []
+    march = kernels._march
+
+    def recording(values, *args):
+        marched.append(len(values))
+        march(values, *args)
+
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
+    monkeypatch.setattr(kernels, "_march", recording)
+    reports = ineq.run_suite("tower", gx.PayoffSpec.parse("sq(x1)"), band12,
+                             grid401, fam5, 64, 16, seed=1)
+    assert reports[0].passed
+    assert sorted(marched) == [1, 1, 200, 201]
 
 
 def test_doob_constant_c4():

@@ -20,20 +20,27 @@ def _old_march(values, a_lower, a_upper, dt, dx, n_steps, store_steps, out):
             ns += 1
 
 
+def _small_slabs(monkeypatch, cores, n_x):
+    # `cores` substituted cores and slabs of at least 32 rows of n_x nodes,
+    # so that blocks of a few hundred rows split
+    monkeypatch.setattr(kernels, "_cores", lambda: cores)
+    monkeypatch.setattr(kernels, "_SLAB_NODES", 32 * n_x)
+
+
 @pytest.mark.parametrize("store", [[], [5, 20, 56], [57]],
                          ids=["none", "interior", "last"])
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("n_rows", [1, 2, 63, 64, 65, 127, 128, 129, 401])
-def test_march_bit_equal_to_old_loop(n_rows, degree, store):
+def test_march_bit_equal_to_old_loop(n_rows, cores, store, monkeypatch):
     # row chunks (128 rows) and thread slabs (>= 32 rows each) must not
     # change a bit of the values or the snapshots
+    _small_slabs(monkeypatch, cores, 41)
     base = np.random.default_rng(n_rows).standard_normal((n_rows, 41))
     steps = np.array(store, dtype=np.intp)
     want, want_out = base.copy(), np.full((len(steps), n_rows, 41), np.nan)
     _old_march(want, 0.7, 1.9, 4e-4, 0.05, 57, steps, want_out)
     got, got_out = base.copy(), np.full_like(want_out, np.nan)
-    kernels.march_explicit_1d(got, 0.7, 1.9, 4e-4, 0.05, 57, steps, got_out,
-                              degree=degree)
+    kernels.march_explicit_1d(got, 0.7, 1.9, 4e-4, 0.05, 57, steps, got_out)
     assert np.array_equal(got, want)
     assert np.array_equal(got_out, want_out)
 
@@ -41,15 +48,31 @@ def test_march_bit_equal_to_old_loop(n_rows, degree, store):
 @pytest.mark.parametrize("band", [(0.0, 2.0), (1.0, 1.0), (1.0, 1.0 - 1e-11),
                                   (0.7, 1.9)],
                          ids=["degenerate", "point", "reversed", "wide"])
-@pytest.mark.parametrize("n_rows,n_x,degree",
+@pytest.mark.parametrize("n_rows,n_x,cores",
                          [(1, 5, 1), (7, 5, 1), (129, 41, 1), (129, 41, 3),
                           (300, 5, 2)])
 def test_march_bits_equal_to_old_loop_with_signed_zeros(band, n_rows, n_x,
-                                                        degree):
+                                                        cores, monkeypatch):
     # compares the raw bits, so a -0.0 turned into +0.0 at a row seam or in
     # the interior fails where np.array_equal would not see it; 129 rows
-    # put a chunk seam (degree 1) or two slab seams (degree 3) in the
-    # block, 300 rows at degree 2 both
+    # put a chunk seam (one core) or two slab seams (three cores) in the
+    # block, 300 rows on two cores both
+    _small_slabs(monkeypatch, cores, n_x)
+    _assert_march_bits_equal(band, n_rows, n_x)
+
+
+@pytest.mark.parametrize("n_rows,n_x,cores",
+                         [(3300, 41, 2), (4900, 41, 3), (401, 401, 2),
+                          (401, 401, 3), (27000, 5, 2)])
+def test_march_bits_equal_across_host_slabs(n_rows, n_x, cores, monkeypatch):
+    # blocks that _SLAB_NODES itself splits, in two or three slabs with
+    # chunk seams inside each
+    monkeypatch.setattr(kernels, "_cores", lambda: cores)
+    assert kernels._slab_count(n_rows, n_x, cores) > 1
+    _assert_march_bits_equal((0.7, 1.9), n_rows, n_x)
+
+
+def _assert_march_bits_equal(band, n_rows, n_x):
     base = np.random.default_rng(n_rows + n_x).standard_normal((n_rows, n_x))
     # -0.0 on truncation nodes, in interior runs and in whole rows (whose
     # interior marches to +0.0)
@@ -61,8 +84,7 @@ def test_march_bits_equal_to_old_loop_with_signed_zeros(band, n_rows, n_x,
     want, want_out = base.copy(), np.full((3, n_rows, n_x), np.nan)
     _old_march(want, *band, 4e-4, 0.05, 30, steps, want_out)
     got, got_out = base.copy(), np.full_like(want_out, np.nan)
-    kernels.march_explicit_1d(got, *band, 4e-4, 0.05, 30, steps, got_out,
-                              degree=degree)
+    kernels.march_explicit_1d(got, *band, 4e-4, 0.05, 30, steps, got_out)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(got_out.view(np.int64), want_out.view(np.int64))
 
@@ -76,21 +98,52 @@ def test_march_rejects_non_contiguous_values():
                                   np.empty((0, 4, 41)))
 
 
-def test_march_allocates_only_its_scratch():
+def test_march_allocates_only_its_scratch(monkeypatch):
     # every step writes into the scratch made on the calling thread; a
     # per-step temporary of a chunk's size would show as ~400 KB more
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
     values = np.random.default_rng(3).standard_normal((401, 401))
     steps = np.array([40], dtype=np.intp)
     out = np.empty((1, 401, 401))
     scratch = sum(w.nbytes for w in kernels._scratch(200, 401))
     tracemalloc.start()
     try:
-        kernels.march_explicit_1d(values, 1.0, 2.0, 2e-4, 0.04, 80, steps, out,
-                                  degree=2)
+        kernels.march_explicit_1d(values, 1.0, 2.0, 2e-4, 0.04, 80, steps, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * scratch + 64 * 1024
+
+
+# (rows, n_x) of the blocks the march was timed on, with the slab count the
+# rule picks on 1, 2 and 3 cores
+SLAB_SHAPES = [
+    ((401, 401), (1, 2, 2)),     # price, represent and tower nested block
+    ((256, 401), (1, 1, 1)),
+    ((128, 401), (1, 1, 1)),
+    ((64, 401), (1, 1, 1)),
+    ((201, 201), (1, 1, 1)),     # price's refine grids
+    ((101, 101), (1, 1, 1)),
+    ((1, 401), (1, 1, 1)),       # every one-date interval
+    ((1, 200_001), (1, 1, 1)),   # one row is one slab, whatever its size
+]
+
+
+@pytest.mark.parametrize("shape,slabs", SLAB_SHAPES)
+def test_slab_count_rule(shape, slabs):
+    got = [kernels._slab_count(*shape, cores) for cores in (1, 2, 3)]
+    assert got == list(slabs)
+
+
+def test_march_uses_the_host_cores(monkeypatch):
+    marched = []
+    monkeypatch.setattr(kernels, "_cores", lambda: 3)
+    monkeypatch.setattr(kernels, "_march",
+                        lambda values, *_: marched.append(len(values)))
+    kernels.march_explicit_1d(np.zeros((401, 401)), 1.0, 2.0, 1e-4, 0.04, 1,
+                              np.array([], dtype=np.intp),
+                              np.empty((0, 401, 401)))
+    assert sorted(marched) == [200, 201]
 
 
 def test_march_boundary_frozen():

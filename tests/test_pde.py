@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +6,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 import gexpect as gx
-from gexpect import pde
+from gexpect import kernels, pde
 from gexpect.errors import NumericalError
 from gexpect.pde import solve_interval
 
@@ -41,8 +40,9 @@ def test_constant_preserved_exactly(band12, grid201):
                                        band12, grid201)
     for iv in field.intervals:
         assert np.abs(iv.values - 3.0).max() == 0.0
+    assert field.value(0.0, (), 0.0) == 3.0
     assert gx.g_expectation(gx.PayoffSpec.parse("const(3)"), band12,
-                            grid201, field) == 3.0
+                            grid201) == 3.0
 
 
 def test_call_and_abs_oracles(band12, grid401):
@@ -126,14 +126,15 @@ def test_more_than_three_dates_rejected(band12, grid201):
         gx.conditional_expectation(payoff, band12, grid201)
 
 
-def test_memory_guard(band12):
-    grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0, memory_limit=10_000_000)
+def test_memory_guard(band12, monkeypatch):
+    monkeypatch.setattr(pde, "MEMORY_LIMIT", 10_000_000)
+    grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
     payoff = gx.PayoffSpec.parse("sq(x3)", times=(0.3, 0.6, 1.0))
     with pytest.raises(NumericalError):
         gx.conditional_expectation(payoff, band12, grid)
 
 
-def test_memory_guard_charges_what_the_march_allocates(band12):
+def test_memory_guard_charges_what_the_march_allocates(band12, monkeypatch):
     # a nested interval of 401 rows: the guard's bytes are the stored field
     # and the working rows, no more (the field is stored once) and no less
     import tracemalloc
@@ -154,12 +155,29 @@ def test_memory_guard_charges_what_the_march_allocates(band12):
     assert iv.values.nbytes + grid.n_x * grid.n_x * 8 == need
     assert need <= peak <= 1.05 * need
 
-    exact = dataclasses.replace(grid, memory_limit=need)
-    solve_interval(data, band12, exact, (0.0, 0.5))
+    monkeypatch.setattr(pde, "MEMORY_LIMIT", need)
+    solve_interval(data, band12, grid, (0.0, 0.5))
+    monkeypatch.setattr(pde, "MEMORY_LIMIT", need - 1)
     with pytest.raises(NumericalError, match="field storage"):
-        solve_interval(data, band12,
-                       dataclasses.replace(grid, memory_limit=need - 1),
-                       (0.0, 0.5))
+        solve_interval(data, band12, grid, (0.0, 0.5))
+
+
+def test_memory_guard_rejects_before_the_terminal_block(band12, monkeypatch):
+    # three dates at n_x = 301: the terminal block alone is 218 MB, and
+    # the guard must reject the solve before the payoff fills it
+    monkeypatch.setattr(pde, "MEMORY_LIMIT", 1_000_000)
+    grid = gx.SpaceTimeGrid(n_x=301, x_max=8.0)
+    payoff = gx.PayoffSpec.parse("sq(x3 - x2) + abs(x1)", (0.25, 0.5, 1.0))
+    for solve in (gx.conditional_expectation, gx.value_field,
+                  gx.g_expectation):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="field storage"):
+                solve(payoff, band12, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def test_solve_interval_leaves_terminal_data_alone(band12, grid201):
@@ -224,14 +242,14 @@ def test_refine_study_affine_zero_diffs(band12):
 
 def test_refine_study_reuses_finest_value(band12):
     # the caller's value on the finest grid, solved with any
-    # param_time_slices and thread count, is the value a fresh solve gives
+    # param_time_slices, is the value a fresh solve gives
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
     grids = [gx.SpaceTimeGrid(n, 4.0) for n in (51, 101, 201)]
     fresh = gx.refine_study(payoff, band12, grids)
-    for slices, degree in ((32, 1), (7, 2)):
+    for slices in (32, 7):
         grid = gx.SpaceTimeGrid(201, 4.0, param_time_slices=slices)
-        value = gx.conditional_expectation(payoff, band12, grid,
-                                           degree).value(0.0, (), 0.0)
+        value = gx.conditional_expectation(payoff, band12,
+                                           grid).value(0.0, (), 0.0)
         assert value == fresh[-1].value
         assert gx.refine_study(payoff, band12, grids, finest=value) == fresh
 
@@ -249,8 +267,6 @@ def test_value_only_solve_bit_equal_to_field_read(band12, source, times,
     payoff = gx.PayoffSpec.parse(source, times)
     field = gx.conditional_expectation(payoff, band12, grid)
     assert (gx.g_expectation(payoff, band12, grid)
-            == field.value(0.0, (), 0.0))
-    assert (gx.g_expectation(payoff, band12, grid, degree=2)
             == field.value(0.0, (), 0.0))
     # reads at a monitoring date, on the diagonal as the tower check reads
     lean = gx.value_field(payoff, band12, grid)
@@ -277,10 +293,16 @@ def test_value_only_interval_keeps_the_start_slices(band12, grid201):
     assert np.array_equal(lean.values, full.values[:, [0, 1, -1]])
 
 
-def test_nested_field_independent_of_degree(band12, grid201):
+def test_nested_field_independent_of_degree(band12, monkeypatch):
+    # the 401 x 401 block of the second interval is marched in one slab on
+    # one core and in two slabs on two
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
-    one = gx.conditional_expectation(payoff, band12, grid201, degree=1)
-    two = gx.conditional_expectation(payoff, band12, grid201, degree=2)
+    grid = gx.SpaceTimeGrid(n_x=401, x_max=8.0)
+    fields = []
+    for cores in (1, 2):
+        monkeypatch.setattr(kernels, "_cores", lambda: cores)
+        fields.append(gx.conditional_expectation(payoff, band12, grid))
+    one, two = fields
     for a, b in zip(one.intervals, two.intervals, strict=True):
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)

@@ -420,7 +420,7 @@ def test_gap_sweep_bit_equal_to_full_extract(band12, field_cache,
         return mc.Moments.of(np.abs(dec.k[dec.included]).max(axis=1)),
 
     ev = rep.is_symmetric(payoff, band12, field, fam, 1e-8, n_paths,
-                          n_steps, seed=47, degree=degree)
+                          n_steps, seed=47)
     assert ev.k_abs_max == max(m.hi for m, in mc.sweep(
         fam, n_paths, n_steps, 47, k_peak))
 
