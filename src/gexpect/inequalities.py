@@ -157,7 +157,7 @@ def bdg_check(hs, family: ControlFamily, n_paths: int, n_steps: int,
         raise ValueError("integral-bound check is d=1 only")
 
     def folder(h):
-        def fold(_, bundle):
+        def fold(bundle):
             integral, m_sup = [], []
             for rows in row_blocks(bundle):
                 x = bundle.states(rows=rows)
@@ -195,7 +195,7 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
     """Energy estimates: E[K_1^2] <= 54 E[sup Y^2] per control (strict, no
     slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C.  A
     control with no path inside the truncation raises NumericalError."""
-    def fold(_, bundle):
+    def fold(bundle):
         sup_y, hint = PathFold(np.maximum), PathFold(np.add)
         for s in march(payoff, band, field, bundle):
             sup_y.add(np.abs(s.y))
@@ -242,7 +242,7 @@ def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
     fields2 = [conditional_expectation(p2, band, grid) for p2 in payoffs2]
     grid_idx = mc.sup_grid(payoff1.times, n_steps)
 
-    def fold(_, bundle):
+    def fold(bundle):
         folds = [(PathFold(np.maximum), PathFold(np.add),
                   PathFold(np.maximum)) for _ in payoffs2]
         marches = [march(p, band, f, bundle)
@@ -381,7 +381,7 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     # p-th moment norm: sup over the family of E|xi|^p, evaluated at the
     # monitoring dates only
     def folder(payoff):
-        return lambda _, bundle: (Moments.of(np.abs(payoff.evaluate(
+        return lambda bundle: (Moments.of(np.abs(payoff.evaluate(
             bundle.monitor_values(payoff.times))) ** p),)
 
     per_payoff = mc.sweep_each(family, n_paths, n_steps,

@@ -477,7 +477,7 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     """Fold every control over common path blocks: each block is drawn
     once and turned into its Brownian path by one cumulative sum in place,
     each control's PathBundle is built on that path as `simulate` builds
-    it, and `fold(control_index, bundle)` returns a tuple of partials
+    it, and `fold(bundle)` returns a tuple of partials
     (objects with a `merge` method, or tuples of them).  They merge in
     block order, so the per-control results are bit-identical for any
     `degree` (blocks folded at once).
@@ -500,7 +500,7 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     def fold_block(block):
         w = block[2]
         np.cumsum(w, axis=1, out=w)
-        return [fold(j, _bundle(c, w)) for j, c in enumerate(family)]
+        return [fold(_bundle(c, w)) for c in family]
 
     blocks = iter_increment_blocks(seed, n_paths, n_steps, 1.0 / n_steps,
                                    family.band.d)
@@ -524,7 +524,7 @@ def sweep_each(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
     control's bundle built once for all of them.  Returns, per fold, the
     list `sweep` would return for that fold alone, bit for bit."""
     stats = sweep(family, n_paths, n_steps, seed,
-                  lambda j, bundle: tuple(f(j, bundle) for f in folds))
+                  lambda bundle: tuple(f(bundle) for f in folds))
     return [list(per_fold) for per_fold in zip(*stats)]
 
 
@@ -562,7 +562,7 @@ def dual_value(payoff: PayoffSpec, family: ControlFamily, n_paths: int,
     if family.band.d != 1:
         raise ValueError("dual values of cylinder payoffs are d=1 only")
 
-    stats = sweep(family, n_paths, n_steps, seed, lambda _, bundle: (
+    stats = sweep(family, n_paths, n_steps, seed, lambda bundle: (
         Moments.of(payoff.evaluate(bundle.monitor_values(payoff.times))),))
     table = [DualRow(c.label, m.mean, m.stderr, n_paths)
              for c, (m,) in zip(family, stats)]
@@ -625,7 +625,7 @@ def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int):
     grid_idx = sup_grid(payoff.times, n_steps)
     inner = grid_idx[grid_idx < n_steps]   # t = 1, the last date, reads xi
 
-    def fold(_, bundle):
+    def fold(bundle):
         reads, _ = field.read_along(bundle.times[inner],
                                     bundle.states(inner),
                                     bundle.history(abs_payoff))

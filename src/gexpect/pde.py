@@ -138,20 +138,21 @@ def _store_steps(n_steps: int, param_dim: int, interior: int) -> np.ndarray:
     return marks[marks > 0].astype(np.intp)
 
 
-def _schedule(band, grid, interval, rows, param_dim, value_only):
+def _schedule(band, grid, interval, param_dim, value_only):
     """March steps over interval and the stored ones (the last two when
-    value_only); NumericalError if storing `rows` rows passes MEMORY_LIMIT."""
+    value_only)."""
     n_steps = grid.steps_for(band, *interval)
     steps = _store_steps(n_steps, param_dim, grid.param_time_slices)
-    if value_only:
-        steps = steps[-2:]
-    need = field_bytes(rows, len(steps) + 1, grid.n_x)
+    return n_steps, (steps[-2:] if value_only else steps)
+
+
+def _charge(need: int):
+    """NumericalError if a solve's `need` bytes pass MEMORY_LIMIT."""
     if need > MEMORY_LIMIT:
         raise NumericalError(
             f"field storage would need ~{need / 1e9:.2f} GB "
             f"(> limit {MEMORY_LIMIT / 1e9:.2f} GB); "
             "coarsen n_x or param_time_slices")
-    return n_steps, steps
 
 
 def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
@@ -173,8 +174,9 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
 
     param_shape = data.shape[:-1]
     rows = int(np.prod(param_shape, dtype=np.int64)) if param_shape else 1
-    n_steps, steps = _schedule(band, grid, (t0, t1), rows, len(param_shape),
+    n_steps, steps = _schedule(band, grid, (t0, t1), len(param_shape),
                                value_only)
+    _charge(field_bytes(rows, len(steps) + 1, grid.n_x))
     dt = (t1 - t0) / n_steps
     n_stored = len(steps) + 1
 
@@ -583,12 +585,16 @@ def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     x = grid.x_nodes()
     n = payoff.n
     times = (0.0,) + payoff.times
-    # charge the last interval before its n_x^n terminal block is evaluated
-    _schedule(band, grid, times[-2:], grid.n_x ** (n - 1), n - 1, value_only)
+    # charge the last interval before its n_x^n terminal block is
+    # evaluated, and charge that block too: it stays alive beside the
+    # march's working rows, as one more stored slice
+    _, steps = _schedule(band, grid, times[-2:], n - 1, value_only)
+    _charge(field_bytes(grid.n_x ** (n - 1), len(steps) + 2, grid.n_x))
     open_axes = [x.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
                  for j in range(n)]
     terminal = np.asarray(payoff.expr(*open_axes), dtype=float)
-    terminal = np.broadcast_to(terminal, (grid.n_x,) * n).copy()
+    if terminal.shape != (grid.n_x,) * n:
+        terminal = np.broadcast_to(terminal, (grid.n_x,) * n).copy()
 
     intervals = [None] * n
     for i in range(n, 0, -1):

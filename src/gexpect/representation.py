@@ -35,7 +35,6 @@ from .nonlinearity import VolBand, eval_g_scalar
 from .payoff import PayoffSpec
 from .pde import _BATCH, _CHUNK, ValueField, g_expectation
 
-SYMMETRY_PATHS = 2048   # `represent` classifies symmetry on the first paths
 EXIT_MARGIN_NODES = 2   # paths this close to the truncation are excluded
 
 
@@ -263,18 +262,6 @@ def _terminal_gap(payoff, y1, included, bundle) -> float:
     return float(gap.max()) if gap.size else 0.0
 
 
-@dataclass(frozen=True)
-class Rows:
-    """The first `limit` rows of per-path arrays, merged in path order."""
-
-    limit: int
-    arrays: tuple
-
-    def merge(self, other: "Rows") -> "Rows":
-        pairs = zip(self.arrays, other.arrays)
-        return Rows(self.limit, tuple(np.concatenate(p)[:self.limit] for p in pairs))
-
-
 @dataclass
 class GapRow:
     label: str
@@ -301,8 +288,8 @@ class GapResult:
     rows: list
     sup: float
     argmax_label: str
-    symmetry: list  # per control, `Moments` of max |K| over the included
-                    # paths among the first SYMMETRY_PATHS
+    symmetry: list  # per control, `Moments` of max |K| over its included
+                    # paths
 
 
 def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
@@ -314,26 +301,25 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     some control certifies the martingale property of -K at the finite
     family's resolution.  The same sweep gives each row its residual RMS,
     smallest K increment and terminal defect, and each control the
-    per-path max |K| over the included paths among its first
-    SYMMETRY_PATHS, from which `symmetry_evidence` classifies the payoff
-    with no second sweep.  Rows of the full decomposition are not kept:
-    `represent` extracts the argmax control's first paths for its CSV
-    with `simulate` and `extract`.
+    `Moments` of the per-path max |K| over its included paths, from which
+    `symmetry_evidence` classifies the payoff.  Rows of the full
+    decomposition are not kept: `represent` extracts the argmax control's
+    first paths for its CSV with `simulate` and `extract`.
     """
-    def fold(_, bundle):
+    def fold(bundle):
         res, dk = PathFold(np.maximum), PathFold(np.minimum)
         k_peak = PathFold(np.maximum)
         for s in march(payoff, band, field, bundle):
             res.add(_abs_defect(s.y, s.y0, s.int_h_dx, s.k))
             dk.add(s.dk)
-            k_peak.add(np.abs(s.k[:SYMMETRY_PATHS]))
+            k_peak.add(np.abs(s.k))
         # s is the last slab, which holds K_1, Y_1 and max |X|
         inc = ~excluded(field, s.x_peak)
         return (Moments.of(-s.k[inc, -1]),
                 Moments.of(res.value[inc] ** 2),
                 Moments.of(dk.value[inc]),
                 Moments.of(_terminal_gap(payoff, s.y[:, -1], inc, bundle)),
-                Rows(SYMMETRY_PATHS, (k_peak.value, inc[:SYMMETRY_PATHS])))
+                Moments.of(k_peak.value[inc]))
 
     stats = sweep(family, n_paths, n_steps, seed, fold, degree)
     require_included(family, stats)
@@ -342,8 +328,7 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
             for c, (neg_k1, res_sq, dk, terminal, _) in zip(family, stats)]
     best = max(rows, key=lambda r: r.mean_neg_k1)
     return GapResult(rows, best.mean_neg_k1, best.label,
-                     [Moments.of(peak[included])
-                      for peak, included in (s[-1].arrays for s in stats)])
+                     [s[-1] for s in stats])
 
 
 @dataclass
@@ -364,27 +349,23 @@ def is_symmetric(payoff: PayoffSpec, band: VolBand, field: ValueField,
     True iff the monitor K stays below tol over every family control and
     included path; the evidence record carries the value asymmetry
     E[xi] + E[-xi], which must vanish for genuinely two-sided payoffs.  A
-    control with no included path raises NumericalError.  One sweep of the
-    per-path max |K|, finished by `symmetry_evidence`; `represent` takes
-    the same partials from its gap sweep instead.
+    control with no included path raises NumericalError.  The symmetry
+    statistic of `gmartingale_gap` over every path, finished by
+    `symmetry_evidence`; `represent` passes its own gap sweep's instead.
     """
-    def fold(_, bundle):
-        k_peak = PathFold(np.maximum)
-        for s in march(payoff, band, field, bundle):
-            k_peak.add(np.abs(s.k))
-        return Moments.of(k_peak.value[~excluded(field, s.x_peak)]),
-
-    stats = sweep(family, n_paths, n_steps, seed, fold)
-    return symmetry_evidence(payoff, band, field, family, tol,
-                             [k_abs for k_abs, in stats])
+    gap = gmartingale_gap(payoff, band, field, family, n_paths, n_steps,
+                          seed)
+    return symmetry_evidence(payoff, band, field, family, tol, gap.symmetry)
 
 
 def symmetry_evidence(payoff: PayoffSpec, band: VolBand, field: ValueField,
                       family: ControlFamily, tol: float,
                       k_abs: list) -> SymmetryEvidence:
     """`is_symmetric`'s verdict from each control's `Moments` of the
-    per-path max |K| over its included paths.  The negated payoff's value
-    is marched with no field stored."""
+    per-path max |K| over its included paths (`GapResult.symmetry`).  A
+    control with no included path raises NumericalError, so an empty
+    `Moments` never reads as symmetric.  The negated payoff's value is
+    marched with no field stored."""
     stats = [(m,) for m in k_abs]
     require_included(family, stats)
     k_max = max(0.0, *(m.hi for m, in stats))

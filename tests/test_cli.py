@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gexpect as gx
@@ -471,14 +472,27 @@ def test_many_threads_at_default_steps_pass_the_block_guard(tmp_path):
     assert main(["represent", "--config", str(path), "--quiet"]) == 0
 
 
-def test_represent_symmetry_paths_excluded_exit_2(tmp_path, capsys):
-    # the gap sweep keeps included paths (2 of 8192), but none among the
-    # first 2048 that the symmetry check reads: exit 2, not "symmetric"
-    path, _ = write_config(tmp_path, grid__n_x=41, grid__x_max=0.4,
-                           mc__n_paths=8192, mc__n_steps=16, mc__seed=1,
-                           family__constant_controls=1)
-    assert main(["represent", "--config", str(path), "--quiet"]) == 2
-    assert "all paths excluded" in capsys.readouterr().err
+def test_represent_symmetry_reads_every_included_path(tmp_path):
+    # 2 of 8192 paths stay inside the truncation, none of them among the
+    # first 2048: the symmetry statistic is read from those two (a concave
+    # payoff, so that K does not vanish under the one control, a_upper)
+    path, out = write_config(tmp_path, payoff__expression="-sq(x1)",
+                             grid__n_x=41, grid__x_max=0.4,
+                             mc__n_paths=8192, mc__n_steps=16, mc__seed=1,
+                             family__constant_controls=1)
+    assert main(["represent", "--config", str(path), "--quiet"]) == 0
+    summary = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    cfg = RunConfig.from_file(path)
+    band, payoff = cfg.band(), cfg.payoff()
+    field = gx.conditional_expectation(payoff, band, cfg.grid())
+    control, = cfg.family()
+    dec = gx.extract(payoff, band, field, gx.simulate(
+        control, cfg.n_paths, cfg.n_steps,
+        gx.derive_seed(cfg.seed, "represent")))
+    inc = dec.included
+    assert inc.sum() == 2 and not inc[:2048].any()
+    assert summary["exclusion_rate"] == 8190 / 8192
+    assert summary["k_abs_max"] == np.abs(dec.k[inc]).max() > 0.0
 
 
 @pytest.mark.parametrize("expression, times", [("call(x1, 0)", "1"),
@@ -488,9 +502,9 @@ def test_represent_symmetry_paths_excluded_exit_2(tmp_path, capsys):
 def test_represent_symmetry_matches_is_symmetric(tmp_path, expression, times,
                                                  n_paths, parallel):
     # represent reads the symmetry evidence off its gap sweep; it must equal
-    # a separate is_symmetric sweep of the first min(n_paths, 2048) paths
-    # (call payoffs: K depends on the path; on seed 4 the largest |K| of
-    # 4196 paths lies past the first 2048, so reading too many paths shows)
+    # is_symmetric on every path (call payoffs: K depends on the path; on
+    # seed 4 the largest |K| of 4196 paths lies past the first 2048, so
+    # reading too few paths shows)
     path, out = write_config(tmp_path, payoff__expression=expression,
                              payoff__times=times, grid__n_x=101,
                              grid__x_max=3.0, mc__n_paths=n_paths,
@@ -503,14 +517,14 @@ def test_represent_symmetry_matches_is_symmetric(tmp_path, expression, times,
     band, payoff = cfg.band(), cfg.payoff()
     field = gx.conditional_expectation(payoff, band, cfg.grid())
     ev = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,
-                         n_paths=min(n_paths, 2048), n_steps=cfg.n_steps,
+                         n_paths=n_paths, n_steps=cfg.n_steps,
                          seed=gx.derive_seed(cfg.seed, "represent"))
     assert ev.k_abs_max > 0.0
     if n_paths > 2048:
-        every = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,
-                                n_paths=n_paths, n_steps=cfg.n_steps,
+        first = gx.is_symmetric(payoff, band, field, cfg.family(), tol=1e-8,
+                                n_paths=2048, n_steps=cfg.n_steps,
                                 seed=gx.derive_seed(cfg.seed, "represent"))
-        assert every.k_abs_max > ev.k_abs_max
+        assert ev.k_abs_max > first.k_abs_max
     assert ([summary[k] for k in ("symmetric", "k_abs_max", "value",
                                   "value_negated", "asymmetry")]
             == [ev.symmetric, ev.k_abs_max, ev.value, ev.value_negated,
@@ -569,16 +583,47 @@ def test_cli_import_loads_no_scipy():
     assert run.returncode == 0, run.stderr
 
 
-def test_perfbench_spans_install():
-    # the benchmark's tracer binds gexpect names by lookup; renaming or
-    # deleting one of them must fail here, not only in a traced bench run
-    # (install patches the whole process, hence the subprocess)
-    code = "import spans; spans.install(spans.Recorder('t'))"
+def _run_with_perfbench(code):
+    """Run code in a fresh process that imports gexpect and perfbench's
+    modules from this checkout (install patches the whole process)."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (
                str(root / "src"), str(root / "perfbench"),
                os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
+def test_perfbench_spans_install():
+    # the benchmark's tracer binds gexpect names by lookup; renaming or
+    # deleting one of them must fail here, not only in a traced bench run
+    run = _run_with_perfbench(
+        "import spans; spans.install(spans.Recorder('t'))")
+    assert run.returncode == 0, run.stderr
+
+
+def test_perfbench_traced_represent_counts(tmp_path):
+    # the tracer's counters also bind parameter names (the march's values,
+    # n_steps and out; iter_increment_blocks' seed, n_steps and d) and
+    # read_along's result shape: a tiny traced represent counts in each
+    path, _ = write_config(tmp_path, payoff__expression="sq(x2 - x1)",
+                           payoff__times="0.5,1", grid__n_x=33,
+                           mc__n_paths=256, mc__n_steps=16)
+    names = ("kernels.march_explicit_1d.node_updates",
+             "montecarlo.iter_increment_blocks.blocks",
+             "pde.ValueField.read_along.queries",
+             "pde.solve_interval.field_mb",
+             "representation.gmartingale_gap.busy_s")
+    run = _run_with_perfbench("\n".join((
+        "import spans",
+        "from gexpect import cli",
+        "rec = spans.Recorder('t')",
+        "spans.install(rec)",
+        f"cfg = cli.RunConfig.from_file({str(path)!r})",
+        "assert cli.cmd_represent(cfg, quiet=True) == 0",
+        "metrics = rec.metrics()",
+        f"idle = [n for n in {names!r} if not metrics[n] > 0]",
+        "assert not idle, idle",
+    )))
     assert run.returncode == 0, run.stderr

@@ -249,7 +249,7 @@ def _old_bdg_check(h, family, n_paths, n_steps, seed):
     if family.band.d != 1:
         raise ValueError("integral-bound check is d=1 only")
 
-    def fold(_, bundle):
+    def fold(bundle):
         x = bundle.states()
         hv = h.evaluate(bundle.times[:-1], x[:, :-1])
         integral = ((bundle.alpha * hv * hv) * bundle.dt).sum(axis=1)
@@ -279,7 +279,7 @@ def _old_delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps,
     f2 = conditional_expectation(payoff2, band, grid)
     grid_idx = mc.sup_grid(payoff1.times, n_steps)
 
-    def fold(_, bundle):
+    def fold(bundle):
         d1 = extract(payoff1, band, f1, bundle)
         d2 = extract(payoff2, band, f2, bundle)
         inc = d1.included & d2.included
@@ -347,7 +347,7 @@ def _old_doob_check(payoff, p, band, grid, family, n_paths, n_steps, seed):
     lhs = mc.lp_norm_detail(payoff, 2.0, family, abs_field, n_paths, n_steps,
                             derive_seed(seed, "doob-lhs"))
     stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "doob-rhs"),
-                     lambda _, bundle: (Moments.of(np.abs(payoff.evaluate(
+                     lambda bundle: (Moments.of(np.abs(payoff.evaluate(
                          bundle.monitor_values(payoff.times))) ** p),))
     rhs, rhs_se = max((m for m, in stats), key=lambda m: m.mean).root(p)
     config = {"check": "doob", "payoff": payoff.source(), "p": p,

@@ -1,13 +1,13 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import gexpect as gx
 from gexpect import montecarlo as mc
-from gexpect.representation import Rows
 
 
 def test_constant_control_qv_exact(band12):
@@ -81,7 +81,7 @@ def test_sweep_holds_only_its_blocks_in_flight(band12, n_blocks, degree):
     n_steps = 64
     block = 8 * mc.PATH_BLOCK * n_steps           # 2 MiB
     peak = _traced_peak(mc.sweep, family, n_blocks * mc.PATH_BLOCK, n_steps,
-                        5, lambda _, bundle: (), degree)
+                        5, lambda bundle: (), degree)
     assert peak < (degree + 0.5) * block
 
 
@@ -390,8 +390,18 @@ def test_sweep_bundles_match_simulate_bit_for_bit(d):
     n_paths, n_steps = mc.PATH_BLOCK + 100, 16
     cols = np.array([0, 1, 7, 8, 9, 16])
 
-    def fold(_, bundle):
-        return Rows(n_paths, (bundle.states(), bundle.states(cols))),
+    @dataclass(frozen=True)
+    class Rows:
+        """Per-path arrays, merged in path order."""
+
+        arrays: tuple
+
+        def merge(self, other):
+            return Rows(tuple(map(np.concatenate, zip(self.arrays,
+                                                      other.arrays))))
+
+    def fold(bundle):
+        return Rows((bundle.states(), bundle.states(cols))),
 
     stats = mc.sweep(family, n_paths, n_steps, 61, fold, degree=2)
     for control, (rows,) in zip(family, stats):

@@ -162,6 +162,36 @@ def test_memory_guard_charges_what_the_march_allocates(band12, monkeypatch):
         solve_interval(data, band12, grid, (0.0, 0.5))
 
 
+@pytest.mark.parametrize("solve, value_only", [
+    (gx.value_field, True), (gx.conditional_expectation, False)])
+def test_memory_guard_charges_the_terminal_block(band12, monkeypatch, solve,
+                                                 value_only):
+    # a solve holds its n_x^3 terminal block while the last interval
+    # marches: the guard charges it beside the stored field and the working
+    # rows, and the charge without it (which the peak passed by the block)
+    # is now rejected
+    import tracemalloc
+
+    grid = gx.SpaceTimeGrid(n_x=101, x_max=8.0)
+    payoff = gx.PayoffSpec.parse("sq(x3 - x2) + abs(x1)", (0.25, 0.5, 1.0))
+    n_steps = grid.steps_for(band12, 0.5, 1.0)
+    steps = pde._store_steps(n_steps, 2, grid.param_time_slices)
+    n_stored = (2 if value_only else len(steps)) + 1
+    block = 8 * grid.n_x ** 3
+    charge = pde.field_bytes(grid.n_x ** 2, n_stored, grid.n_x) + block
+    tracemalloc.start()
+    try:
+        solve(payoff, band12, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charge <= peak <= 1.05 * charge
+
+    monkeypatch.setattr(pde, "MEMORY_LIMIT", charge - block)
+    with pytest.raises(NumericalError, match="field storage"):
+        solve(payoff, band12, grid)
+
+
 def test_memory_guard_rejects_before_the_terminal_block(band12, monkeypatch):
     # three dates at n_x = 301: the terminal block alone is 218 MB, and
     # the guard must reject the solve before the payoff fills it

@@ -213,19 +213,32 @@ def test_gap_rows_independent_of_degree(band12, field_cache):
 def test_gap_symmetry_partial_matches_is_symmetric(band12, field_cache,
                                                    n_paths):
     # the gap sweep, called with its defaults, carries the symmetry partial
-    # of the first SYMMETRY_PATHS paths: the same verdict as a separate
-    # is_symmetric sweep of those paths
+    # of every path: the same verdict as is_symmetric on as many paths
     payoff = gx.PayoffSpec.parse("call(x1, 0)")
     field = field_cache("call(x1, 0)")
     fam = gx.ControlFamily.constants(band12, 3)
     gap = rep.gmartingale_gap(payoff, band12, field, fam, n_paths, 16,
                               seed=47)
     ev = rep.is_symmetric(payoff, band12, field, fam, tol=1e-8,
-                          n_paths=min(n_paths, rep.SYMMETRY_PATHS),
-                          n_steps=16, seed=47)
+                          n_paths=n_paths, n_steps=16, seed=47)
     assert ev.k_abs_max > 0.0
     assert rep.symmetry_evidence(payoff, band12, field, fam, 1e-8,
                                  gap.symmetry) == ev
+
+
+def test_gap_symmetry_counts_every_included_path(band12):
+    # three blocks, and paths that leave x_max = 3: each control's
+    # symmetry statistic counts exactly the paths its gap row includes
+    grid = gx.SpaceTimeGrid(n_x=101, x_max=3.0)
+    payoff = gx.PayoffSpec.parse("call(x1, 0)")
+    field = gx.conditional_expectation(payoff, band12, grid)
+    fam = gx.ControlFamily.constants(band12, 3)
+    n_paths = 2 * mc.PATH_BLOCK + 100
+    gap = rep.gmartingale_gap(payoff, band12, field, fam, n_paths, 16,
+                              seed=47)
+    assert any(r.excluded for r in gap.rows)
+    for sym, row in zip(gap.symmetry, gap.rows, strict=True):
+        assert sym.n == n_paths - row.excluded
 
 
 def _flat_extract(flat_read, payoff, band, field, bundle,
@@ -323,7 +336,7 @@ def test_lp_norm_unchanged_by_one_grid_read(band12, field_cache,
     n_paths, n_steps, seed = mc.PATH_BLOCK + 100, 32, 37
     grid_idx = mc.sup_grid(payoff.times, n_steps)
 
-    def fold(_, bundle):
+    def fold(bundle):
         reads = [_flat_conditional_supremum(flat_read, payoff.absolute(),
                                             field, bundle, t)[0]
                  for t in bundle.times[grid_idx]]
@@ -376,24 +389,20 @@ def _full_gap(payoff, band, field, family, n_paths, n_steps, seed, degree,
               full_extract):
     """gmartingale_gap's rows and symmetry partials as folded from the
     oracle's full decomposition of each block."""
-    def fold(_, bundle):
+    def fold(bundle):
         dec = full_extract(payoff, band, field, bundle)
         inc = dec.included
         return (mc.Moments.of(-dec.k[inc, -1]),
                 mc.Moments.of(rep.residual(dec)[inc] ** 2),
                 mc.Moments.of(np.diff(dec.k[inc], axis=1).min(axis=1)),
                 mc.Moments.of(rep.terminal_defect(dec, bundle)),
-                rep.Rows(rep.SYMMETRY_PATHS, (
-                    np.abs(dec.k[:rep.SYMMETRY_PATHS]).max(axis=1),
-                    dec.included[:rep.SYMMETRY_PATHS])))
+                mc.Moments.of(np.abs(dec.k[inc]).max(axis=1)))
 
     stats = mc.sweep(family, n_paths, n_steps, seed, fold, degree)
     rows = [rep.GapRow(c.label, k1.mean, k1.stderr, n_paths - k1.n,
                        res.root(2)[0], dk.lo, term.hi)
             for c, (k1, res, dk, term, _) in zip(family, stats)]
-    symmetry = [mc.Moments.of(peak[inc])
-                for peak, inc in (s[-1].arrays for s in stats)]
-    return rows, symmetry
+    return rows, [s[-1] for s in stats]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -415,14 +424,9 @@ def test_gap_sweep_bit_equal_to_full_extract(band12, field_cache,
     assert got.rows == rows
     assert got.symmetry == symmetry
 
-    def k_peak(_, bundle):
-        dec = full_extract(payoff, band12, field, bundle)
-        return mc.Moments.of(np.abs(dec.k[dec.included]).max(axis=1)),
-
     ev = rep.is_symmetric(payoff, band12, field, fam, 1e-8, n_paths,
                           n_steps, seed=47)
-    assert ev.k_abs_max == max(m.hi for m, in mc.sweep(
-        fam, n_paths, n_steps, 47, k_peak))
+    assert ev.k_abs_max == max(m.hi for m in symmetry)
 
 
 def _block_peak(call, n_paths, n_steps):
