@@ -18,8 +18,8 @@ from .pde import (IntervalField, SpaceTimeGrid, ValueField,
                   refine_study, solve_interval, value_field)
 from .montecarlo import (ControlFamily, ControlProcess, DualResult,
                          PathBundle, conditional_supremum, derive_seed,
-                         dual_value, lp_norm_detail, qv_identity_check,
-                         read_family, simulate, write_family)
+                         dual_value, lp_norm_detail, read_family, simulate,
+                         write_family)
 from .representation import (Decomposition, extract, gmartingale_gap,
                              is_symmetric, monotonicity, residual,
                              residual_rms)
@@ -38,7 +38,7 @@ __all__ = [
     "refine_study", "solve_interval", "value_field",
     "ControlFamily", "ControlProcess", "DualResult", "PathBundle",
     "conditional_supremum", "derive_seed", "dual_value", "lp_norm_detail",
-    "qv_identity_check", "read_family", "simulate", "write_family",
+    "read_family", "simulate", "write_family",
     "Decomposition", "extract", "gmartingale_gap", "is_symmetric",
     "monotonicity", "residual", "residual_rms",
     "H_BUILTINS", "HProcess", "InequalityReport", "apriori_check",

@@ -168,9 +168,7 @@ class ControlFamily:
         lo = max(band.lower_scalar, floor)
         up = band.upper_scalar
         levels = np.linspace(lo, up, count) if count > 1 else np.array([up])
-        controls = [ControlProcess.constant(v, floor=floor,
-                                            label=f"const-{v:.6g}")
-                    for v in levels]
+        controls = [ControlProcess.constant(v, floor=floor) for v in levels]
         return cls(band, controls, floor)
 
     @classmethod
@@ -337,22 +335,6 @@ class PathBundle:
         if payoff.n == 1:
             return None
         return self.monitor_values(payoff.times[:-1])
-
-    def to_csv(self, path, max_paths: int | None = None):
-        import csv
-
-        if self.control.d != 1:
-            raise ValueError("CSV export is d=1 only")
-        n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
-        x = self.states(rows=slice(0, n))
-        alpha_t = np.append(self.alpha, self.alpha[-1])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path_id", "t", "X", "qv", "alpha"])
-            for p in range(n):
-                for k, t in enumerate(self.times):
-                    w.writerow([p, repr(float(t)), repr(float(x[p, k])),
-                                repr(float(self.qv[k])), repr(float(alpha_t[k]))])
 
 
 def monitor_indices(monitor_times, n_steps: int) -> np.ndarray:
@@ -640,29 +622,3 @@ def norm_estimate(family: ControlFamily, stats, p: float) -> NormEstimate:
     """The family sup of merged `lp_norm_fold` partials."""
     rows = [(c.label, *m.root(p)) for c, (m,) in zip(family, stats)]
     return NormEstimate(*max(rows, key=lambda r: r[1])[1:], rows)
-
-
-@dataclass
-class QvReport:
-    max_abs_residual: float
-    rms_terminal: float
-    dt: float
-
-
-def qv_identity_check(bundle: PathBundle) -> QvReport:
-    """Analytic QV against its pathwise reconstruction X^2 - 2∫X dX.
-
-    The discrete stochastic integral uses left endpoints, so the
-    reconstruction telescopes to the realized sum of squared increments and
-    the residual measures realized-vs-analytic QV (O(dt^1/2) in RMS).
-    """
-    if bundle.control.d != 1:
-        raise ValueError("qv identity check is d=1 only")
-    x = bundle.states()
-    dx = np.diff(x, axis=1)
-    ito = np.cumsum(x[:, :-1] * dx, axis=1)
-    recon = x[:, 1:] ** 2 - 2.0 * ito
-    resid = bundle.qv[1:][None, :] - recon
-    return QvReport(float(np.abs(resid).max()),
-                    float(np.sqrt(np.mean(resid[:, -1] ** 2))),
-                    bundle.dt)

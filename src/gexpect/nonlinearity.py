@@ -5,14 +5,16 @@ The central object is
     g(gamma) = (1/2) * sup { tr(gamma a) : a_lower <= a <= a_upper }
 
 for symmetric gamma, where the band [a_lower, a_upper] is an interval in the
-positive-semidefinite order.  In one dimension this is the closed form
-(1/2)(a_upper*gamma^+ - a_lower*gamma^-); isotropic matrix bands reduce to an
-eigenvalue formula.  General matrix bands are also exact: substituting
-a = a_lower + M^(1/2) s M^(1/2) with M = a_upper - a_lower maps {0 <= s <= I}
-onto the band (pseudo-roots cover degenerate gaps), and the supremum over s
-of tr(M^(1/2) gamma M^(1/2) s) is the positive eigenvalue mass, so
+positive-semidefinite order.  Every band is evaluated exactly by one
+transform: substituting a = a_lower + M^(1/2) s M^(1/2) with
+M = a_upper - a_lower maps {0 <= s <= I} onto the band (pseudo-roots cover
+degenerate gaps), and the supremum over s of tr(M^(1/2) gamma M^(1/2) s) is
+the positive eigenvalue mass, so
 
     g(gamma) = tr(gamma a_lower)/2 + sum_i lambda_i^+(M^(1/2) gamma M^(1/2))/2.
+
+In one dimension this is (1/2)(a_upper*gamma^+ - a_lower*gamma^-), which
+`eval_g_scalar` evaluates vectorized.
 
 The smoothed variant convolves the epsilon-lifted band form with a compactly
 supported bump, producing a smooth convex function within C*·epsilon of the
@@ -98,15 +100,6 @@ class VolBand:
             raise ValueError("scalar bound only defined for d=1")
         return float(self.a_upper[0, 0])
 
-    @property
-    def isotropic(self) -> bool:
-        """True when both bounds are scalar multiples of the identity."""
-        d = self.d
-        lo, up = self.a_lower, self.a_upper
-        eye = np.eye(d)
-        return (np.abs(lo - lo[0, 0] * eye).max() <= _SYM_TOL
-                and np.abs(up - up[0, 0] * eye).max() <= _SYM_TOL)
-
 
 def eval_g_scalar(gamma, lower: float, upper: float):
     """d=1 closed form, vectorized over gamma."""
@@ -115,31 +108,17 @@ def eval_g_scalar(gamma, lower: float, upper: float):
     return out if out.ndim else float(out)
 
 
-def eval_g(gamma, band: VolBand, method: str = "auto") -> float:
+def eval_g(gamma, band: VolBand) -> float:
     """Evaluate the worst-case form (1/2) sup { tr(gamma a) : a in band }.
 
-    method: "auto" picks the eigenvalue shortcut for d=1 and isotropic
-    bands, the band-gap transform otherwise; "closed_form" / "transform"
-    force the path.  Both are exact (the supremum of a linear functional
-    over the matrix interval reduces to eigenvalue sums, see the module
-    docstring), so general d <= 3 bands need no iterative optimizer.
+    One path for every band: the band-gap transform of the module
+    docstring, exact because the supremum of a linear functional over the
+    matrix interval reduces to eigenvalue sums, so d <= 3 bands need no
+    iterative optimizer.
     """
     gamma = as_symmetric(gamma)
     if gamma.shape[0] != band.d:
         raise ValueError("gamma dimension does not match the band")
-    closed = band.d == 1 or band.isotropic
-    if method == "auto":
-        method = "closed_form" if closed else "transform"
-    if method == "closed_form":
-        if not closed:
-            raise ValueError("closed form requires d=1 or an isotropic band")
-        lam_lo = float(band.a_lower[0, 0])
-        lam_up = float(band.a_upper[0, 0])
-        eig = np.linalg.eigvalsh(gamma)
-        return float(0.5 * (lam_up * eig[eig > 0].sum()
-                            + lam_lo * eig[eig <= 0].sum()))
-    if method != "transform":
-        raise ValueError(f"unknown method {method!r}")
     gap = band.a_upper - band.a_lower
     w, v = np.linalg.eigh(gap)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T

@@ -42,7 +42,6 @@ the path count.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,6 @@ from .errors import NumericalError
 from .nonlinearity import VolBand
 from .payoff import PayoffSpec
 
-_MAGIC = b"GXVF1\n"
 # queries per block of whole paths; a block's read temporaries (about 4 MB)
 # stay under glibc's heap trim threshold, which otherwise returns them to
 # the OS after every 16-column read of `representation.march`
@@ -66,7 +64,7 @@ MEMORY_LIMIT = 1_500_000_000
 def __getattr__(name):
     # no read uses scipy; perfbench/spans.py still looks this name up to
     # trace scipy reads, so it is imported on that first lookup only.
-    # Delete this hook when the tracer drops the lookup (ROADMAP item 3).
+    # Delete this hook when the tracer drops the lookup (ROADMAP item 4a).
     if name == "RegularGridInterpolator":
         from scipy.interpolate import RegularGridInterpolator
         globals()[name] = RegularGridInterpolator
@@ -302,10 +300,6 @@ class ValueField:
         self.boundaries = np.array([self.intervals[0].t_start]
                                    + [iv.t_end for iv in self.intervals])
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.intervals)
-
     def _read_interval(self, iv: IntervalField, qt, qx, hist) -> np.ndarray:
         """(3, *qx.shape) value, gradient and second difference of nested
         interval iv at positions qx, times qt (inside it) and history hist
@@ -463,87 +457,6 @@ class ValueField:
             hist = np.asarray(history, dtype=float).reshape(1, -1)
         vals, _ = self.read_along([t], [[x]], hist)
         return float(vals[0, _COLUMNS[kind]])
-
-    def terminal_slice(self, i: int) -> np.ndarray:
-        return self.intervals[i].values[..., -1, :]
-
-    def initial_slice(self, i: int) -> np.ndarray:
-        return self.intervals[i].values[..., 0, :]
-
-    def stitching_defect(self) -> float:
-        """Max mismatch between interval ends and stitched diagonals (0 by
-        construction; a plumbing check)."""
-        worst = 0.0
-        for i in range(self.n_intervals - 1):
-            diag = np.diagonal(self.initial_slice(i + 1), axis1=-2, axis2=-1)
-            worst = max(worst, float(np.abs(self.terminal_slice(i) - diag).max()))
-        return worst
-
-    def space_lipschitz(self) -> float:
-        """Largest discrete space-Lipschitz constant over stored slices."""
-        worst = 0.0
-        for iv in self.intervals:
-            d = np.abs(np.diff(iv.values, axis=-1)).max()
-            worst = max(worst, float(d) / self.dx)
-        return worst
-
-    def sup_norm(self) -> float:
-        return max(float(np.abs(iv.values).max()) for iv in self.intervals)
-
-    # -- serialization ------------------------------------------------------
-    def to_csv(self, path):
-        """Columnar dump: t, x1..x_{n-1}, x, v, dv, d2v."""
-        import csv
-
-        n_par = self.n_intervals - 1
-        header = (["t"] + [f"x{j + 1}" for j in range(n_par)]
-                  + ["x", "v", "dv", "d2v"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            grads, hessians = derivatives(self)
-            for iv, dv, d2v in zip(self.intervals, grads, hessians):
-                v = iv.values
-                pd = iv.param_dim
-                for pidx in np.ndindex(*v.shape[:pd]):
-                    pvals = [repr(self.x[j]) for j in pidx]
-                    pad = [""] * (n_par - pd)
-                    for k, tk in enumerate(iv.times):
-                        for m in range(len(self.x)):
-                            w.writerow([repr(float(tk))] + pvals + pad
-                                       + [repr(self.x[m]),
-                                          repr(float(v[pidx + (k, m)])),
-                                          repr(float(dv[pidx + (k, m)])),
-                                          repr(float(d2v[pidx + (k, m)]))])
-
-    def to_binary(self, path):
-        """Compact dump: magic, dims, little-endian doubles."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IId", len(self.intervals), len(self.x),
-                                 self.x_max))
-            for iv in self.intervals:
-                fh.write(struct.pack("<ddII", iv.t_start, iv.t_end,
-                                     iv.param_dim, len(iv.times)))
-                fh.write(iv.times.astype("<f8").tobytes())
-                fh.write(np.ascontiguousarray(iv.values).astype("<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "ValueField":
-        with open(path, "rb") as fh:
-            if fh.read(len(_MAGIC)) != _MAGIC:
-                raise ValueError("not a field dump")
-            n_iv, n_x, x_max = struct.unpack("<IId", fh.read(16))
-            x = np.linspace(-x_max, x_max, n_x)
-            intervals = []
-            for _ in range(n_iv):
-                t0, t1, pd, n_t = struct.unpack("<ddII", fh.read(24))
-                times = np.frombuffer(fh.read(8 * n_t), dtype="<f8").astype(float)
-                count = n_x ** pd * n_t * n_x
-                vals = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
-                vals = vals.reshape((n_x,) * pd + (n_t, n_x))
-                intervals.append(IntervalField(t0, t1, times, vals))
-        return cls(intervals, x)
 
 
 def conditional_expectation(payoff: PayoffSpec, band: VolBand,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -583,24 +584,56 @@ def test_cli_import_loads_no_scipy():
     assert run.returncode == 0, run.stderr
 
 
-def _run_with_perfbench(code):
-    """Run code in a fresh process that imports gexpect and perfbench's
-    modules from this checkout (install patches the whole process)."""
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_fresh(*argv):
+    """Run python with argv in a fresh process that imports gexpect and
+    perfbench's modules from this checkout (install patches the whole
+    process)."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (
-               str(root / "src"), str(root / "perfbench"),
+               str(ROOT / "src"), str(ROOT / "perfbench"),
                os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env=env)
+
+
+def test_readme_python_blocks_run():
+    # the README's library quick start is the documented API: it must run
+    # as written, in a fresh process
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    run = _run_fresh("-c", "\n".join(blocks))
+    assert run.returncode == 0, run.stderr
+    # every exported name resolves and is exported once
+    assert len(set(gx.__all__)) == len(gx.__all__)
+    missing = [n for n in gx.__all__ if not hasattr(gx, n)]
+    assert not missing, missing
 
 
 def test_perfbench_spans_install():
     # the benchmark's tracer binds gexpect names by lookup; renaming or
     # deleting one of them must fail here, not only in a traced bench run
-    run = _run_with_perfbench(
-        "import spans; spans.install(spans.Recorder('t'))")
+    run = _run_fresh("-c", "import spans; spans.install(spans.Recorder('t'))")
     assert run.returncode == 0, run.stderr
+
+
+def test_perfbench_worker_lookups(tmp_path):
+    # the benchmark worker reads the config loader, the kernel backend,
+    # the sweep's thread count and the package version; renaming one of
+    # them must fail here, not only in a benchmark run
+    path, _ = write_config(tmp_path, run__parallel=2)
+    result = tmp_path / "result.json"
+    run = _run_fresh(str(ROOT / "perfbench" / "worker.py"),
+                     "--workload", "price-2date", "--config", str(path),
+                     "--result", str(result), "--setup-only")
+    assert run.returncode == 0, run.stderr
+    env = json.loads(result.read_text())["env"]
+    assert env["backend"] == "reference"
+    assert env["run_parallel"] == 2
+    assert env["gexpect"] == gx.__version__
 
 
 def test_perfbench_traced_represent_counts(tmp_path):
@@ -615,7 +648,7 @@ def test_perfbench_traced_represent_counts(tmp_path):
              "pde.ValueField.read_along.queries",
              "pde.solve_interval.field_mb",
              "representation.gmartingale_gap.busy_s")
-    run = _run_with_perfbench("\n".join((
+    run = _run_fresh("-c", "\n".join((
         "import spans",
         "from gexpect import cli",
         "rec = spans.Recorder('t')",

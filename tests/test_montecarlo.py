@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,24 +290,6 @@ def test_path_fold_energy_and_sup(band12):
         mc.energy(np.ones((2000, 63)), bundles[0].alpha, bundles[0].dt)
 
 
-def test_qv_identity_scaling(band12):
-    bundle = gx.simulate(mc.ControlProcess.constant(1.5), 1000, 2 ** 12, seed=13)
-    rep = gx.qv_identity_check(bundle)
-    assert rep.rms_terminal <= 5.0 * math.sqrt(bundle.dt) * 2.0
-    fine = gx.simulate(mc.ControlProcess.constant(1.5), 1000, 2 ** 14, seed=13)
-    rep_fine = gx.qv_identity_check(fine)
-    ratio = rep.rms_terminal / rep_fine.rms_terminal
-    assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3  # halves when steps quadruple
-
-
-def test_qv_identity_zero_increments(band12):
-    bundle = gx.simulate(mc.ControlProcess.constant(1.0), 1, 16, seed=1)
-    silent = mc.PathBundle(bundle.control, bundle.times,
-                           np.zeros_like(bundle.brownian),
-                           bundle.alpha, np.zeros_like(bundle.qv))
-    assert gx.qv_identity_check(silent).max_abs_residual == 0.0
-
-
 def test_simulate_matrix_control():
     band = gx.VolBand(np.eye(2), 2.0 * np.eye(2))
     ctrl = mc.ControlProcess([0.0, 1.0], np.array([1.5 * np.eye(2)]),
@@ -318,8 +299,6 @@ def test_simulate_matrix_control():
     cov = np.cov(bundle.states()[:, -1, :].T)
     assert np.allclose(cov, 1.5 * np.eye(2), atol=0.06)
     assert np.allclose(bundle.qv[-1], 1.5 * np.eye(2), atol=1e-12)
-    with pytest.raises(ValueError):
-        gx.qv_identity_check(bundle)
 
 
 def _cumsum_oracle(control, n_paths, n_steps, seed):
@@ -425,38 +404,10 @@ def test_monitor_values_are_columns_of_paths(band12):
     assert np.array_equal(bundle.history(payoff), paths[:, [32]])
 
 
-def test_exports_build_states_once(tmp_path, monkeypatch):
-    # the CSV export and the QV check build their states in one call, not
-    # one per path or per element
-    bundle = gx.simulate(mc.ControlProcess.constant(1.0), 5, 8, seed=2)
-    calls = Counter()
-    states = mc.PathBundle.states
-
-    def counting(self, *args, **kwargs):
-        calls["states"] += 1
-        return states(self, *args, **kwargs)
-
-    monkeypatch.setattr(mc.PathBundle, "states", counting)
-    bundle.to_csv(tmp_path / "paths.csv", max_paths=3)
-    assert calls["states"] == 1
-    calls.clear()
-    gx.qv_identity_check(bundle)
-    assert calls["states"] == 1
-
-
 def test_derive_seed_stable():
     assert mc.derive_seed(7, "a") == mc.derive_seed(7, "a")
     assert mc.derive_seed(7, "a") != mc.derive_seed(7, "b")
     assert mc.derive_seed(7, "a") != mc.derive_seed(8, "a")
-
-
-def test_bundle_csv_export(tmp_path):
-    bundle = gx.simulate(mc.ControlProcess.constant(1.0), 5, 8, seed=2)
-    path = tmp_path / "paths.csv"
-    bundle.to_csv(path, max_paths=2)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "path_id,t,X,qv,alpha"
-    assert len(lines) == 1 + 2 * 9
 
 
 def _power_mean_reference(samples, p):

@@ -48,7 +48,7 @@ def test_transform_matches_diagonal_brute_force():
         # componentwise at the endpoints
         oracle = 0.5 * sum(max(di * lo[i, i], di * up[i, i])
                            for i, di in enumerate(d))
-        got = gx.eval_g(gamma, band, method="transform")
+        got = gx.eval_g(gamma, band)
         assert got == pytest.approx(oracle, abs=1e-12)
 
 
@@ -75,9 +75,11 @@ def test_transform_agrees_with_isotropic_closed_form():
     for _ in range(20):
         m = rng.uniform(-2, 2, size=(3, 3))
         gamma = 0.5 * (m + m.T)
-        a = gx.eval_g(gamma, band, method="closed_form")
-        b = gx.eval_g(gamma, band, method="transform")
-        assert a == pytest.approx(b, abs=1e-11)
+        # isotropic bands: a_upper on the positive eigenvalues, a_lower on
+        # the rest
+        eig = np.linalg.eigvalsh(gamma)
+        closed = 0.5 * (2.0 * eig[eig > 0].sum() + 0.5 * eig[eig <= 0].sum())
+        assert gx.eval_g(gamma, band) == pytest.approx(closed, abs=1e-11)
 
 
 def test_transform_matches_sdp_oracle():
@@ -174,14 +176,6 @@ def test_validation_errors():
     band = gx.VolBand(np.eye(2), 2 * np.eye(2))
     with pytest.raises(ValueError):
         gx.eval_g(np.array([[0.0, 1.0], [0.5, 0.0]]), band)
-
-
-def test_unknown_method_rejected(band12):
-    with pytest.raises(ValueError):
-        gx.eval_g(1.0, band12, method="simplex")
-    band = gx.VolBand(np.diag([0.5, 1.0]), np.diag([1.5, 3.0]))
-    with pytest.raises(ValueError):
-        gx.eval_g(np.eye(2), band, method="closed_form")  # not isotropic
 
 
 def test_sym_floor():

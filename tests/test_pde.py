@@ -64,14 +64,17 @@ def test_comparison_monotonicity(band12, grid201):
 
 def test_sup_bound_for_bounded_payoff(band12, grid201, field_cache):
     field = field_cache("min(abs(x1), 1)")
-    assert field.sup_norm() <= 1.0 + 1e-12
+    sup = max(np.abs(iv.values).max() for iv in field.intervals)
+    assert sup <= 1.0 + 1e-12
 
 
 def test_lipschitz_preservation(band12, grid201, field_cache):
-    field = field_cache("min(abs(x1), 1)")
-    assert field.space_lipschitz() <= 1.0 + 10.0 * grid201.dx
-    f2 = field_cache("call(x1, 0)")
-    assert f2.space_lipschitz() <= 1.0 + 10.0 * grid201.dx
+    for expr in ("min(abs(x1), 1)", "call(x1, 0)"):
+        field = field_cache(expr)
+        # largest discrete space-Lipschitz constant over stored slices
+        lip = max(np.abs(np.diff(iv.values, axis=-1)).max() / field.dx
+                  for iv in field.intervals)
+        assert lip <= 1.0 + 10.0 * grid201.dx
 
 
 def test_value_level_sublinearity(band12, grid201):
@@ -97,6 +100,16 @@ def test_nested_martingale_projection(band12, grid201):
     assert field.value(0.75, (0.8,), -2.0) == pytest.approx(0.8, abs=1e-12)
 
 
+def _stitching_defect(field):
+    """Max mismatch between each interval's terminal slice and the diagonal
+    of its successor's initial slice (0 by construction)."""
+    worst = 0.0
+    for iv, nxt in zip(field.intervals, field.intervals[1:]):
+        diag = np.diagonal(nxt.values[..., 0, :], axis1=-2, axis2=-1)
+        worst = max(worst, float(np.abs(iv.values[..., -1, :] - diag).max()))
+    return worst
+
+
 def test_nested_increment_square(band12, grid401):
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", times=(0.5, 1.0))
     field = gx.conditional_expectation(payoff, band12, grid401)
@@ -104,7 +117,7 @@ def test_nested_increment_square(band12, grid401):
     assert field.value(0.5, (0.7,), 0.7) == pytest.approx(1.0, abs=1e-2)
     assert field.value(0.5, (-1.3,), -1.3) == pytest.approx(1.0, abs=1e-2)
     assert field.value(0.0, (), 0.0) == pytest.approx(1.0, abs=1e-2)
-    assert field.stitching_defect() == 0.0
+    assert _stitching_defect(field) == 0.0
 
 
 def test_three_dates_supported(band12):
@@ -113,7 +126,7 @@ def test_three_dates_supported(band12):
     field = gx.conditional_expectation(payoff, band12, grid)
     # independent-increment closed form: a_up / 3 at the origin
     assert field.value(0.0, (), 0.0) == pytest.approx(2.0 / 3.0, abs=4e-2)
-    assert field.stitching_defect() == 0.0
+    assert _stitching_defect(field) == 0.0
     # last-interval read with two history axes:
     # (x - x2)^2 + a_up*(1 - t) + x1
     got = field.value(0.8, (0.5, -0.3), 0.2)
@@ -548,32 +561,6 @@ def test_degenerate_lower_bound_supported(grid201):
     band = gx.VolBand.scalar(0.0, 2.0)
     value = gx.g_expectation(gx.PayoffSpec.parse("neg(sq(x1))"), band, grid201)
     assert value == pytest.approx(0.0, abs=1e-2)  # concave prices at a_low=0
-
-
-def test_binary_round_trip(tmp_path, band12, grid201):
-    payoff = gx.PayoffSpec.parse("sq(x2 - x1)", times=(0.5, 1.0))
-    field = gx.conditional_expectation(payoff, band12, grid201)
-    path = tmp_path / "field.bin"
-    field.to_binary(path)
-    loaded = gx.ValueField.from_binary(path)
-    assert len(loaded.intervals) == 2
-    for a, b in zip(field.intervals, loaded.intervals):
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.times, b.times)
-    assert loaded.value(0.75, (0.8,), 0.1) == pytest.approx(
-        field.value(0.75, (0.8,), 0.1))
-
-
-def test_csv_export(tmp_path, band12):
-    grid = gx.SpaceTimeGrid(n_x=21, x_max=4.0)
-    field = gx.conditional_expectation(gx.PayoffSpec.parse("sq(x1)"),
-                                       band12, grid)
-    path = tmp_path / "field.csv"
-    field.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,v,dv,d2v"
-    n_t = len(field.intervals[0].times)
-    assert len(lines) == 1 + n_t * 21
 
 
 def _assert_grid_read_is_flat_read(flat_read, field, t, x, hist=None):
