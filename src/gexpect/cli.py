@@ -43,8 +43,6 @@ _KEYS = (
     ("band", "a_upper", "a_upper", float),
     ("payoff", "expression", "expression", str),
     ("payoff", "times", "times", _times),
-    ("payoff", "lipschitz", "lipschitz", float),
-    ("payoff", "sup_bound", "sup_bound", float),
     ("grid", "n_x", "n_x", int),
     ("grid", "x_max", "x_max", float),
     ("grid", "cfl_fraction", "cfl_fraction", float),
@@ -82,8 +80,6 @@ class RunConfig:
     a_upper: float = 2.0
     expression: str = "sq(x1)"
     times: tuple = (1.0,)
-    lipschitz: float | None = None
-    sup_bound: float | None = None
     n_x: int = 401
     x_max: float = 8.0
     cfl_fraction: float = 0.8
@@ -107,8 +103,7 @@ class RunConfig:
         return VolBand.scalar(self.a_lower, self.a_upper)
 
     def payoff(self) -> PayoffSpec:
-        return PayoffSpec.parse(self.expression, self.times,
-                                self.lipschitz, self.sup_bound)
+        return PayoffSpec.parse(self.expression, self.times)
 
     def grid(self) -> SpaceTimeGrid:
         return SpaceTimeGrid(self.n_x, self.x_max, self.cfl_fraction,
@@ -176,6 +171,8 @@ class RunConfig:
             raise ConfigError("run.csv_paths must be >= 0")
         if self.parallel < 0:
             raise ConfigError("run.parallel must be >= 0 (0 = all cores)")
+        if not self.gap_tolerance >= 0:
+            raise ConfigError("run.gap_tolerance must be >= 0")
         try:
             family = self.family()
         except OSError as exc:
@@ -191,12 +188,12 @@ class RunConfig:
             raise ConfigError(f"{exc} of mc.n_steps = {self.n_steps}") from exc
 
     def emit(self) -> str:
-        """The config as INI text; a key whose default is None or empty is
-        left out while it keeps that default."""
+        """The config as INI text; a key whose default is empty is left out
+        while it keeps that default."""
         defaults, lines, current = type(self)(), [], None
         for section, key, name, parse in _KEYS:
             value, default = getattr(self, name), getattr(defaults, name)
-            if default in (None, "") and value == default:
+            if value == default == "":
                 continue
             if section != current:
                 lines += ["", f"[{section}]"]
@@ -419,6 +416,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
+        cfg.validate()      # the overrides too
         if args.command == "price":
             return cmd_price(cfg, args.quiet)
         if args.command == "represent":

@@ -48,16 +48,15 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(block))))
 
 
-def iter_increment_blocks(seed: int, n_paths: int, n_steps: int, dt: float,
-                          d: int = 1):
-    """Yield (lo, hi, dW) blocks of N(0, dt) increments.
+def iter_increment_blocks(seed: int, n_paths: int, n_steps: int, d: int = 1):
+    """Yield (lo, hi, dW) blocks of N(0, dt) increments, dt = 1 / n_steps.
 
     Full blocks are always drawn before truncation, so path i's numbers do
     not depend on n_paths.  The generator drops its own reference to a
     block once the block is yielded, so it holds none while it draws the
     next one.
     """
-    scale = math.sqrt(dt)
+    scale = math.sqrt(1.0 / n_steps)
     n_blocks = (n_paths + PATH_BLOCK - 1) // PATH_BLOCK
     for b in range(n_blocks):
         lo = b * PATH_BLOCK
@@ -73,11 +72,10 @@ class ControlProcess:
     """Piecewise-constant volatility control on [0, 1].
 
     breakpoints: 0 = s_0 < ... < s_m = 1; values: per-piece diffusion, scalar
-    (d=1) or (d, d) symmetric matrices; floor: the strictly positive constant
-    c making the effective lower bound max(c I, a_lower).
+    (d=1) or (d, d) symmetric matrices.  The floor is the family's.
     """
 
-    def __init__(self, breakpoints, values, floor: float = 1e-6, label: str = ""):
+    def __init__(self, breakpoints, values, label: str = ""):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
@@ -88,9 +86,6 @@ class ControlProcess:
             self.d = vals.shape[1]
         else:
             raise ValueError("values must be (m,) scalars or (m, d, d) matrices")
-        if floor <= 0:
-            raise ValueError("floor must be strictly positive")
-        self.floor = float(floor)
         self.label = label or f"control-{len(self.breakpoints) - 1}pc"
         bp = self.breakpoints
         if bp.ndim != 1 or len(bp) != len(self.values) + 1:
@@ -101,26 +96,26 @@ class ControlProcess:
             raise ValueError("breakpoints must be strictly increasing")
 
     @classmethod
-    def constant(cls, value, floor: float = 1e-6, label: str = ""):
+    def constant(cls, value, label: str = ""):
         value = np.asarray(value, dtype=float)
         vals = value[None] if value.ndim else np.array([float(value)])
         if not label:
             label = (f"const-{float(value):.6g}" if value.ndim == 0
                      else "const-matrix")
-        return cls([0.0, 1.0], vals, floor=floor, label=label)
+        return cls([0.0, 1.0], vals, label=label)
 
-    def validate(self, band: VolBand):
+    def validate(self, band: VolBand, floor: float):
         if self.d != band.d:
             raise ValueError("control dimension does not match the band")
         if self.d == 1:
-            lo = max(band.lower_scalar, self.floor)
+            lo = max(band.lower_scalar, floor)
             up = band.upper_scalar
             if np.any(self.values < lo - 1e-12) or np.any(self.values > up + 1e-12):
                 raise ValueError(
                     f"control {self.label!r} leaves the floored band "
                     f"[{lo}, {up}]")
         else:
-            lifted = sym_floor(band.a_lower, self.floor)
+            lifted = sym_floor(band.a_lower, floor)
             for v in self.values:
                 if np.linalg.eigvalsh(v - lifted).min() < -1e-10:
                     raise ValueError(f"control {self.label!r} below floored bound")
@@ -139,7 +134,8 @@ class ControlProcess:
 
 @dataclass
 class ControlFamily:
-    """Finite stand-in for the band's measure family (shared floor)."""
+    """Finite stand-in for the band's measure family; every control lies in
+    the band with a_lower lifted to max(floor I, a_lower), floor > 0."""
 
     band: VolBand
     controls: list
@@ -151,10 +147,10 @@ class ControlFamily:
         labels = [c.label for c in self.controls]
         if len(set(labels)) != len(labels):
             raise ValueError("control labels must be unique")
+        if not self.floor > 0:
+            raise ValueError("floor must be strictly positive")
         for c in self.controls:
-            if abs(c.floor - self.floor) > 0:
-                raise ValueError("all controls must share the family floor")
-            c.validate(self.band)
+            c.validate(self.band, self.floor)
 
     def __iter__(self):
         return iter(self.controls)
@@ -168,7 +164,7 @@ class ControlFamily:
         lo = max(band.lower_scalar, floor)
         up = band.upper_scalar
         levels = np.linspace(lo, up, count) if count > 1 else np.array([up])
-        controls = [ControlProcess.constant(v, floor=floor) for v in levels]
+        controls = [ControlProcess.constant(v) for v in levels]
         return cls(band, controls, floor)
 
     @classmethod
@@ -186,8 +182,7 @@ class ControlFamily:
         bp = np.linspace(0.0, 1.0, pieces + 1)
         for j in range(count):
             vals = rng.uniform(lo, up, size=pieces)
-            controls.append(ControlProcess(
-                bp, vals, floor=floor, label=f"random-{j}"))
+            controls.append(ControlProcess(bp, vals, label=f"random-{j}"))
         return cls(band, controls, floor)
 
 
@@ -222,7 +217,7 @@ def read_family(path, band: VolBand) -> ControlFamily:
         label = kv.pop(f"control.{i}.label")
         bp = [float(v) for v in kv.pop(f"control.{i}.breakpoints").split(",")]
         vals = [float(v) for v in kv.pop(f"control.{i}.values").split(",")]
-        controls.append(ControlProcess(bp, vals, floor=floor, label=label))
+        controls.append(ControlProcess(bp, vals, label=label))
     if kv:
         raise ValueError(f"unknown keys in family file: {sorted(kv)}")
     return ControlFamily(band, controls, floor)
@@ -250,17 +245,14 @@ class PathBundle:
         X_k = sqrt(alpha_p) W_k + c_p,   c_p = X_b - sqrt(alpha_p) W_b,
 
     one multiply for a constant control (c_0 = 0) and a matrix root for
-    d > 1; the offsets c_p are built once per bundle.  alpha/qv
-    are deterministic functions of time for piecewise-constant controls
-    and are stored once (not per path); qv increments equal alpha * dt
-    exactly by construction.
+    d > 1; the offsets c_p are built once per bundle.  alpha is stored
+    once (not per path); step k's quadratic variation is alpha[k] * dt.
     """
 
     control: ControlProcess
     times: np.ndarray        # (M+1,)
     brownian: np.ndarray     # (N, M) or (N, M, d): W at steps 1..M
     alpha: np.ndarray        # (M,) or (M, d, d) per-step control value
-    qv: np.ndarray           # (M+1,) or (M+1, d, d) realized QV
 
     def __post_init__(self):
         flat = self.alpha.reshape(len(self.alpha), -1)
@@ -359,22 +351,19 @@ def _bundle(control: ControlProcess, brownian: np.ndarray) -> PathBundle:
     """The bundle of one control on Brownian paths W (N, M) or (N, M, d)."""
     n_steps = brownian.shape[1]
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    alpha = control.step_values(times[:-1])       # (M,) or (M, d, d)
-    qv = np.zeros((n_steps + 1,) + alpha.shape[1:])
-    np.cumsum(alpha * (1.0 / n_steps), axis=0, out=qv[1:])
-    return PathBundle(control, times, brownian, alpha, qv)
+    return PathBundle(control, times, brownian,
+                      control.step_values(times[:-1]))
 
 
 def simulate(control: ControlProcess, n_paths: int, n_steps: int,
-             seed: int, band: VolBand | None = None) -> PathBundle:
+             seed: int) -> PathBundle:
     """Materialize a full bundle (`sweep` folds large runs block by block),
-    on the Brownian paths a sweep builds from the same blocks."""
-    if band is not None:
-        control.validate(band)
+    on the Brownian paths a sweep builds from the same blocks.  The band
+    check of a control is its `ControlFamily`'s."""
     _check_grid([control], n_paths, n_steps)
     w = np.empty((n_paths, n_steps) + ((control.d,) if control.d > 1 else ()))
     for lo, hi, block in iter_increment_blocks(seed, n_paths, n_steps,
-                                               1.0 / n_steps, control.d):
+                                               control.d):
         w[lo:hi] = block
         del block       # before the next draw: one block is held at a time
     np.cumsum(w, axis=1, out=w)
@@ -484,8 +473,7 @@ def sweep(family: ControlFamily, n_paths: int, n_steps: int, seed: int,
         np.cumsum(w, axis=1, out=w)
         return [fold(_bundle(c, w)) for c in family]
 
-    blocks = iter_increment_blocks(seed, n_paths, n_steps, 1.0 / n_steps,
-                                   family.band.d)
+    blocks = iter_increment_blocks(seed, n_paths, n_steps, family.band.d)
     totals = None
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
         run = pool.map if in_flight > 1 else map

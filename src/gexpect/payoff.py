@@ -341,19 +341,13 @@ def parse_expr(text: str) -> Expr:
 class PayoffSpec:
     """A cylinder payoff phi(W_{t_1}, ..., W_{t_n}) with monitoring dates.
 
-    times must be strictly increasing with last equal to 1.  lipschitz and
-    sup_bound may be declared, each >= 0.  A declared lipschitz is validated
-    and carried along but feeds no computation.  sup_bound, when omitted, is
-    derived from the tree (it stays None for unbounded payoffs, in which
-    case sup-norm invariants are skipped downstream).  On the CLI a
-    declared sup_bound feeds no computation either: the doob suite runs
-    its own bounded payoffs.
+    times must be strictly increasing with last equal to 1.  sup_bound is
+    the tree's own sup-norm bound, None for an unbounded payoff (sup-norm
+    invariants are then skipped downstream).
     """
 
     expr: Expr
     times: tuple
-    lipschitz: float | None = None
-    sup_bound: float | None = None
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -368,17 +362,15 @@ class PayoffSpec:
         if self.expr.arity > len(times):
             raise ValueError("expression references more coordinates than "
                              "monitoring times")
-        if self.lipschitz is not None and self.lipschitz < 0:
-            raise ValueError("declared Lipschitz bound must be >= 0")
-        if self.sup_bound is not None and self.sup_bound < 0:
-            raise ValueError("declared sup bound must be >= 0")
         object.__setattr__(self, "times", times)
-        if self.sup_bound is None:
-            object.__setattr__(self, "sup_bound", self.expr.sup_bound())
 
     @classmethod
-    def parse(cls, text: str, times=(1.0,), lipschitz=None, sup_bound=None):
-        return cls(parse_expr(text), tuple(times), lipschitz, sup_bound)
+    def parse(cls, text: str, times=(1.0,)):
+        return cls(parse_expr(text), tuple(times))
+
+    @property
+    def sup_bound(self):
+        return self.expr.sup_bound()
 
     @property
     def n(self) -> int:
@@ -400,8 +392,7 @@ class PayoffSpec:
         return replace(self, expr=Expr("neg", self.expr))
 
     def shifted(self, c: float) -> "PayoffSpec":
-        bound = None if self.sup_bound is None else self.sup_bound + abs(c)
-        return replace(self, expr=self.expr + const(c), sup_bound=bound)
+        return replace(self, expr=self.expr + const(c))
 
     def with_prepended_time(self, t: float) -> "PayoffSpec":
         """Insert an extra (ignored) monitoring date before the others.

@@ -122,11 +122,11 @@ def test_c05_representation_residual():
     details = []
     worst_min_dk = 0.0
     for ctrl in controls:
-        bundle = gx.simulate(ctrl, 512, 2 ** 10, seed=12_005, band=band)
+        bundle = gx.simulate(ctrl, 512, 2 ** 10, seed=12_005)
         dec = gx.extract(payoff, band, field, bundle)
         rms = rep.residual_rms(dec)
         worst_min_dk = min(worst_min_dk, rep.monotonicity(dec))
-        fine = gx.simulate(ctrl, 512, 2 ** 12, seed=12_005, band=band)
+        fine = gx.simulate(ctrl, 512, 2 ** 12, seed=12_005)
         field_fine = gx.conditional_expectation(
             payoff, band, gx.SpaceTimeGrid(801, GRID.x_max))
         rms_fine = rep.residual_rms(gx.extract(payoff, band, field_fine, fine))
@@ -140,7 +140,7 @@ def test_c05_representation_residual():
     field12 = gx.conditional_expectation(payoff, BAND, GRID)
     for a in (1.0, 1.5, 2.0):
         b = gx.simulate(mc.ControlProcess.constant(a), 256, 2 ** 10,
-                        seed=12_005, band=BAND)
+                        seed=12_005)
         wide.append(rep.residual_rms(gx.extract(payoff, BAND, field12, b)))
     report(ok and elapsed < 60.0, "criterion 5 (representation residual)",
            "; ".join(details) + f"; min dK {worst_min_dk:.1e}; "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gexpect as gx
-from gexpect.cli import RunConfig, _refine_grids, main
+from gexpect.cli import _KEYS, RunConfig, _read, _refine_grids, main
 from gexpect.representation import terminal_defect
 
 BASE = """\
@@ -79,8 +79,6 @@ a_upper = 1.5
 [payoff]
 expression = min(abs(x2 - x1), 1)
 times = 0.25, 1
-lipschitz = 2.5
-sup_bound = 1.0
 
 [grid]
 n_x = 161
@@ -143,9 +141,9 @@ def test_emit_and_fingerprint_are_pinned():
     default = RunConfig()
     base = RunConfig.from_string(BASE.format(out="pinned"))
     assert default.emit() == default_text
-    assert default.fingerprint() == "b5128bfd1d980152"
+    assert default.fingerprint() == "fda5fca1c8428dea"
     assert base.emit() == base_text
-    assert base.fingerprint() == "e2f240c395609818"
+    assert base.fingerprint() == "f11752608e42499b"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -234,8 +232,11 @@ def test_price_refinement_chain(tmp_path, capsys):
 
 
 def test_price_gap_breach_exit_3(tmp_path):
-    # an impossible gap window forces the verification-breach exit path
-    path, _ = write_config(tmp_path, run__gap_tolerance="-1.0")
+    # a zero gap window on a kinked payoff, whose sup no constant control
+    # attains (gap about +0.05 against 2se about 0.007), forces the
+    # verification-breach exit path
+    path, _ = write_config(tmp_path, payoff__expression="min(abs(x1), 1)",
+                           run__gap_tolerance="0")
     assert main(["price", "--config", str(path), "--quiet"]) == 3
 
 
@@ -379,17 +380,33 @@ def test_negative_csv_paths_rejected(tmp_path, capsys):
     ({"grid__param_time_slices": 0}, "param_time_slices must be >= 1"),
     ({"grid__param_time_slices": -5}, "param_time_slices must be >= 1"),
     ({"run__parallel": -3}, "run.parallel must be >= 0"),
-    ({"payoff__sup_bound": -3}, "declared sup bound must be >= 0"),
+    ({"payoff__sup_bound": -3}, "unknown key(s) in [payoff]: sup_bound"),
+    ({"run__gap_tolerance": -1}, "run.gap_tolerance must be >= 0"),
+    ({"run__gap_tolerance": "nan"}, "run.gap_tolerance must be >= 0"),
     ({"payoff__expression": "sq(x2 - x1)", "payoff__times": "0.3,1",
       "mc__n_steps": 16}, "monitoring times must lie on the path grid"),
 ], ids=["slices-0", "slices-negative", "parallel-negative",
-        "sup-bound-negative", "dates-off-grid"])
+        "sup-bound-negative", "gap-tolerance-negative", "gap-tolerance-nan",
+        "dates-off-grid"])
 @pytest.mark.parametrize("command", ["price", "represent"])
 def test_bad_setting_is_config_error(tmp_path, capsys, command, overrides,
                                      message):
     path, out = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(path), "--quiet"]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["price", "verify"])
+def test_seed_override_is_validated(tmp_path, capsys, command):
+    # --seed replaces mc.seed after the file's checks: it must pass them too
+    path, out = write_config(tmp_path)
+    suites = ["--suite", "bdg"] if command == "verify" else []
+    assert main([command, "--config", str(path), "--quiet", "--seed", "-5",
+                 *suites]) == 1
+    err = capsys.readouterr().err
+    assert "config error: mc.seed" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -611,6 +628,18 @@ def test_readme_python_blocks_run():
     assert len(set(gx.__all__)) == len(gx.__all__)
     missing = [n for n in gx.__all__ if not hasattr(gx, n)]
     assert not missing, missing
+
+
+def test_readme_config_block_is_the_defaults():
+    # the README's ini block says it shows every key with its default
+    readme = (ROOT / "README.md").read_text()
+    block, = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    lines = [line.split("#")[0].rstrip() for line in block.splitlines()]
+    parser = _read("\n".join(line for line in lines if line), "README.md")
+    assert RunConfig.from_parser(parser) == RunConfig()
+    shown = {(section, key) for section in parser.sections()
+             for key in parser[section]}
+    assert shown == {(section, key) for section, key, _, _ in _KEYS}
 
 
 def test_perfbench_spans_install():

@@ -9,24 +9,24 @@ import gexpect as gx
 from gexpect import montecarlo as mc
 
 
-def test_constant_control_qv_exact(band12):
+def test_constant_control_qv_exact():
     ctrl = mc.ControlProcess.constant(1.5)
-    bundle = gx.simulate(ctrl, 50, 64, seed=1, band=band12)
-    assert bundle.qv[-1] == pytest.approx(1.5, abs=1e-12)
-    assert np.allclose(np.diff(bundle.qv), 1.5 / 64)
+    bundle = gx.simulate(ctrl, 50, 64, seed=1)
+    assert bundle.alpha.sum() / 64 == pytest.approx(1.5, abs=1e-12)
+    assert np.all(bundle.alpha == 1.5)
     assert np.all(bundle.states()[:, 0] == 0.0)
 
 
-def test_two_piece_control_qv(band12):
+def test_two_piece_control_qv():
     ctrl = mc.ControlProcess([0.0, 0.5, 1.0], [1.0, 2.0])
-    bundle = gx.simulate(ctrl, 10, 64, seed=1, band=band12)
-    assert bundle.qv[-1] == pytest.approx(1.5, abs=1e-12)
-    assert bundle.qv[32] == pytest.approx(0.5, abs=1e-12)
+    bundle = gx.simulate(ctrl, 10, 64, seed=1)
+    assert bundle.alpha.sum() / 64 == pytest.approx(1.5, abs=1e-12)
+    assert bundle.alpha[:32].sum() / 64 == pytest.approx(0.5, abs=1e-12)
+    assert np.all(bundle.alpha[:32] == 1.0) and np.all(bundle.alpha[32:] == 2.0)
 
 
-def test_sample_variance_of_terminal(band12):
-    bundle = gx.simulate(mc.ControlProcess.constant(2.0), 100_000, 4, seed=3,
-                         band=band12)
+def test_sample_variance_of_terminal():
+    bundle = gx.simulate(mc.ControlProcess.constant(2.0), 100_000, 4, seed=3)
     var = bundle.states()[:, -1].var(ddof=1)
     # var of the sample variance of a Gaussian: 2 sigma^4 / (n-1)
     three_sigma = 3.0 * math.sqrt(2.0 * 4.0 / 99_999)
@@ -61,7 +61,7 @@ def test_simulate_holds_one_path_array(n_paths):
     # Brownian path as their concatenation, and no second copy of it
     ctrl = mc.ControlProcess.constant(1.0)
     n_steps = 64
-    blocks = mc.iter_increment_blocks(7, n_paths, n_steps, 1.0 / n_steps)
+    blocks = mc.iter_increment_blocks(7, n_paths, n_steps)
     want = np.cumsum(np.concatenate([blk for _, _, blk in blocks]), axis=1)
     assert np.array_equal(gx.simulate(ctrl, n_paths, n_steps, 7).brownian,
                           want)
@@ -93,25 +93,25 @@ def test_block_boundary_stability():
 
 def test_control_validation(band12):
     with pytest.raises(ValueError):
-        mc.ControlProcess.constant(2.5).validate(band12)
+        mc.ControlProcess.constant(2.5).validate(band12, 1e-6)
     with pytest.raises(ValueError):
-        mc.ControlProcess.constant(0.5).validate(band12)
+        mc.ControlProcess.constant(0.5).validate(band12, 1e-6)
     with pytest.raises(ValueError):
         mc.ControlProcess([0.0, 0.7], [1.0])        # does not end at 1
-    with pytest.raises(ValueError):
-        mc.ControlProcess.constant(1.0, floor=0.0)  # floor must be positive
     degenerate = gx.VolBand.scalar(0.0, 2.0)
-    ctrl = mc.ControlProcess.constant(1e-6, floor=1e-6)
-    ctrl.validate(degenerate)  # floored lower bound admits the floor value
+    ctrl = mc.ControlProcess.constant(1e-6)
+    with pytest.raises(ValueError):                 # floor must be positive
+        gx.ControlFamily(degenerate, [ctrl], floor=0.0)
+    ctrl.validate(degenerate, 1e-6)  # floored lower bound admits the floor
     with pytest.raises(ValueError):
-        mc.ControlProcess.constant(1e-9, floor=1e-6).validate(degenerate)
+        mc.ControlProcess.constant(1e-9).validate(degenerate, 1e-6)
 
 
-def test_breakpoints_must_sit_on_grid(band12):
+def test_breakpoints_must_sit_on_grid():
     ctrl = mc.ControlProcess([0.0, 1 / 3, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        gx.simulate(ctrl, 10, 64, seed=1, band=band12)
-    gx.simulate(ctrl, 10, 63, seed=1, band=band12)  # 63 steps: 1/3 on grid
+        gx.simulate(ctrl, 10, 64, seed=1)
+    gx.simulate(ctrl, 10, 63, seed=1)  # 63 steps: 1/3 on grid
 
 
 def test_family_constructors(band12):
@@ -123,7 +123,7 @@ def test_family_constructors(band12):
                                                   base=fam)
     assert len(rich) == 12
     for c in rich:
-        c.validate(band12)
+        c.validate(band12, rich.floor)
     with pytest.raises(ValueError):
         gx.ControlFamily(band12, [])
 
@@ -294,18 +294,20 @@ def test_simulate_matrix_control():
     band = gx.VolBand(np.eye(2), 2.0 * np.eye(2))
     ctrl = mc.ControlProcess([0.0, 1.0], np.array([1.5 * np.eye(2)]),
                              label="iso-1.5")
-    bundle = gx.simulate(ctrl, 20_000, 8, seed=17, band=band)
+    gx.ControlFamily(band, [ctrl])      # inside the band
+    bundle = gx.simulate(ctrl, 20_000, 8, seed=17)
     assert bundle.states().shape == (20_000, 9, 2)
     cov = np.cov(bundle.states()[:, -1, :].T)
     assert np.allclose(cov, 1.5 * np.eye(2), atol=0.06)
-    assert np.allclose(bundle.qv[-1], 1.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(bundle.alpha.sum(axis=0) / 8, 1.5 * np.eye(2),
+                       atol=1e-12)
 
 
 def _cumsum_oracle(control, n_paths, n_steps, seed):
     """X as the sum of sqrt(alpha) dW over the steps: the construction that
     built every control's paths from its own scaled increments."""
     dw = np.concatenate([blk for _, _, blk in mc.iter_increment_blocks(
-        seed, n_paths, n_steps, 1.0 / n_steps, control.d)])
+        seed, n_paths, n_steps, control.d)])
     alpha = control.step_values(np.linspace(0.0, 1.0, n_steps + 1)[:-1])
     if control.d == 1:
         dx = np.sqrt(alpha) * dw
@@ -339,7 +341,8 @@ def test_states_match_scaled_increment_sums(case):
     # X from the shared Brownian path, piece by piece, against the running
     # sum of sqrt(alpha) dW: equal up to rounding
     control, band = _controls()[case]
-    bundle = gx.simulate(control, 300, 64, seed=5, band=band)
+    gx.ControlFamily(band, [control])   # inside the band
+    bundle = gx.simulate(control, 300, 64, seed=5)
     want = _cumsum_oracle(control, 300, 64, 5)
 
     def close(got, ref):

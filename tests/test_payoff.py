@@ -159,12 +159,9 @@ def test_payoff_spec_validation():
         gx.PayoffSpec.parse("sq(x1)", times=(0.7, 0.5, 1.0))
     with pytest.raises(ValueError):
         gx.PayoffSpec.parse("sq(x2)", times=(1.0,))       # undeclared coord
-    with pytest.raises(ValueError):
-        gx.PayoffSpec.parse("sq(x1)", times=(1.0,), lipschitz=-1.0)
-    with pytest.raises(ValueError):
-        gx.PayoffSpec.parse("sq(x1)", times=(1.0,), sup_bound=-3.0)
     spec = gx.PayoffSpec.parse("min(abs(x1), 1)")
     assert spec.sup_bound == 1.0
+    assert spec.shifted(-0.5).sup_bound == 0.5      # the tree's own bound
     assert spec.n == 1
 
 
