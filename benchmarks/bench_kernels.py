@@ -13,7 +13,10 @@ parameter axis) and on a two-date field (`sq(x2 - x1)`, whose second
 interval carries the first date as a parameter axis), in two shapes: the whole (N, M) grid of 8192 paths x 257 grid times
 (2.1M queries) in one call, and the shape the decomposition march reads,
 one call per 16-column slab of a 4096-path block x 257 grid times (17
-calls, 1.05M queries).  Two sweep cases time whole Monte Carlo folds on
+calls, 1.05M queries).  The march-shaped read also runs on the three
+single-date fields the difference check marches together (`sq(x1)`,
+`sq(x1) + 0.1` and `0.9 * sq(x1)`): one stacked read per slab against
+three single reads.  Two sweep cases time whole Monte Carlo folds on
 nine constant controls and `sq(x2 - x1)` at dates 0.5 and 1: one
 `dual_value` at `price`'s shape (20000 paths x 512 steps, which reads two
 columns of each control's paths) and one block of `gmartingale_gap` at
@@ -112,6 +115,30 @@ def bench_read_slabs(source, times, repeat, n_paths=4096, width=16):
     return _time(run, repeat)
 
 
+def bench_read_stacked(repeat, stacked, n_paths=4096, width=16):
+    """The march-shaped read of three single-date fields on one grid: one
+    stacked read per slab when `stacked`, else three single reads."""
+    field, bundle, _ = _read_case("sq(x1)", (1.0,), n_paths)
+    band = gx.VolBand.scalar(1.0, 2.0)
+    others = [gx.conditional_expectation(gx.PayoffSpec.parse(src), band,
+                                         field.grid)
+              for src in ("sq(x1) + 0.1", "0.9 * sq(x1)")]
+    paths = bundle.states()
+    m1 = len(bundle.times)
+
+    def run():
+        for start in range(0, m1, width):
+            cols = slice(start, start + width)
+            if stacked:
+                field.read_along(bundle.times[cols], paths[:, cols],
+                                 stacked=others)
+            else:
+                for f in (field, *others):
+                    f.read_along(bundle.times[cols], paths[:, cols])
+
+    return _time(run, repeat)
+
+
 def _sweep_case():
     band = gx.VolBand.scalar(1.0, 2.0)
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", (0.5, 1.0))
@@ -164,6 +191,11 @@ def main():
         print(f"{f'read_along, 2.1M queries, {label}':48s} "
               f"{best * 1e3:9.1f}ms")
         best = bench_read_slabs(source, dates, args.repeat)
+        print(f"{f'read_along, 17 slabs x 4096, {label}':48s} "
+              f"{best * 1e3:9.1f}ms")
+    for label, stacked in (("3 fields stacked", True),
+                           ("3 single reads", False)):
+        best = bench_read_stacked(args.repeat, stacked)
         print(f"{f'read_along, 17 slabs x 4096, {label}':48s} "
               f"{best * 1e3:9.1f}ms")
     for label, (n_rows, n_x, n_steps, cores) in marches:

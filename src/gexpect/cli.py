@@ -88,7 +88,7 @@ class RunConfig:
     n_steps: int = 512
     seed: int = 20100920
     constant_controls: int = 9
-    floor: float = 1e-6
+    floor: float = mc.FLOOR
     family_file: str = ""
     out_dir: str = "out"
     parallel: int = 0           # Monte Carlo path blocks in flight; 0 = cores
@@ -368,12 +368,10 @@ def cmd_verify(cfg: RunConfig, suites, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     band, payoff, grid = cfg.band(), cfg.payoff(), cfg.grid()
     family = cfg.family()
-    reports = []
     try:
-        for name in suites:
-            reports.extend(inequalities.run_suite(
-                name, payoff, band, grid, family, cfg.n_paths, cfg.n_steps,
-                cfg.seed))
+        reports = inequalities.run_suites(
+            suites, payoff, band, grid, family, cfg.n_paths, cfg.n_steps,
+            cfg.seed)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

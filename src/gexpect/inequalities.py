@@ -11,7 +11,12 @@ they are estimated on distinct derived sub-seeds; pathwise-coupled chains
 paths.  Estimates that share a seed share one sweep: the bdg, doob and
 difference checks take lists (integrands, payoffs, second payoffs) and
 fold every item into the sweeps of their sub-seeds, so each path block is
-drawn, and each decomposition marched, once per block.
+drawn, and each decomposition marched, once per block.  The energy
+estimates (apriori) and the difference check's pathwise norms both need
+the payoff's decomposition, so both read it on the sub-seed
+`difference-paths`: in a run of both suites, apriori's statistics are
+folded from the payoff's slabs of the difference check's stacked march,
+and the payoff is solved and marched once.
 """
 
 import hashlib
@@ -189,24 +194,51 @@ def bdg_check(hs, family: ControlFamily, n_paths: int, n_steps: int,
     return reports
 
 
+class _Energy:
+    """Apriori's per-path folds over the slabs of one decomposition: sup |Y|
+    and the running int alpha H^2 dt; `partials` finishes them, with
+    K_1^2, over the included paths."""
+
+    def __init__(self, bundle):
+        self.bundle = bundle
+        self.sup_y, self.hint = PathFold(np.maximum), PathFold(np.add)
+
+    def add(self, s):
+        self.sup_y.add(np.abs(s.y))
+        self.hint.add(mc.energy(s.h_left, self.bundle.alpha[s.steps],
+                                self.bundle.dt))
+
+    def partials(self, last, inc):
+        """Moments of K_1^2, sup Y^2 and int alpha H^2 dt over the paths
+        inc; last is the decomposition's last slab."""
+        return (Moments.of(last.k[inc, -1] ** 2),
+                Moments.of(self.sup_y.value[inc] ** 2),
+                Moments.of(self.hint.value[inc]))
+
+
 def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
                   family: ControlFamily, n_paths: int, n_steps: int,
                   seed: int) -> list:
     """Energy estimates: E[K_1^2] <= 54 E[sup Y^2] per control (strict, no
-    slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C.  A
-    control with no path inside the truncation raises NumericalError."""
+    slack) and ||H|| + ||K|| <= C ||Y|| with the chain constant C.  The
+    paths are the difference check's (sub-seed `difference-paths`), which
+    marches the same decomposition of payoff.  A control with no path
+    inside the truncation raises NumericalError."""
     def fold(bundle):
-        sup_y, hint = PathFold(np.maximum), PathFold(np.add)
-        for s in march(payoff, band, field, bundle):
-            sup_y.add(np.abs(s.y))
-            hint.add(mc.energy(s.h_left, bundle.alpha[s.steps], bundle.dt))
-        inc = ~excluded(field, s.x_peak)
-        return (Moments.of(s.k[inc, -1] ** 2),
-                Moments.of(sup_y.value[inc] ** 2),
-                Moments.of(hint.value[inc]))
+        energy = _Energy(bundle)
+        for s, in march(band, [field], bundle):
+            energy.add(s)
+        return energy.partials(s, ~excluded(field, s.x_peak))
 
-    stats = mc.sweep(family, n_paths, n_steps, derive_seed(seed, "apriori"),
-                     fold)
+    stats = mc.sweep(family, n_paths, n_steps,
+                     derive_seed(seed, "difference-paths"), fold)
+    return _apriori_reports(payoff, band, family, n_paths, n_steps, seed,
+                            stats)
+
+
+def _apriori_reports(payoff, band, family, n_paths, n_steps, seed,
+                     stats) -> list:
+    """apriori_check's reports from each control's `_Energy.partials`."""
     require_included(family, stats)
     worst = min(range(len(stats)), key=lambda j: (
         APRIORI_K_CONSTANT * stats[j][1].mean - stats[j][0].mean))
@@ -226,28 +258,41 @@ def apriori_check(payoff: PayoffSpec, band: VolBand, field: ValueField,
     return reports
 
 
-def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
-                 seed) -> list:
+def _solver(band: VolBand, grid: SpaceTimeGrid):
+    """conditional_expectation on band and grid, solved once per distinct
+    payoff however often it is asked for."""
+    fields = {}
+
+    def solve(payoff):
+        if payoff not in fields:
+            fields[payoff] = conditional_expectation(payoff, band, grid)
+        return fields[payoff]
+
+    return solve
+
+
+def _delta_norms(fields, band, family, n_paths, n_steps, seed):
     """sup-over-family norms of the pathwise differences (dY, dH, dK) of
-    payoff1 against each of payoffs2, in one sweep.
+    the decomposition of fields[0] against that of each later field, in
+    one sweep; and apriori's per-control statistics (`_Energy.partials`)
+    of fields[0]'s decomposition, from the same slabs.
 
     The time sup of dY runs over the same node count the conditional-norm
     estimator uses, so both sides of the value inequality discretize the
-    continuous-time sup identically.  payoff1's field is solved once, and
-    per block its decomposition marches column batch by column batch in
-    step with each payoff2's, so the differences fold into per-path running
-    sups and sums and no full decomposition is ever held.
+    continuous-time sup identically.  Per block every field is marched in
+    one stacked march, so the differences fold into per-path running sups
+    and sums and no full decomposition is ever held.  Returns (norms,
+    energy): per later field (||dY||, its stderr, ||dH||, ||dK||), and per
+    control the apriori partials.
     """
-    f1 = conditional_expectation(payoff1, band, grid)
-    fields2 = [conditional_expectation(p2, band, grid) for p2 in payoffs2]
-    grid_idx = mc.sup_grid(payoff1.times, n_steps)
+    grid_idx = mc.sup_grid(fields[0].payoff.times, n_steps)
 
     def fold(bundle):
+        energy = _Energy(bundle)
         folds = [(PathFold(np.maximum), PathFold(np.add),
-                  PathFold(np.maximum)) for _ in payoffs2]
-        marches = [march(p, band, f, bundle)
-                   for p, f in zip((payoff1, *payoffs2), (f1, *fields2))]
-        for s1, *slabs2 in zip(*marches):
+                  PathFold(np.maximum)) for _ in fields[1:]]
+        for s1, *slabs2 in march(band, fields, bundle):
+            energy.add(s1)
             on_grid = grid_idx[(grid_idx >= s1.cols.start)
                                & (grid_idx < s1.cols.stop)] - s1.cols.start
             alpha = bundle.alpha[s1.steps]
@@ -255,29 +300,31 @@ def _delta_norms(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
                 dy.add(np.abs(s1.y[:, on_grid] - s2.y[:, on_grid]))
                 dh.add(mc.energy(s1.h_left - s2.h_left, alpha, bundle.dt))
                 dk.add(np.abs(s1.k - s2.k))
-        # every field is solved on `grid`, so one exclusion mask holds for all
-        inc = ~excluded(f1, s1.x_peak)
-        return tuple((Moments.of(dy.value[inc] ** 2), Moments.of(dh.value[inc]),
-                      Moments.of(dk.value[inc] ** 2)) for dy, dh, dk in folds)
+        # the fields share one grid, so one exclusion mask holds for all
+        inc = ~excluded(fields[0], s1.x_peak)
+        return (energy.partials(s1, inc),
+                tuple((Moments.of(dy.value[inc] ** 2),
+                       Moments.of(dh.value[inc]),
+                       Moments.of(dk.value[inc] ** 2))
+                      for dy, dh, dk in folds))
 
     stats = mc.sweep(family, n_paths, n_steps,
                      derive_seed(seed, "difference-paths"), fold)
     norms = []
-    for per_pair in zip(*stats):
+    for per_pair in zip(*(pairs for _, pairs in stats)):
         require_included(family, per_pair)
         dy, dy_se = max(per_pair, key=lambda s: s[0].mean)[0].root(2)
         dh2, dk2 = (max(s[i].mean for s in per_pair) for i in (1, 2))
         norms.append((dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)))
-    return norms
+    return norms, [energy for energy, _ in stats]
 
 
-def _l2_norms(payoffs, tag: str, band: VolBand, grid: SpaceTimeGrid,
-              family: ControlFamily, n_paths: int, n_steps: int,
-              seed: int) -> list:
+def _l2_norms(payoffs, solve, tag: str, family: ControlFamily, n_paths: int,
+              n_steps: int, seed: int) -> list:
     """Conditional L2 norm of each payoff, all on the sub-seed `tag` in one
-    sweep."""
-    folds = [mc.lp_norm_fold(payoff, 2.0, conditional_expectation(
-        payoff.absolute(), band, grid), n_steps) for payoff in payoffs]
+    sweep, each on the field solve(payoff.absolute())."""
+    folds = [mc.lp_norm_fold(payoff, 2.0, solve(payoff.absolute()), n_steps)
+             for payoff in payoffs]
     per_payoff = mc.sweep_each(family, n_paths, n_steps,
                                derive_seed(seed, tag), folds)
     return [mc.norm_estimate(family, stats, 2.0) for stats in per_payoff]
@@ -294,15 +341,30 @@ def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
     One sweep per sub-seed, shared by every pair, and ||xi1|| estimated
     once.
     """
+    return _difference(payoff1, payoffs2, band, grid, family, n_paths,
+                       n_steps, seed)[0]
+
+
+def _difference(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
+                seed):
+    """difference_check's reports, and apriori's per-control statistics
+    of payoff1 from the sweep of its decomposition (`_delta_norms`).
+
+    Each distinct field is solved once: a payoff's own field serves its
+    L2 norm too when the payoff is non-negative (`PayoffSpec.absolute`)."""
     if any(payoff1.times != p2.times for p2 in payoffs2):
         raise ValueError("difference check needs matching monitoring dates")
     deltas = [PayoffSpec(Expr("sub", payoff1.expr, p2.expr), payoff1.times)
               for p2 in payoffs2]
-    args = (band, grid, family, n_paths, n_steps, seed)
-    dxis = _l2_norms(deltas, "difference-dxi", *args)
-    xi1, = _l2_norms([payoff1], "difference-xi1", *args)
-    xi2s = _l2_norms(payoffs2, "difference-xi2", *args)
-    norms = _delta_norms(payoff1, payoffs2, *args)
+    args = (family, n_paths, n_steps, seed)
+    # the differences' fields serve dxi alone: solved apart, they are
+    # freed before the payoffs' own are solved
+    dxis = _l2_norms(deltas, _solver(band, grid), "difference-dxi", *args)
+    solve = _solver(band, grid)
+    fields = [solve(p) for p in (payoff1, *payoffs2)]
+    xi1, = _l2_norms([payoff1], solve, "difference-xi1", *args)
+    xi2s = _l2_norms(payoffs2, solve, "difference-xi2", *args)
+    norms, energy = _delta_norms(fields, band, *args)
     reports = []
     for payoff2, dxi, xi2, (dy, dy_se, dh, dk) in zip(
             payoffs2, dxis, xi2s, norms, strict=True):
@@ -326,7 +388,7 @@ def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
                               {"delta_xi": dxi.stderr, "xi1": xi1.stderr,
                                "xi2": xi2.stderr}, cfg2)
         reports += [r1, r2]
-    return reports
+    return reports, energy
 
 
 def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
@@ -375,8 +437,8 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     if any(payoff.sup_bound is None for payoff in payoffs):
         raise ValueError("doob check expects a bounded payoff")
     c_p = math.sqrt(p / (p - 2.0))
-    lhs = _l2_norms(payoffs, "doob-lhs", band, grid, family, n_paths,
-                    n_steps, seed)
+    lhs = _l2_norms(payoffs, _solver(band, grid), "doob-lhs", family,
+                    n_paths, n_steps, seed)
 
     # p-th moment norm: sup over the family of E|xi|^p, evaluated at the
     # monitoring dates only
@@ -432,6 +494,13 @@ def mollify_check(band: VolBand) -> list:
 
 SUITES = ("bdg", "apriori", "difference", "tower", "doob", "mollify")
 
+# apriori's per-control statistics of the payoff's decomposition, as the
+# last difference suite folded them in its `difference-paths` sweep, with
+# that suite's run_suite arguments: the apriori suite on the same argument
+# objects takes them instead of solving and marching xi again, and gets the
+# reports a march of xi alone on that sub-seed gives, bit for bit
+_folded_energy = []
+
 
 def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
               grid: SpaceTimeGrid, family: ControlFamily, n_paths: int,
@@ -441,19 +510,35 @@ def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
     Each suite is one call of its check, with every integrand or payoff
     in one list, so checks that share a seed share its sweep: bdg makes
     one, doob two and difference four, each block drawn once per sweep.
+    The difference suite marches the payoff's decomposition with its
+    shifted and scaled companions in one stacked march per block, and
+    folds apriori's statistics from the payoff's slabs of it.  The apriori
+    suite takes them when the last difference suite ran on the same
+    arguments (`run_suites` runs it after that one), and otherwise solves
+    and marches the payoff alone on the same sub-seed: the same reports
+    either way, and no sweep of its own after a difference suite.
     """
+    args = (payoff, band, grid, family, n_paths, n_steps, seed)
     if name == "bdg":
         return bdg_check(list(H_BUILTINS.values()), family, n_paths, n_steps,
                          seed)
     if name == "apriori":
+        if _folded_energy and all(a is b for a, b in
+                                  zip(_folded_energy[0][0], args)):
+            _, stats = _folded_energy.pop()
+            return _apriori_reports(payoff, band, family, n_paths, n_steps,
+                                    seed, stats)
         field = conditional_expectation(payoff, band, grid)
         return apriori_check(payoff, band, field, family, n_paths,
                              n_steps, seed)
     if name == "difference":
         scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
                             payoff.times)
-        return difference_check(payoff, [payoff.shifted(0.1), scaled], band,
-                                grid, family, n_paths, n_steps, seed)
+        reports, energy = _difference(payoff, [payoff.shifted(0.1), scaled],
+                                      band, grid, family, n_paths, n_steps,
+                                      seed)
+        _folded_energy[:] = [(args, energy)]
+        return reports
     if name == "tower":
         lifted = payoff if payoff.n > 1 else payoff.with_prepended_time(0.5)
         return [tower_check(lifted, band, grid, lifted.times[0])]
@@ -466,3 +551,18 @@ def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
         return mollify_check(band)
     raise ConfigError(f"unknown verification suite {name!r}; "
                       f"available: {', '.join(SUITES)}")
+
+
+def run_suites(names, payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
+               family: ControlFamily, n_paths: int, n_steps: int,
+               seed: int) -> list:
+    """The reports of the named suites, in the order named, each suite one
+    `run_suite` call.  Apriori suites run after the others, so that a
+    difference suite of the run has folded the payoff's statistics for
+    them and the payoff is marched once."""
+    names = list(names)
+    reports = [None] * len(names)
+    for i in sorted(range(len(names)), key=lambda i: names[i] == "apriori"):
+        reports[i] = run_suite(names[i], payoff, band, grid, family, n_paths,
+                               n_steps, seed)
+    return [r for suite in reports for r in suite]

@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import NumericalError
 from .nonlinearity import VolBand, as_symmetric, sym_floor
-from .payoff import PayoffSpec
+from .payoff import Expr, PayoffSpec
 from .pde import MEMORY_LIMIT, _as_slice
 
 PATH_BLOCK = 4096
+FLOOR = 1e-6      # a family's default floor, the lift of a degenerate a_lower
 
 
 def derive_seed(seed: int, *tags) -> int:
@@ -139,7 +140,7 @@ class ControlFamily:
 
     band: VolBand
     controls: list
-    floor: float = 1e-6
+    floor: float = FLOOR
 
     def __post_init__(self):
         if not self.controls:
@@ -159,7 +160,7 @@ class ControlFamily:
         return len(self.controls)
 
     @classmethod
-    def constants(cls, band: VolBand, count: int, floor: float = 1e-6):
+    def constants(cls, band: VolBand, count: int, floor: float = FLOOR):
         """Evenly spaced constant controls spanning the floored band (d=1)."""
         lo = max(band.lower_scalar, floor)
         up = band.upper_scalar
@@ -170,7 +171,7 @@ class ControlFamily:
     @classmethod
     def with_random_piecewise(cls, band: VolBand, count: int, pieces: int,
                               seed: int, base: "ControlFamily | None" = None,
-                              floor: float = 1e-6):
+                              floor: float = FLOOR):
         """Append randomly sampled piecewise-constant controls (fixed once
         drawn; not adaptive)."""
         floor = base.floor if base is not None else floor
@@ -573,11 +574,13 @@ def lp_norm_detail(payoff: PayoffSpec, p: float, family: ControlFamily,
                    seed: int) -> NormEstimate:
     """sup over the family of E[ sup_t (conditional |payoff|)^p ]^(1/p).
 
-    `field` must be solved for payoff.absolute(); the time sup runs over
+    `field` must be solved for payoff.absolute() (the payoff itself when
+    it is non-negative) or for abs(payoff); the time sup runs over
     `sup_grid` (a lower bound of the continuous-time sup, as documented).
     Per block, the grid times before t = 1 are read in one path-grid read,
-    and t = 1 evaluates the payoff, as conditional_supremum does.  One `sweep` of `lp_norm_fold`, finished
-    by `norm_estimate`; norms on a shared seed fold in one `sweep_each`.
+    and t = 1 evaluates the payoff, as conditional_supremum does.  One
+    `sweep` of `lp_norm_fold`, finished by `norm_estimate`; norms on a
+    shared seed fold in one `sweep_each`.
     """
     fold = lp_norm_fold(payoff, p, field, n_steps)
     stats = sweep(family, n_paths, n_steps, seed, fold)
@@ -590,7 +593,9 @@ def lp_norm_fold(payoff: PayoffSpec, p: float, field, n_steps: int):
     if p < 1:
         raise ValueError("p must be >= 1")
     abs_payoff = payoff.absolute()
-    if field.payoff is not None and field.payoff.expr != abs_payoff.expr:
+    # abs(payoff) solves to the same field as a non-negative payoff itself
+    if field.payoff is not None and field.payoff.expr not in (
+            abs_payoff.expr, Expr("abs", payoff.expr)):
         raise ValueError("field must be solved for the absolute payoff")
     grid_idx = sup_grid(payoff.times, n_steps)
     inner = grid_idx[grid_idx < n_steps]   # t = 1, the last date, reads xi

@@ -386,6 +386,10 @@ class PayoffSpec:
         return np.broadcast_to(out, arr.shape[:-1]).copy()
 
     def absolute(self) -> "PayoffSpec":
+        """|payoff|: the payoff itself when its value range is
+        non-negative, so that both solve to one field."""
+        if self.expr.value_range()[0] >= 0:
+            return self
         return replace(self, expr=Expr("abs", self.expr))
 
     def negated(self) -> "PayoffSpec":

@@ -38,7 +38,10 @@ flat index per query and reach the parameter corners, the next time row
 and the x stencil by fixed offsets from it; they interpolate in space,
 then time, then the parameter axes.  Both gather in blocks of whole paths
 of about _CHUNK queries, so the read's scratch memory does not grow with
-the path count.
+the path count.  Fields solved on one grid and band for one set of dates
+read together (`read_along(..., stacked=...)`): the brackets are taken
+once for all of them, and a block gathers every field's cells in one
+take.
 """
 
 import math
@@ -254,17 +257,18 @@ def _node_derivatives(v, dx):
     return grad, hess
 
 
-def _cell_table(values, it, wt, dx):
-    """(6, B * (n_x - 1)) table of the x cells of values (n_t, n_x) at B
-    column times, B = len(it): the value, gradient and second difference at
-    the nodes of rows it and it + 1, lerped onto each column's time with
-    weights wt.  Entry (2q + e, b * (n_x - 1) + i) is quantity q (value,
-    gradient, second difference) at node i + e and column b's time, so a
-    cell's even entries sit at its left node."""
+def _cell_table(values, it, wt, dx, out):
+    """Write into out, (6, B * (n_x - 1)), the table of the x cells of
+    values (n_t, n_x) at B column times, B = len(it): the value, gradient
+    and second difference at the nodes of rows it and it + 1, lerped onto
+    each column's time with weights wt.  Entry (2q + e, b * (n_x - 1) + i)
+    is quantity q (value, gradient, second difference) at node i + e and
+    column b's time, so a cell's even entries sit at its left node."""
     rows = values[np.stack((it, it + 1))]                       # (2, B, n_x)
     nodes = np.stack((rows, *_node_derivatives(rows, dx)), axis=1)
     at_t = _lerp(nodes[0], nodes[1], wt[:, None])               # (3, B, n_x)
-    return np.stack((at_t[..., :-1], at_t[..., 1:]), axis=1).reshape(6, -1)
+    np.stack((at_t[..., :-1], at_t[..., 1:]), axis=1,
+             out=out.reshape(3, 2, *at_t.shape[1:-1], -1))
 
 
 def _as_slice(cols):
@@ -358,56 +362,65 @@ class ValueField:
             vals = [_lerp(a, b, fp) for a, b in zip(vals[::2], vals[1::2])]
         return vals[0]
 
-    def _read_columns(self, iv: IntervalField, qt, cols, x, out):
-        """Grid read of interval iv, which has no parameter axis, in the
-        columns cols of paths x (N, M) at times qt (one per column), into
-        out (3, N, M).
+    def _read_columns(self, ivs, qt, cols, x, out):
+        """Grid read of the intervals ivs, one per stacked field (this
+        field's first), none with a parameter axis, in the columns cols of
+        paths x (N, M) at times qt (one per column), into out (F, 3, N, M).
 
-        Each column's time is bracketed once.  A batch of columns builds
-        the cell table of its times: the node values and differences of
-        each column's two time rows (equal to the four-node stencil of
-        _read_interval, edges included), lerped onto the column's time.
-        Blocks of whole paths, about _CHUNK queries each, then take each
-        query's 6-wide cell from it and lerp it in space: time first, then
-        space, as kernels.bilinear_read does."""
+        Each column's time is bracketed once.  A batch of columns builds,
+        per field, the cell table of its times: the node values and
+        differences of each column's two time rows (equal to the four-node
+        stencil of _read_interval, edges included), lerped onto the
+        column's time.  Blocks of whole paths, with about _CHUNK cells to
+        gather over all the fields, then bracket each query once, take its
+        6-wide cell from every field's table in one gather and lerp it in
+        space: time first, then space, as kernels.bilinear_read does."""
         n, dx = len(self.x), self.dx
-        it, wt = _bracket_time(iv.times, qt)
+        it, wt = _bracket_time(ivs[0].times, qt)
         width = min(_BATCH, len(cols))
-        step = max(1, _CHUNK // width)
-        cell_buf = np.empty(6 * width * min(step, x.shape[0]))
+        n_f = len(ivs)
+        step = max(1, _CHUNK // (width * n_f))
+        cell_buf = np.empty(6 * n_f * width * min(step, x.shape[0]))
         for start in range(0, len(cols), _BATCH):
             batch = slice(start, start + _BATCH)
             cb = _as_slice(cols[batch])
-            table = _cell_table(iv.values, it[batch], wt[batch], dx)
+            table = np.empty((6 * n_f, len(it[batch]) * (n - 1)))
+            for f, iv in enumerate(ivs):
+                _cell_table(iv.values, it[batch], wt[batch], dx,
+                            table[6 * f:6 * f + 6])
             shift = (n - 1) * np.arange(len(it[batch]))
             for lo in range(0, x.shape[0], step):
                 rows = slice(lo, lo + step)
                 ix, fx = _bracket(x[rows, cb], -self.x_max, dx, n)
                 ix += shift
-                cells = cell_buf[:6 * ix.size].reshape(6, *ix.shape)
+                cells = cell_buf[:6 * n_f * ix.size].reshape(6 * n_f,
+                                                             *ix.shape)
                 # ix lies inside the table, so "clip" only skips the
                 # bounds check
                 np.take(table, ix, axis=1, out=cells, mode="clip")
-                left, right = cells[0::2], cells[1::2]
+                cells = cells.reshape(n_f, 6, *ix.shape)
+                left, right = cells[:, 0::2], cells[:, 1::2]
                 left *= 1.0 - fx
                 right *= fx
                 left += right
-                out[:, rows, cb] = left
+                out[:, :, rows, cb] = left
 
-    def _read_rows(self, iv: IntervalField, qt, cols, x, hist, out, clamped):
-        """Grid read of nested interval iv in the columns cols of paths x
-        at times qt, into out: blocks of whole paths, about _CHUNK queries
-        each, go through _read_interval with the block's times per column
-        and its history per path."""
-        h = hist[:, :iv.param_dim]
+    def _read_rows(self, fields, i, qt, cols, x, hist, out, clamped):
+        """Grid read of nested interval i of every stacked field (this one
+        first) in the columns cols of paths x at times qt, into out (F, 3,
+        N, M): blocks of whole paths, about _CHUNK queries each, go
+        through each field's _read_interval with the block's times per
+        column and its history per path."""
+        h = hist[:, :self.intervals[i].param_dim]
         clamped[:, cols] |= (np.abs(h) > self.x_max + 1e-12).any(1)[:, None]
         step = max(1, _CHUNK // len(qt))
         for start in range(0, x.shape[0], step):
             rows = slice(start, start + step)
-            out[:, rows, cols] = self._read_interval(iv, qt, x[rows, cols],
-                                                     h[rows, None])
+            for f, field in enumerate(fields):
+                out[f][:, rows, cols] = field._read_interval(
+                    field.intervals[i], qt, x[rows, cols], h[rows, None])
 
-    def read_along(self, t, x, history=None):
+    def read_along(self, t, x, history=None, *, stacked=()):
         """Field read along a path grid.
 
         x is (N, M) paths, t (M,) with column j read at time t[j], and
@@ -417,7 +430,23 @@ class ValueField:
         x's C order: values is (K, 3) with columns value, gradient and
         second difference; clamped flags queries outside the spatial
         truncation, in x or in the history read.
+
+        The fields in `stacked`, solved on this field's grid and band for
+        its monitoring dates (any other is rejected), are read in the same
+        pass: each column's time, each query's x cell and each path's
+        history is bracketed once for all of them, and values has three
+        more columns per stacked field, in turn.  Each field's columns
+        equal its own read bit for bit.
         """
+        fields = [self, *stacked]
+        for f in stacked:
+            if f is not self and not (
+                    np.array_equal(f.x, self.x)
+                    and len(f.intervals) == len(self.intervals)
+                    and all(np.array_equal(a.times, b.times)
+                            for a, b in zip(f.intervals, self.intervals))):
+                raise ValueError("stacked fields must be solved on one grid, "
+                                 "band and set of monitoring dates")
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         hist = None if history is None else np.asarray(history, dtype=float)
@@ -427,7 +456,7 @@ class ValueField:
         n_rows, n_cols = x.shape
         if hist is not None and (hist.ndim != 2 or len(hist) != n_rows):
             raise ValueError("history must have one row per path")
-        out = np.empty((3, n_rows, n_cols))
+        out = np.empty((len(fields), 3, n_rows, n_cols))
         clamped = np.empty((n_rows, n_cols), dtype=bool)
         step = max(1, _CHUNK // max(n_cols, 1))
         for start in range(0, n_rows, step):
@@ -440,13 +469,14 @@ class ValueField:
                 continue
             qt = np.clip(t[cols], iv.t_start, iv.t_end)
             if not iv.param_dim:
-                self._read_columns(iv, qt, cols, x, out)
+                self._read_columns([f.intervals[i] for f in fields], qt, cols,
+                                   x, out)
             elif hist is None:
                 raise ValueError("history required for nested intervals")
             else:
-                self._read_rows(iv, qt, _as_slice(cols), x, hist, out,
+                self._read_rows(fields, i, qt, _as_slice(cols), x, hist, out,
                                 clamped)
-        return out.reshape(3, -1).T, clamped.reshape(-1)
+        return out.reshape(3 * len(fields), -1).T, clamped.reshape(-1)
 
     def value(self, t: float, history=(), x: float = 0.0,
               kind: str = "value") -> float:

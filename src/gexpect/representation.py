@@ -19,7 +19,10 @@ inequality of the band form), so K is non-decreasing up to rounding.
 The decomposition is marched along the path grid 16 columns at a time
 (`march`), and the estimators fold each slab into per-path running
 reductions, so their memory does not grow with the step count; `extract`
-stacks the same slabs into full arrays.
+stacks the same slabs into full arrays.  One march takes several fields
+solved on one grid for one set of dates and reads them together, so
+decompositions compared path by path share each slab's states and
+brackets.
 
 Paths that leave the spatial truncation are flagged and excluded from
 aggregates; a control with no included path is a numerical failure.
@@ -125,31 +128,36 @@ class Slab:
         return self.h[:, :self.steps.stop - self.steps.start]
 
 
-def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
-          bundle: PathBundle):
-    """Yield the decomposition along every path of the bundle as Slabs of
-    _BATCH columns, left to right.
+def march(band: VolBand, fields, bundle: PathBundle):
+    """Yield the decomposition of every field along every path of the
+    bundle, left to right, as one Slab per field for each run of _BATCH
+    columns.
 
+    The fields must be solved on one grid and band for one set of
+    monitoring dates (`ValueField.read_along` rejects any other stack).
     Each slab builds the states of its columns and of the next slab's
-    first, which give its steps' dX, reads the field once, through
-    `read_along`, and holds its arrays in Fortran order, so that a column
-    of every path is contiguous: numpy reduces and accumulates along rows
-    of 16 several times slower.
-    The slab's states also give its paths' running max |X| (`x_peak`),
-    from which the caller flags excluded paths without building the
-    states again.
+    first, which give its steps' dX, once for every field, and reads every
+    field in one stacked read, which brackets each query once.  It holds
+    its arrays in Fortran order, so that a column of every path is
+    contiguous: numpy reduces and accumulates along rows of 16 several
+    times slower.  The slab's states also give its paths' running max |X|
+    (`x_peak`, one array shared by the fields' slabs), from which the
+    caller flags excluded paths without building the states again.
     K and int H dX enter a slab as the first column of their running sums,
-    which add one column at a time in np.cumsum's order, so the slabs
-    agree bit for bit with one cumulative sum over all columns.  The
-    march's memory does not grow with the step count.
+    which add one column at a time in np.cumsum's order, so each field's
+    slabs agree bit for bit with one cumulative sum over all columns, and
+    with the march of that field alone.  The march's memory does not grow
+    with the step count.
     """
     if bundle.control.d != 1:
         raise ValueError("decomposition extraction is d=1 only")
+    fields = list(fields)
     times, alpha = bundle.times, bundle.alpha
     n_paths, m1 = bundle.n_paths, bundle.n_steps + 1
-    history = bundle.history(payoff)
+    history = bundle.history(fields[0].payoff)
     lo, up = band.lower_scalar, band.upper_scalar
-    y0, k_in, int_in = None, 0.0, 0.0
+    y0 = [None] * len(fields)
+    carry = [(0.0, 0.0)] * len(fields)     # K and int H dX entering a slab
     # allocated once, before the slabs' temporaries: a new (N,) array per
     # slab left glibc's heap pinned, and verify-all's peak RSS rose by
     # 40 MB
@@ -159,37 +167,43 @@ def march(payoff: PayoffSpec, band: VolBand, field: ValueField,
         steps = slice(start, min(cols.stop, m1 - 1))
         n = steps.stop - start
         x = bundle.states(slice(start, steps.stop + 1))
-        np.abs(x[:, :cols.stop - start], order="F").max(axis=1, out=peak)
+        at_cols = x[:, :cols.stop - start]
+        np.abs(at_cols, order="F").max(axis=1, out=peak)
         np.maximum(x_peak, peak, out=x_peak)
-        read, _ = field.read_along(times[cols], x[:, :cols.stop - start],
-                                   history)
-        y, h, d2u = (np.asfortranarray(column.reshape(n_paths, -1))
-                     for column in read.T)
-        if y0 is None:
-            y0 = y[:, :1].copy()
+        read, _ = fields[0].read_along(times[cols], at_cols, history,
+                                       stacked=fields[1:])
+        reads = read.T.reshape(len(fields), 3, n_paths, -1)
         # column 0 of the first slab is K_0 = 0 itself, not a carry
         first = 0 if start else 1
+        slabs = []
+        for f, quantities in enumerate(reads):
+            y, h, d2u = (np.asfortranarray(q) for q in quantities)
+            if y0[f] is None:
+                y0[f] = y[:, :1].copy()
+            k_in, int_in = carry[f]
 
-        # (g(gamma) - 0.5 * (alpha * gamma)) * dt, the increments of K
-        k = np.empty((n_paths, n + 1), order="F")
-        k[:, 0] = k_in
-        gamma = d2u[:, :n]
-        half = alpha[steps] * gamma
-        half *= 0.5
-        np.subtract(eval_g_scalar(gamma, lo, up), half, out=k[:, 1:])
-        del half
-        k[:, 1:] *= bundle.dt
-        _accumulate(k, first)
+            # (g(gamma) - 0.5 * (alpha * gamma)) * dt, the increments of K
+            k = np.empty((n_paths, n + 1), order="F")
+            k[:, 0] = k_in
+            gamma = d2u[:, :n]
+            half = alpha[steps] * gamma
+            half *= 0.5
+            np.subtract(eval_g_scalar(gamma, lo, up), half, out=k[:, 1:])
+            del half
+            k[:, 1:] *= bundle.dt
+            _accumulate(k, first)
 
-        # h * dX, the increments of int H dX
-        int_h_dx = np.empty((n_paths, n + 1), order="F")
-        int_h_dx[:, 0] = int_in
-        np.subtract(x[:, 1:n + 1], x[:, :n], out=int_h_dx[:, 1:])
-        int_h_dx[:, 1:] *= h[:, :n]
-        _accumulate(int_h_dx, first)
+            # h * dX, the increments of int H dX
+            int_h_dx = np.empty((n_paths, n + 1), order="F")
+            int_h_dx[:, 0] = int_in
+            np.subtract(x[:, 1:n + 1], x[:, :n], out=int_h_dx[:, 1:])
+            int_h_dx[:, 1:] *= h[:, :n]
+            _accumulate(int_h_dx, first)
 
-        yield Slab(cols, steps, y0, y, h, k, int_h_dx, x_peak)
-        k_in, int_in = k[:, -1], int_h_dx[:, -1]
+            slabs.append(Slab(cols, steps, y0[f], y, h, k, int_h_dx, x_peak))
+            carry[f] = k[:, -1], int_h_dx[:, -1]
+        del read, reads, quantities
+        yield tuple(slabs)
 
 
 def _accumulate(a, first: int):
@@ -218,7 +232,7 @@ def extract(payoff: PayoffSpec, band: VolBand, field: ValueField,
     """Sample the decomposition along every path of the bundle: the slabs
     of `march`, stacked."""
     arrays = np.empty((4, bundle.n_paths, bundle.n_steps + 1))
-    for s in march(payoff, band, field, bundle):
+    for s, in march(band, [field], bundle):
         for whole, part in zip(arrays, (s.y, s.h, s.k, s.int_h_dx)):
             whole[:, s.cols] = part
     return Decomposition(payoff, bundle.control.label, bundle.times,
@@ -309,7 +323,7 @@ def gmartingale_gap(payoff: PayoffSpec, band: VolBand, field: ValueField,
     def fold(bundle):
         res, dk = PathFold(np.maximum), PathFold(np.minimum)
         k_peak = PathFold(np.maximum)
-        for s in march(payoff, band, field, bundle):
+        for s, in march(band, [field], bundle):
             res.add(_abs_defect(s.y, s.y0, s.int_h_dx, s.k))
             dk.add(s.dk)
             k_peak.add(np.abs(s.k))

@@ -446,6 +446,29 @@ def test_represent_all_paths_excluded_exit_2(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_verify_apriori_alone_matches_shared_march(tmp_path):
+    # apriori reads the payoff's decomposition on the difference check's
+    # paths: alone it marches the payoff by itself, beside difference it
+    # takes the statistics of the difference check's march; same reports
+    path, _ = write_config(tmp_path, grid__n_x=121, grid__x_max=3.0,
+                           mc__n_paths=600, mc__n_steps=32,
+                           family__constant_controls=3)
+    apriori = {}
+    for suites in ("apriori", "apriori,difference",
+                   "bdg,apriori,difference,tower,doob,mollify"):
+        out = tmp_path / suites.replace(",", "-")
+        assert main(["verify", "--config", str(path), "--suite", suites,
+                     "--out", str(out), "--quiet"]) in (0, 3)
+        lines = (out / "reports.jsonl").read_text().splitlines()
+        checks = [json.loads(line)["config"]["check"] for line in lines]
+        # reports in the order the suites are named
+        assert list(dict.fromkeys(checks)) == suites.split(",")
+        apriori[suites] = [line for line, check in zip(lines, checks)
+                           if check == "apriori"]
+    assert len(apriori["apriori"]) == 2
+    assert len(set(map(tuple, apriori.values()))) == 1
+
+
 def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
     # as above: a control with no included path fails the suite instead of
     # dropping out of its sup
@@ -640,6 +663,12 @@ def test_readme_config_block_is_the_defaults():
     shown = {(section, key) for section in parser.sections()
              for key in parser[section]}
     assert shown == {(section, key) for section, key, _, _ in _KEYS}
+
+
+def test_python_m_gexpect_version():
+    run = _run_fresh("-m", "gexpect", "--version")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == gx.__version__
 
 
 def test_perfbench_spans_install():

@@ -100,9 +100,10 @@ def test_delta_norms_all_paths_excluded_raise(band12):
     grid = gx.SpaceTimeGrid(n_x=41, x_max=0.5)
     family = gx.ControlFamily.constants(band12, 9)
     payoff = gx.PayoffSpec.parse("sq(x1)")
+    fields = [conditional_expectation(p, band12, grid)
+              for p in (payoff, payoff.shifted(0.1))]
     with pytest.raises(NumericalError, match="all paths excluded"):
-        ineq._delta_norms(payoff, [payoff.shifted(0.1)], band12, grid,
-                          family, 64, 32, 20100920)
+        ineq._delta_norms(fields, band12, family, 64, 32, 20100920)
 
 
 def test_difference_identical_payoffs(band12, grid201, fam5):
@@ -415,12 +416,16 @@ def test_single_checks_match_old_calls(band12, fam5):
                                                         *args)]
             == [r.to_json() for r in _old_difference_check(payoff, other,
                                                            *args)])
-    assert (ineq._delta_norms(payoff, [other], *args)
+    fields = [conditional_expectation(p, band12, grid)
+              for p in (payoff, other)]
+    assert (ineq._delta_norms(fields, band12, *args[2:])[0]
             == [_old_delta_norms(payoff, other, *args)])
 
 
 @pytest.mark.parametrize("name, sweeps", [("bdg", 1), ("doob", 2),
-                                          ("difference", 4)])
+                                          ("difference", 4),
+                                          # apriori folds into difference
+                                          ("apriori,difference", 4)])
 def test_run_suite_draws_each_block_once(name, sweeps, band12, fam5,
                                          monkeypatch):
     draws = Counter()
@@ -433,8 +438,8 @@ def test_run_suite_draws_each_block_once(name, sweeps, band12, fam5,
 
     monkeypatch.setattr(mc, "iter_increment_blocks", counting)
     grid = gx.SpaceTimeGrid(n_x=61, x_max=4.0)
-    ineq.run_suite(name, gx.PayoffSpec.parse("sq(x1)"), band12, grid, fam5,
-                   mc.PATH_BLOCK + 100, 8, 97)
+    ineq.run_suites(name.split(","), gx.PayoffSpec.parse("sq(x1)"), band12,
+                    grid, fam5, mc.PATH_BLOCK + 100, 8, 97)
     assert set(draws.values()) == {1}
     assert len({seed for seed, _ in draws}) == sweeps
     assert len(draws) == 2 * sweeps

@@ -180,6 +180,16 @@ def test_transformations():
     assert spec.shifted(0.5).evaluate([[2.0]]) == pytest.approx(4.5)
 
 
+def test_absolute_is_the_payoff_when_non_negative():
+    # a non-negative payoff and its absolute value solve to one field
+    for src in ("sq(x1)", "min(abs(x1), 1)"):
+        spec = gx.PayoffSpec.parse(src)
+        assert spec.absolute() is spec
+    spec = gx.PayoffSpec.parse("clamp(x1, -1, 2)")
+    assert spec.absolute().source() == "abs(clamp(x1, -1.0, 2.0))"
+    assert spec.absolute().evaluate([[-0.5]]) == pytest.approx(0.5)
+
+
 def test_with_prepended_time():
     spec = gx.PayoffSpec.parse("min(abs(x1), 1)")
     lifted = spec.with_prepended_time(0.5)

@@ -376,13 +376,66 @@ def test_march_bit_equal_to_full_extract(band12, field_cache, full_extract,
     for name in ("times", "y", "h", "k", "int_h_dx", "excluded"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
 
-    slabs = list(rep.march(payoff, band12, field, bundle))
+    slabs = [s for s, in rep.march(band12, [field], bundle)]
     assert [s.cols.start for s in slabs] == list(range(0, n_steps + 1, 16))
     dk = np.concatenate([s.dk for s in slabs], axis=1)
     h_left = np.concatenate([s.h_left for s in slabs], axis=1)
     assert _same_bits(dk, np.diff(want.k, axis=1))
     assert _same_bits(h_left, want.h[:, :-1])
     assert _same_bits(rep.excluded(field, slabs[-1].x_peak), want.excluded)
+
+
+STACK_CASES = [
+    # 41 columns: a last slab of 9
+    (("sq(x1)", "call(x1, 0)", "min(abs(x1), 1)"), (1.0,), 40),
+    # the date inside a slab, and a last slab of one column
+    (("sq(x2 - x1)", "abs(x2 - x1)", "sq(x2 - x1) + 0.1"), (0.5, 1.0), 32),
+]
+
+
+@pytest.mark.parametrize("sources,times,n_steps", STACK_CASES)
+def test_stacked_march_bit_equal_per_field(band12, full_extract, sources,
+                                           times, n_steps):
+    # x_max = 3 excludes some paths
+    grid = gx.SpaceTimeGrid(n_x=121, x_max=3.0)
+    payoffs = [gx.PayoffSpec.parse(src, times) for src in sources]
+    fields = [gx.conditional_expectation(p, band12, grid) for p in payoffs]
+    bundle = gx.simulate(mc.ControlProcess.constant(2.0), 700, n_steps,
+                         seed=29)
+    stacked = list(rep.march(band12, fields, bundle))
+    assert [len(slabs) for slabs in stacked] == [3] * len(stacked)
+    for f, (payoff, field) in enumerate(zip(payoffs, fields)):
+        mine = [slabs[f] for slabs in stacked]
+        alone = [s for s, in rep.march(band12, [field], bundle)]
+        assert len(mine) == len(alone)
+        for got, one in zip(mine, alone):
+            assert (got.cols, got.steps) == (one.cols, one.steps)
+            for name in ("y0", "y", "h", "k_ext", "int_ext"):
+                assert _same_bits(getattr(got, name), getattr(one, name))
+        want = full_extract(payoff, band12, field, bundle)
+        for name in ("y", "h", "k", "int_h_dx"):
+            got = np.concatenate([getattr(s, name) for s in mine], axis=1)
+            assert _same_bits(np.ascontiguousarray(got), getattr(want, name))
+        assert _same_bits(rep.excluded(field, mine[-1].x_peak),
+                          want.excluded)
+        assert want.excluded.any() and not want.excluded.all()
+
+
+def test_stacked_march_rejects_other_grids_or_dates(band12, grid201,
+                                                    field_cache):
+    payoff = gx.PayoffSpec.parse("sq(x1)")
+    others = [
+        gx.conditional_expectation(payoff, band12,
+                                   gx.SpaceTimeGrid(n_x=101, x_max=8.0)),
+        gx.conditional_expectation(payoff, gx.VolBand.scalar(1.0, 3.0),
+                                   grid201),
+        gx.value_field(payoff, band12, grid201),
+        field_cache("sq(x2 - x1)", (0.5, 1.0)),
+    ]
+    bundle = gx.simulate(mc.ControlProcess.constant(1.5), 50, 16, seed=3)
+    for other in others:
+        with pytest.raises(ValueError, match="one grid"):
+            next(rep.march(band12, [field_cache("sq(x1)"), other], bundle))
 
 
 def _full_gap(payoff, band, field, family, n_paths, n_steps, seed, degree,
@@ -453,6 +506,8 @@ def test_sweeps_hold_few_block_sized_arrays(band12, grid201, field_cache):
 
     payoff = gx.PayoffSpec.parse("sq(x1)")
     field = field_cache("sq(x1)")
+    shifted = gx.conditional_expectation(payoff.shifted(0.1), band12,
+                                         grid201)
     fam = gx.ControlFamily.constants(band12, 2)
     n, m = mc.PATH_BLOCK, 512
     peaks = {
@@ -461,8 +516,7 @@ def test_sweeps_hold_few_block_sized_arrays(band12, grid201, field_cache):
         "apriori": _block_peak(lambda: ineq.apriori_check(
             payoff, band12, field, fam, n, m, seed=3), n, m),
         "difference": _block_peak(lambda: ineq._delta_norms(
-            payoff, [payoff.shifted(0.1)], band12, grid201, fam, n, m,
-            seed=3), n, m),
+            [field, shifted], band12, fam, n, m, seed=3), n, m),
         "bdg": _block_peak(lambda: ineq.bdg_check(
             list(ineq.H_BUILTINS.values()), fam, n, m, seed=3), n, m),
     }
