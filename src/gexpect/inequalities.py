@@ -5,18 +5,18 @@ used, the declared slack (grid tolerance plus twice the relevant Monte Carlo
 standard errors, printed explicitly), the margin, and a configuration
 fingerprint that reproduces the run bit for bit.
 
-Seed policy: when the two sides of an inequality are independent quantities
-they are estimated on distinct derived sub-seeds; pathwise-coupled chains
-(the two-sided integral bound, the energy estimates) intentionally share
-paths.  Estimates that share a seed share one sweep: the bdg, doob and
-difference checks take lists (integrands, payoffs, second payoffs) and
-fold every item into the sweeps of their sub-seeds, so each path block is
-drawn, and each decomposition marched, once per block.  The energy
-estimates (apriori) and the difference check's pathwise norms both need
-the payoff's decomposition, so both read it on the sub-seed
-`difference-paths`: in a run of both suites, apriori's statistics are
-folded from the payoff's slabs of the difference check's stacked march,
-and the payoff is solved and marched once.
+Seed policy: the two sides of an inequality are estimated on distinct
+derived sub-seeds when they are independent quantities (doob), and on
+shared paths when they are pathwise coupled (the two-sided integral bound,
+the energy estimates, every norm of the difference check).  Estimates
+that share a seed share one sweep: the bdg, doob and difference checks
+take lists (integrands, payoffs, second payoffs) and fold every item into
+the sweeps of their sub-seeds, so each path block is drawn, and each
+decomposition marched, once per block.  Apriori and the difference check
+both read the payoff's decomposition on the sub-seed `difference-paths`:
+in a run of both suites, apriori's statistics are folded from the
+payoff's slabs of the difference check's stacked march, and the payoff is
+solved and marched once.
 """
 
 import hashlib
@@ -45,6 +45,9 @@ APRIORI_AGGREGATE_CONSTANT = 4.0 + math.sqrt(54.0)
 # 0.23, frozen with 4x headroom.  difference_check flags pairs implying > 2x.
 DIFFERENCE_CSTAR = 1.0
 TOWER_SLACK = 2e-2                     # grid tolerance of the tower identity
+# rounding model of the scheme's exact orders (the Peng-axiom property
+# test's): slack AXIOM_SLACK * eps * (max|u1| + max|u2| + 1) * march steps
+AXIOM_SLACK = 0.1
 MOLLIFY_EPSILONS = (0.1, 0.05, 0.025)  # smoothing widths of the mollify sweep
 MOLLIFY_RATIO_TOL = 0.25               # largest spread of gap / epsilon
 
@@ -271,19 +274,21 @@ def _solver(band: VolBand, grid: SpaceTimeGrid):
     return solve
 
 
-def _delta_norms(fields, band, family, n_paths, n_steps, seed):
+def _delta_norms(fields, band, family, n_paths, n_steps, seed,
+                 dxi_fields=(), norm_folds=()):
     """sup-over-family norms of the pathwise differences (dY, dH, dK) of
-    the decomposition of fields[0] against that of each later field, in
-    one sweep; and apriori's per-control statistics (`_Energy.partials`)
-    of fields[0]'s decomposition, from the same slabs.
+    fields[0]'s decomposition against each later field's, in one sweep of
+    the sub-seed `difference-paths` with one stacked march per block; on
+    the same bundles, the L2 norms of dxi_fields (|dxi|'s field per later
+    field) and of norm_folds (`lp_norm_fold`s); and apriori's statistics
+    (`_Energy.partials`) of fields[0]'s decomposition.
 
-    The time sup of dY runs over the same node count the conditional-norm
-    estimator uses, so both sides of the value inequality discretize the
-    continuous-time sup identically.  Per block every field is marched in
-    one stacked march, so the differences fold into per-path running sups
-    and sums and no full decomposition is ever held.  Returns (norms,
-    energy): per later field (||dY||, its stderr, ||dH||, ||dK||), and per
-    control the apriori partials.
+    dY and u[|dxi|] are read at the `sup_grid` columns (t = 1 from the
+    field) of the same included paths.  The scheme is monotone and
+    sublinear and multilinear reads keep order, so sup |dY| <= sup
+    u[|dxi|] path by path, up to rounding.  Returns (norms, energy, dxis,
+    folded): per later field (||dY||, its stderr, ||dH||, ||dK||), per
+    control the apriori partials, a `NormEstimate` per |dxi| and per fold.
     """
     grid_idx = mc.sup_grid(fields[0].payoff.times, n_steps)
 
@@ -302,77 +307,80 @@ def _delta_norms(fields, band, family, n_paths, n_steps, seed):
                 dk.add(np.abs(s1.k - s2.k))
         # the fields share one grid, so one exclusion mask holds for all
         inc = ~excluded(fields[0], s1.x_peak)
+        x, dxi = bundle.states(grid_idx), []
+        for f in dxi_fields:
+            read, _ = f.read_along(bundle.times[grid_idx], x,
+                                   bundle.history(f.payoff))
+            sup = read[:, 0].reshape(x.shape).max(axis=1)
+            dxi.append((Moments.of(sup[inc] ** 2),))
         return (energy.partials(s1, inc),
                 tuple((Moments.of(dy.value[inc] ** 2),
                        Moments.of(dh.value[inc]),
                        Moments.of(dk.value[inc] ** 2))
-                      for dy, dh, dk in folds))
+                      for dy, dh, dk in folds),
+                tuple(dxi), tuple(f(bundle) for f in norm_folds))
 
     stats = mc.sweep(family, n_paths, n_steps,
                      derive_seed(seed, "difference-paths"), fold)
     norms = []
-    for per_pair in zip(*(pairs for _, pairs in stats)):
+    for per_pair in zip(*(pairs for _, pairs, *_ in stats)):
         require_included(family, per_pair)
         dy, dy_se = max(per_pair, key=lambda s: s[0].mean)[0].root(2)
         dh2, dk2 = (max(s[i].mean for s in per_pair) for i in (1, 2))
         norms.append((dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)))
-    return norms, [energy for energy, _ in stats]
-
-
-def _l2_norms(payoffs, solve, tag: str, family: ControlFamily, n_paths: int,
-              n_steps: int, seed: int) -> list:
-    """Conditional L2 norm of each payoff, all on the sub-seed `tag` in one
-    sweep, each on the field solve(payoff.absolute())."""
-    folds = [mc.lp_norm_fold(payoff, 2.0, solve(payoff.absolute()), n_steps)
-             for payoff in payoffs]
-    per_payoff = mc.sweep_each(family, n_paths, n_steps,
-                               derive_seed(seed, tag), folds)
-    return [mc.norm_estimate(family, stats, 2.0) for stats in per_payoff]
+    dxis, folded = ([mc.norm_estimate(family, per_item, 2.0)
+                     for per_item in zip(*(s[i] for s in stats))]
+                    for i in (2, 3))
+    return norms, [s[0] for s in stats], dxis, folded
 
 
 def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
                      grid: SpaceTimeGrid, family: ControlFamily,
-                     n_paths: int, n_steps: int, seed: int) -> list:
+                     n_paths: int, n_steps: int, seed: int,
+                     energy: list | None = None) -> list:
     """Stability of the decomposition in the terminal payoff, of payoff1
     against each of payoffs2.
 
     ||dY||_sup <= ||dxi||  and  ||dH|| + ||dK|| <= C* (||dxi|| +
     (||xi1||^1/2 + ||xi2||^1/2) ||dxi||^1/2) with the frozen calibrated C*.
-    One sweep per sub-seed, shared by every pair, and ||xi1|| estimated
-    once.
-    """
-    return _difference(payoff1, payoffs2, band, grid, family, n_paths,
-                       n_steps, seed)[0]
-
-
-def _difference(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
-                seed):
-    """difference_check's reports, and apriori's per-control statistics
-    of payoff1 from the sweep of its decomposition (`_delta_norms`).
-
-    Each distinct field is solved once: a payoff's own field serves its
-    L2 norm too when the payoff is non-negative (`PayoffSpec.absolute`)."""
+    Every norm comes from one sweep of `difference-paths` (`_delta_norms`),
+    where the value inequality holds path by path: its slack is rounding,
+    AXIOM_SLACK * eps * scale * march steps with scale = max|u[xi1]| +
+    max|u[xi2]| + 1.  The decomposition keeps twice the sum of its norms'
+    standard errors, valid for coupled estimates too.  A given `energy`
+    list receives apriori's statistics of payoff1.  Each distinct field is
+    solved once (`PayoffSpec.absolute`); the |dxi| fields store only the
+    slices that the sup grid's times bracket."""
     if any(payoff1.times != p2.times for p2 in payoffs2):
         raise ValueError("difference check needs matching monitoring dates")
-    deltas = [PayoffSpec(Expr("sub", payoff1.expr, p2.expr), payoff1.times)
-              for p2 in payoffs2]
-    args = (family, n_paths, n_steps, seed)
-    # the differences' fields serve dxi alone: solved apart, they are
-    # freed before the payoffs' own are solved
-    dxis = _l2_norms(deltas, _solver(band, grid), "difference-dxi", *args)
+    payoffs = [payoff1, *payoffs2]
+    reads = np.linspace(0.0, 1.0, n_steps + 1)[
+        mc.sup_grid(payoff1.times, n_steps)]
+    dxi_fields = [conditional_expectation(
+        PayoffSpec(Expr("sub", payoff1.expr, p2.expr),
+                   payoff1.times).absolute(), band, grid, reads)
+        for p2 in payoffs2]
     solve = _solver(band, grid)
-    fields = [solve(p) for p in (payoff1, *payoffs2)]
-    xi1, = _l2_norms([payoff1], solve, "difference-xi1", *args)
-    xi2s = _l2_norms(payoffs2, solve, "difference-xi2", *args)
-    norms, energy = _delta_norms(fields, band, *args)
+    fields = [solve(p) for p in payoffs]
+    norms, stats, dxis, (xi1, *xi2s) = _delta_norms(
+        fields, band, family, n_paths, n_steps, seed, dxi_fields,
+        [mc.lp_norm_fold(p, 2.0, solve(p.absolute()), n_steps)
+         for p in payoffs])
+    if energy is not None:
+        energy[:] = stats
+    dates = (0.0,) + payoff1.times
+    steps = sum(grid.steps_for(band, s, t) for s, t in zip(dates, dates[1:]))
+    u_max = [max(max(iv.values.max(), -iv.values.min())
+                 for iv in f.intervals).item() for f in fields]
     reports = []
-    for payoff2, dxi, xi2, (dy, dy_se, dh, dk) in zip(
-            payoffs2, dxis, xi2s, norms, strict=True):
+    for payoff2, u2, dxi, xi2, (dy, dy_se, dh, dk) in zip(
+            payoffs2, u_max[1:], dxis, xi2s, norms, strict=True):
         config = {"check": "difference", "payoff1": payoff1.source(),
                   "payoff2": payoff2.source(),
                   "grid": [grid.n_x, grid.x_max, grid.cfl_fraction],
                   **_mc_config(band, family, n_paths, n_steps, seed)}
-        slack1 = 2.0 * (dy_se + dxi.stderr) + 1e-9 * (1.0 + dxi.value)
+        scale = u_max[0] + u2 + 1.0
+        slack1 = AXIOM_SLACK * float(np.finfo(float).eps) * scale * steps
         r1 = InequalityReport("difference-value", dy, dxi.value, 1.0, slack1,
                               {"delta_y": dy_se, "delta_xi": dxi.stderr},
                               config)
@@ -388,7 +396,7 @@ def _difference(payoff1, payoffs2, band, grid, family, n_paths, n_steps,
                               {"delta_xi": dxi.stderr, "xi1": xi1.stderr,
                                "xi2": xi2.stderr}, cfg2)
         reports += [r1, r2]
-    return reports, energy
+    return reports
 
 
 def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
@@ -411,8 +419,7 @@ def tower_check(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     field = value_field(payoff, band, grid)
     column = field.x.reshape(-1, 1)
     inner, _ = field.read_along([t], column, column)
-    refed = solve_interval(inner[:, 0], band, grid, (0.0, t),
-                           value_only=True)
+    refed = solve_interval(inner[:, 0], band, grid, (0.0, t), reads=[0.0])
     outer = float(refed.values[0, grid.n_x // 2])
     base = field.value(0.0, (), 0.0)
     config = {"check": "tower", "payoff": payoff.source(), "t": t,
@@ -437,8 +444,12 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     if any(payoff.sup_bound is None for payoff in payoffs):
         raise ValueError("doob check expects a bounded payoff")
     c_p = math.sqrt(p / (p - 2.0))
-    lhs = _l2_norms(payoffs, _solver(band, grid), "doob-lhs", family,
-                    n_paths, n_steps, seed)
+    solve = _solver(band, grid)
+    per_payoff = mc.sweep_each(
+        family, n_paths, n_steps, derive_seed(seed, "doob-lhs"),
+        [mc.lp_norm_fold(payoff, 2.0, solve(payoff.absolute()), n_steps)
+         for payoff in payoffs])
+    lhs = [mc.norm_estimate(family, stats, 2.0) for stats in per_payoff]
 
     # p-th moment norm: sup over the family of E|xi|^p, evaluated at the
     # monitoring dates only
@@ -494,51 +505,37 @@ def mollify_check(band: VolBand) -> list:
 
 SUITES = ("bdg", "apriori", "difference", "tower", "doob", "mollify")
 
-# apriori's per-control statistics of the payoff's decomposition, as the
-# last difference suite folded them in its `difference-paths` sweep, with
-# that suite's run_suite arguments: the apriori suite on the same argument
-# objects takes them instead of solving and marching xi again, and gets the
-# reports a march of xi alone on that sub-seed gives, bit for bit
-_folded_energy = []
-
 
 def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
               grid: SpaceTimeGrid, family: ControlFamily, n_paths: int,
-              n_steps: int, seed: int) -> list:
+              n_steps: int, seed: int, energy: list | None = None) -> list:
     """Named verification suite over the configured payoff/band/family.
 
     Each suite is one call of its check, with every integrand or payoff
-    in one list, so checks that share a seed share its sweep: bdg makes
-    one, doob two and difference four, each block drawn once per sweep.
-    The difference suite marches the payoff's decomposition with its
-    shifted and scaled companions in one stacked march per block, and
-    folds apriori's statistics from the payoff's slabs of it.  The apriori
-    suite takes them when the last difference suite ran on the same
-    arguments (`run_suites` runs it after that one), and otherwise solves
-    and marches the payoff alone on the same sub-seed: the same reports
-    either way, and no sweep of its own after a difference suite.
+    in one list, so checks that share a seed share its sweep: bdg and
+    difference make one sweep, doob two, each block drawn once per sweep.
+    `energy` hands apriori's statistics on within one run (`run_suites`
+    passes the same list to every suite): the difference suite, which
+    marches the payoff with its shifted and scaled companions in one
+    stacked march per block, fills it from the payoff's slabs, and an
+    apriori suite given it filled reports from it instead of marching the
+    payoff alone on the same sub-seed, with the same reports.
     """
-    args = (payoff, band, grid, family, n_paths, n_steps, seed)
     if name == "bdg":
         return bdg_check(list(H_BUILTINS.values()), family, n_paths, n_steps,
                          seed)
     if name == "apriori":
-        if _folded_energy and all(a is b for a, b in
-                                  zip(_folded_energy[0][0], args)):
-            _, stats = _folded_energy.pop()
+        if energy:
             return _apriori_reports(payoff, band, family, n_paths, n_steps,
-                                    seed, stats)
+                                    seed, energy)
         field = conditional_expectation(payoff, band, grid)
         return apriori_check(payoff, band, field, family, n_paths,
                              n_steps, seed)
     if name == "difference":
         scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
                             payoff.times)
-        reports, energy = _difference(payoff, [payoff.shifted(0.1), scaled],
-                                      band, grid, family, n_paths, n_steps,
-                                      seed)
-        _folded_energy[:] = [(args, energy)]
-        return reports
+        return difference_check(payoff, [payoff.shifted(0.1), scaled], band,
+                                grid, family, n_paths, n_steps, seed, energy)
     if name == "tower":
         lifted = payoff if payoff.n > 1 else payoff.with_prepended_time(0.5)
         return [tower_check(lifted, band, grid, lifted.times[0])]
@@ -557,12 +554,13 @@ def run_suites(names, payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
                family: ControlFamily, n_paths: int, n_steps: int,
                seed: int) -> list:
     """The reports of the named suites, in the order named, each suite one
-    `run_suite` call.  Apriori suites run after the others, so that a
-    difference suite of the run has folded the payoff's statistics for
-    them and the payoff is marched once."""
+    `run_suite` call.  Apriori suites run after the others and are passed
+    the statistics a difference suite of the run folded from its sweep,
+    so the payoff is marched once."""
     names = list(names)
     reports = [None] * len(names)
+    energy = []
     for i in sorted(range(len(names)), key=lambda i: names[i] == "apriori"):
         reports[i] = run_suite(names[i], payoff, band, grid, family, n_paths,
-                               n_steps, seed)
+                               n_steps, seed, energy)
     return [r for suite in reports for r in suite]

@@ -21,10 +21,10 @@ last-interval solution is restarted at each earlier date with the diagonal
 re-read v(t_i, ..., x, x) as new terminal data.  Parameter grids coincide
 with the spatial grid, so the diagonal is a node-exact read.  Solved fields
 store every time step when no parameter axes are present and a strided
-subset otherwise.  A value field (`value_field`), which `price`,
-`g_expectation` and the tower check use, keeps only each interval's first
-two time slices and its terminal data: all that a read at t = 0 or at an
-interval's start uses.
+subset otherwise; a solve told its read times keeps only the slices they
+bracket and each interval's two ends, and reads at those times equal the
+full field's bit for bit.  `value_field` (`price`, the tower check) is
+the case of reads at each interval's start.
 
 Fields are read in one pass, along path grids: paths (N, M) with one time
 per column.  The value, the gradient and the second difference all come
@@ -139,12 +139,21 @@ def _store_steps(n_steps: int, param_dim: int, interior: int) -> np.ndarray:
     return marks[marks > 0].astype(np.intp)
 
 
-def _schedule(band, grid, interval, param_dim, value_only):
-    """March steps over interval and the stored ones (the last two when
-    value_only)."""
-    n_steps = grid.steps_for(band, *interval)
+def _schedule(band, grid, interval, param_dim, reads):
+    """March steps over interval, the stored ones and their ascending times:
+    with reads (times), only the slices those bracket and the two ends."""
+    t0, t1 = interval
+    n_steps = grid.steps_for(band, t0, t1)
     steps = _store_steps(n_steps, param_dim, grid.param_time_slices)
-    return n_steps, (steps[-2:] if value_only else steps)
+    # stored slice j + 1 sits at t1 - steps[j] * dt; the last step ends at t0
+    times = np.concatenate(([t0], t1 - steps[-2::-1] * ((t1 - t0) / n_steps),
+                            [t1]))
+    if reads is None:
+        return n_steps, steps, times
+    it, _ = _bracket_time(times, np.clip(reads, t0, t1))
+    keep = np.zeros(len(times), dtype=bool)
+    keep[[0, -1]] = keep[it] = keep[it + 1] = True
+    return n_steps, steps[keep[-2::-1]], times[keep]
 
 
 def _charge(need: int):
@@ -157,11 +166,11 @@ def _charge(need: int):
 
 
 def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
-                   interval, value_only: bool = False) -> IntervalField:
-    """March terminal_data (..., n_x) backward over interval = (s, t).
-    value_only stores only the last two slices of the full schedule: the
-    start slice, which a restart and the (0, 0) read use, and the slice
-    the read brackets it with."""
+                   interval, reads=None) -> IntervalField:
+    """March terminal_data (..., n_x) backward over interval = (s, t),
+    storing every slice of the schedule, or with `reads` (times) only the
+    slices those bracket and the two ends: the start slice, which a
+    restart uses, and the terminal data."""
     if band.d != 1:
         raise ValueError("the PDE solver is implemented for d = 1")
     t0, t1 = float(interval[0]), float(interval[1])
@@ -175,8 +184,8 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
 
     param_shape = data.shape[:-1]
     rows = int(np.prod(param_shape, dtype=np.int64)) if param_shape else 1
-    n_steps, steps = _schedule(band, grid, (t0, t1), len(param_shape),
-                               value_only)
+    n_steps, steps, times = _schedule(band, grid, (t0, t1), len(param_shape),
+                                      reads)
     _charge(field_bytes(rows, len(steps) + 1, grid.n_x))
     dt = (t1 - t0) / n_steps
     n_stored = len(steps) + 1
@@ -188,12 +197,6 @@ def solve_interval(terminal_data, band: VolBand, grid: SpaceTimeGrid,
     stored[0] = work
     kernels.march_explicit_1d(work, band.lower_scalar, band.upper_scalar,
                               dt, grid.dx, n_steps, steps, stored[1:])
-
-    times = np.empty(n_stored)
-    times[0] = t1
-    times[1:] = t1 - steps * dt
-    times = times[::-1].copy()
-    times[0], times[-1] = t0, t1
     return IntervalField(t0, t1, times,
                          values.reshape(*param_shape, n_stored, grid.n_x))
 
@@ -490,37 +493,15 @@ class ValueField:
 
 
 def conditional_expectation(payoff: PayoffSpec, band: VolBand,
-                            grid: SpaceTimeGrid) -> ValueField:
-    """Solve the nested field so conditional values are readable anywhere.
+                            grid: SpaceTimeGrid, reads=None) -> ValueField:
+    """Solve the nested field so conditional values are readable anywhere,
+    or, bit for bit, only at the times `reads` (`solve_interval`'s rule,
+    each interval given the reads that `read_along` assigns to it).
 
     Marches the last interval first, restarting each earlier one with the
     node-exact diagonal of its successor.  Rejects more than three
     monitoring dates (parameter storage grows as n_x^(n-1)).
     """
-    return _solve(payoff, band, grid, value_only=False)
-
-
-def value_field(payoff: PayoffSpec, band: VolBand,
-                grid: SpaceTimeGrid) -> ValueField:
-    """The intervals `conditional_expectation` marches, each storing only
-    its two start slices and its terminal data.
-
-    A read at the start of an interval (the price at t = 0, a restart
-    date) brackets the same two slices as on the full field, so it gives
-    the same value bit for bit; a read later in an interval lerps across
-    the slices that were not stored."""
-    return _solve(payoff, band, grid, value_only=True)
-
-
-def g_expectation(payoff: PayoffSpec, band: VolBand,
-                  grid: SpaceTimeGrid) -> float:
-    """Worst-case expectation: `value_field` read at (t=0, x=0)."""
-    return value_field(payoff, band, grid).value(0.0, (), 0.0)
-
-
-def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
-           value_only: bool) -> ValueField:
-    """The interval loop of `conditional_expectation` and `value_field`."""
     if payoff.n > 3:
         raise ValueError("at most three monitoring dates are supported")
     if band.d != 1:
@@ -528,10 +509,14 @@ def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     x = grid.x_nodes()
     n = payoff.n
     times = (0.0,) + payoff.times
+    if reads is not None:
+        part = np.searchsorted(times[1:-1], reads, side="right")
+    reads = [None if reads is None else np.asarray(reads)[part == i]
+             for i in range(n)]
     # charge the last interval before its n_x^n terminal block is
     # evaluated, and charge that block too: it stays alive beside the
     # march's working rows, as one more stored slice
-    _, steps = _schedule(band, grid, times[-2:], n - 1, value_only)
+    _, steps, _ = _schedule(band, grid, times[-2:], n - 1, reads[-1])
     _charge(field_bytes(grid.n_x ** (n - 1), len(steps) + 2, grid.n_x))
     open_axes = [x.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
                  for j in range(n)]
@@ -543,12 +528,27 @@ def _solve(payoff: PayoffSpec, band: VolBand, grid: SpaceTimeGrid,
     for i in range(n, 0, -1):
         intervals[i - 1] = solve_interval(terminal, band, grid,
                                           (times[i - 1], times[i]),
-                                          value_only)
+                                          reads[i - 1])
         if i > 1:
             first = intervals[i - 1].values[..., 0, :]
             terminal = np.ascontiguousarray(
                 np.diagonal(first, axis1=-2, axis2=-1))
     return ValueField(intervals, x, payoff=payoff, grid=grid)
+
+
+def value_field(payoff: PayoffSpec, band: VolBand,
+                grid: SpaceTimeGrid) -> ValueField:
+    """`conditional_expectation` read at each interval's start (the price
+    at t = 0, a restart date) only: two start slices and the terminal data
+    per interval; a later read lerps across the slices not stored."""
+    return conditional_expectation(payoff, band, grid,
+                                   reads=(0.0,) + payoff.times[:-1])
+
+
+def g_expectation(payoff: PayoffSpec, band: VolBand,
+                  grid: SpaceTimeGrid) -> float:
+    """Worst-case expectation: `value_field` read at (t=0, x=0)."""
+    return value_field(payoff, band, grid).value(0.0, (), 0.0)
 
 
 def derivatives(field: ValueField):

@@ -134,6 +134,57 @@ def test_difference_scaled_call(band12, grid201, fam5):
     assert not r2.config["cstar_flagged"]
 
 
+# The scheme is monotone and sublinear, so |u[xi1] - u[xi2]| <= u[|xi1 - xi2|]
+# at every node, and multilinear reads keep the order: on one set of paths
+# sup |dY| <= sup u[|dxi|] path by path, and difference-value holds up to
+# the rounding model of test_pde's Peng-axiom test (0.1 * eps * scale *
+# march steps), with no Monte Carlo error in its slack.
+@pytest.mark.parametrize("source1, source2, affine", [
+    ("sq(x1)", "0.9 * sq(x1)", True),
+    ("sq(x1)", "sq(x1) + 0.3 * abs(x1)", False),
+    ("min(abs(x1), 1)", "call(x1, 0)", False),
+])
+def test_difference_value_is_exact_pathwise(band12, fam5, source1, source2,
+                                            affine):
+    grid = gx.SpaceTimeGrid(n_x=121, x_max=3.0)     # excludes some paths
+    payoff1, payoff2 = (gx.PayoffSpec.parse(s) for s in (source1, source2))
+    scale = 1.0 + sum(
+        float(np.abs(conditional_expectation(p, band12, grid).intervals[0]
+                     .values).max()) for p in (payoff1, payoff2))
+    slack = (0.1 * np.finfo(float).eps * scale
+             * grid.steps_for(band12, 0.0, 1.0))
+    for seed in (1, 2, 3, 135):
+        r, _ = ineq.difference_check(payoff1, [payoff2], band12, grid, fam5,
+                                     700, 32, seed)
+        assert r.slack == pytest.approx(slack, rel=1e-12)
+        assert r.left <= r.right + slack, seed
+        if affine:
+            # |0.9 xi - xi| = 0.1 |xi|: both sides estimate one number
+            assert abs(r.left - r.right) <= slack, seed
+
+
+def test_difference_value_detects_a_field_on_a_narrower_band(band12, fam5,
+                                                             monkeypatch):
+    # the |dxi| fields (the solves told their read times) solved on [1, 1.9]
+    # instead of [1, 2]: u[0.1 xi] falls short by about 0.01 (1 - t), which
+    # the Monte Carlo slack of a two-sample gate (about 0.03) would hide
+    solve = ineq.conditional_expectation
+
+    def narrow(payoff, band, grid, reads=None):
+        if reads is not None:
+            band = gx.VolBand.scalar(1.0, 1.9)
+        return solve(payoff, band, grid, reads)
+
+    monkeypatch.setattr(ineq, "conditional_expectation", narrow)
+    payoff = gx.PayoffSpec.parse("sq(x1)")
+    scaled = gx.PayoffSpec(gx.const(0.9) * payoff.expr, payoff.times)
+    grid = gx.SpaceTimeGrid(n_x=121, x_max=6.0)
+    for seed in (1, 2, 3):
+        r, _ = ineq.difference_check(payoff, [scaled], band12, grid, fam5,
+                                     700, 32, seed)
+        assert not r.passed and r.margin < -1e-3, seed
+
+
 def test_tower_nested_increment(band12, grid401):
     payoff = gx.PayoffSpec.parse("sq(x2 - x1)", times=(0.5, 1.0))
     r = ineq.tower_check(payoff, band12, grid401, 0.5)
@@ -298,10 +349,27 @@ def _old_delta_norms(payoff1, payoff2, band, grid, family, n_paths, n_steps,
     return dy, dy_se, math.sqrt(dh2), math.sqrt(dk2)
 
 
-def _old_l2_norm(payoff, tag, band, grid, family, n_paths, n_steps, seed):
+def _old_l2_norm(payoff, band, grid, family, n_paths, n_steps, seed):
     f = conditional_expectation(payoff.absolute(), band, grid)
     return mc.lp_norm_detail(payoff, 2.0, family, f, n_paths, n_steps,
-                             derive_seed(seed, tag))
+                             derive_seed(seed, "difference-paths"))
+
+
+def _old_dxi_norm(delta, band, grid, family, n_paths, n_steps, seed):
+    # |dxi|'s full field, extracted along the difference paths: its sup over
+    # the sup grid (t = 1 read from the field) on the included paths
+    absolute = delta.absolute()
+    f = conditional_expectation(absolute, band, grid)
+    grid_idx = mc.sup_grid(delta.times, n_steps)
+
+    def fold(bundle):
+        dec = extract(absolute, band, f, bundle)
+        return Moments.of(dec.y[dec.included][:, grid_idx].max(axis=1) ** 2),
+
+    stats = mc.sweep(family, n_paths, n_steps,
+                     derive_seed(seed, "difference-paths"), fold)
+    require_included(family, stats)
+    return mc.norm_estimate(family, stats, 2.0)
 
 
 def _old_difference_check(payoff1, payoff2, band, grid, family, n_paths,
@@ -310,10 +378,10 @@ def _old_difference_check(payoff1, payoff2, band, grid, family, n_paths,
         raise ValueError("difference check needs matching monitoring dates")
     delta = PayoffSpec(Expr("sub", payoff1.expr, payoff2.expr), payoff1.times)
     args = (band, grid, family, n_paths, n_steps, seed)
-    dxi = _old_l2_norm(delta, "difference-dxi", *args)
+    dxi = _old_dxi_norm(delta, *args)
     if xi1 is None:
-        xi1 = _old_l2_norm(payoff1, "difference-xi1", *args)
-    xi2 = _old_l2_norm(payoff2, "difference-xi2", *args)
+        xi1 = _old_l2_norm(payoff1, *args)
+    xi2 = _old_l2_norm(payoff2, *args)
     dy, dy_se, dh, dk = _old_delta_norms(payoff1, payoff2, *args)
     config = {"check": "difference", "payoff1": payoff1.source(),
               "payoff2": payoff2.source(),
@@ -321,7 +389,12 @@ def _old_difference_check(payoff1, payoff2, band, grid, family, n_paths,
               "grid": [grid.n_x, grid.x_max, grid.cfl_fraction],
               "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
               "family": [c.label for c in family]}
-    slack1 = 2.0 * (dy_se + dxi.stderr) + 1e-9 * (1.0 + dxi.value)
+    # rounding slack of the pathwise order: no Monte Carlo error
+    scale = 1.0 + sum(
+        float(np.abs(conditional_expectation(p, band, grid).intervals[0]
+                     .values).max()) for p in (payoff1, payoff2))
+    steps = grid.steps_for(band, 0.0, 1.0)
+    slack1 = ineq.AXIOM_SLACK * float(np.finfo(float).eps) * scale * steps
     r1 = InequalityReport("difference-value", dy, dxi.value, 1.0, slack1,
                           {"delta_y": dy_se, "delta_xi": dxi.stderr}, config)
     bracket = dxi.value + ((math.sqrt(xi1.value) + math.sqrt(xi2.value))
@@ -369,7 +442,7 @@ def _old_run_suite(name, payoff, band, grid, family, n_paths, n_steps, seed):
         return reports
     if name == "difference":
         args = (band, grid, family, n_paths, n_steps, seed)
-        xi1 = _old_l2_norm(payoff, "difference-xi1", *args)
+        xi1 = _old_l2_norm(payoff, *args)
         scaled = PayoffSpec(Expr("mul", Expr("const", 0.9), payoff.expr),
                             payoff.times)
         return [r for other in (payoff.shifted(0.1), scaled)
@@ -423,9 +496,9 @@ def test_single_checks_match_old_calls(band12, fam5):
 
 
 @pytest.mark.parametrize("name, sweeps", [("bdg", 1), ("doob", 2),
-                                          ("difference", 4),
+                                          ("difference", 1),
                                           # apriori folds into difference
-                                          ("apriori,difference", 4)])
+                                          ("apriori,difference", 1)])
 def test_run_suite_draws_each_block_once(name, sweeps, band12, fam5,
                                          monkeypatch):
     draws = Counter()

@@ -321,18 +321,42 @@ def test_value_only_solve_bit_equal_to_field_read(band12, source, times,
                               field.read_along([t], column, history)[0])
 
 
+@pytest.mark.parametrize("source, times, n_x", [
+    ("call(x1, 0.3)", (1.0,), 201),
+    ("sq(x2 - x1)", (0.5, 1.0), 201),
+    ("sq(x3 - x2) + abs(x1)", (0.25, 0.5, 1.0), 41),
+])
+def test_solve_for_read_times_bit_equal_to_field_read(band12, source, times,
+                                                      n_x):
+    # told its read times (here a sup grid, the monitoring dates and one
+    # off-grid time), a solve keeps only the slices they bracket and each
+    # interval's two ends (all of them on the 41-node grid's few steps);
+    # reads at those times equal the full field's
+    grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
+    payoff = gx.PayoffSpec.parse(source, times)
+    reads = np.unique(np.r_[np.linspace(0.0, 1.0, 17), times, 0.3])
+    full = gx.conditional_expectation(payoff, band12, grid)
+    lean = gx.conditional_expectation(payoff, band12, grid, reads=reads)
+    assert (sum(iv.values.size for iv in lean.intervals)
+            < sum(iv.values.size for iv in full.intervals) or n_x == 41)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-9.0, 9.0, (40, len(reads)))
+    history = (rng.uniform(-8.0, 8.0, (40, len(times) - 1))
+               if len(times) > 1 else None)
+    assert np.array_equal(lean.read_along(reads, x, history)[0],
+                          full.read_along(reads, x, history)[0])
+
+
 def test_value_only_interval_keeps_the_start_slices(band12, grid201):
     data = np.abs(grid201.x_nodes())
     full = solve_interval(data, band12, grid201, (0.0, 0.5))
-    lean = solve_interval(data, band12, grid201, (0.0, 0.5),
-                          value_only=True)
+    lean = solve_interval(data, band12, grid201, (0.0, 0.5), reads=[0.0])
     assert lean.values.shape == (3, grid201.n_x)
     assert np.array_equal(lean.times, full.times[[0, 1, -1]])
     assert np.array_equal(lean.values, full.values[[0, 1, -1]])
     rows = np.stack([data, 2.0 * data])
     full = solve_interval(rows, band12, grid201, (0.5, 1.0))
-    lean = solve_interval(rows, band12, grid201, (0.5, 1.0),
-                          value_only=True)
+    lean = solve_interval(rows, band12, grid201, (0.5, 1.0), reads=[0.5])
     assert lean.values.shape == (2, 3, grid201.n_x)
     assert np.array_equal(lean.values, full.values[:, [0, 1, -1]])
 
