@@ -315,7 +315,9 @@ def cmd_represent(cfg: RunConfig, quiet: bool = False) -> int:
     family = cfg.family()
     seed = mc.derive_seed(cfg.seed, "represent")
     try:
-        field = conditional_expectation(payoff, band, grid)
+        # every read is on the path grid, t = 0 (symmetry_evidence's) too
+        field = conditional_expectation(
+            payoff, band, grid, mc.path_reads(band, grid, cfg.n_steps))
         gap = rep.gmartingale_gap(payoff, band, field, family, cfg.n_paths,
                                   cfg.n_steps, seed, degree=cfg.degree())
         argmax = next(c for c in family if c.label == gap.argmax_label)

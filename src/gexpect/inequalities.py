@@ -263,12 +263,15 @@ def _apriori_reports(payoff, band, family, n_paths, n_steps, seed,
 
 def _solver(band: VolBand, grid: SpaceTimeGrid):
     """conditional_expectation on band and grid, solved once per distinct
-    payoff however often it is asked for."""
+    payoff however often it is asked for.  A payoff's first solve is kept
+    with the reads it was told, so a caller asks for its widest reads
+    first."""
     fields = {}
 
-    def solve(payoff):
+    def solve(payoff, reads=None):
         if payoff not in fields:
-            fields[payoff] = conditional_expectation(payoff, band, grid)
+            fields[payoff] = conditional_expectation(payoff, band, grid,
+                                                     reads)
         return fields[payoff]
 
     return solve
@@ -349,27 +352,33 @@ def difference_check(payoff1: PayoffSpec, payoffs2, band: VolBand,
     max|u[xi2]| + 1.  The decomposition keeps twice the sum of its norms'
     standard errors, valid for coupled estimates too.  A given `energy`
     list receives apriori's statistics of payoff1.  Each distinct field is
-    solved once (`PayoffSpec.absolute`); the |dxi| fields store only the
-    slices that the sup grid's times bracket."""
+    solved once (`PayoffSpec.absolute`), for the times it is read at: the
+    marched payoffs for the path grid (`montecarlo.path_reads`), the |dxi|
+    and norm fields for the sup grid's times."""
     if any(payoff1.times != p2.times for p2 in payoffs2):
         raise ValueError("difference check needs matching monitoring dates")
     payoffs = [payoff1, *payoffs2]
-    reads = np.linspace(0.0, 1.0, n_steps + 1)[
-        mc.sup_grid(payoff1.times, n_steps)]
+    sup_reads = mc.sup_times(payoff1.times, n_steps)
     dxi_fields = [conditional_expectation(
         PayoffSpec(Expr("sub", payoff1.expr, p2.expr),
-                   payoff1.times).absolute(), band, grid, reads)
+                   payoff1.times).absolute(), band, grid, sup_reads)
         for p2 in payoffs2]
     solve = _solver(band, grid)
-    fields = [solve(p) for p in payoffs]
+    path_reads = mc.path_reads(band, grid, n_steps)
+    # the path grid first: a norm field of a non-negative payoff is its
+    # marched field, and the path grid holds the sup grid's times
+    fields = [solve(p, path_reads) for p in payoffs]
     norms, stats, dxis, (xi1, *xi2s) = _delta_norms(
         fields, band, family, n_paths, n_steps, seed, dxi_fields,
-        [mc.lp_norm_fold(p, 2.0, solve(p.absolute()), n_steps)
+        [mc.lp_norm_fold(p, 2.0, solve(p.absolute(), sup_reads), n_steps)
          for p in payoffs])
     if energy is not None:
         energy[:] = stats
     dates = (0.0,) + payoff1.times
     steps = sum(grid.steps_for(band, s, t) for s, t in zip(dates, dates[1:]))
+    # over the stored slices, which hold each interval's terminal data:
+    # the monotone scheme's max |u| does not grow backward in time (up to
+    # rounding)
     u_max = [max(max(iv.values.max(), -iv.values.min())
                  for iv in f.intervals).item() for f in fields]
     reports = []
@@ -437,7 +446,8 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     payoff.
 
     Both sides are Monte Carlo estimates on distinct sub-seeds (independent
-    quantities), each one sweep for every payoff.
+    quantities), each one sweep for every payoff.  The left side's fields
+    are solved for the sup grid's times, all that it reads.
     """
     if p <= 2:
         raise ValueError("the maximal inequality needs p > 2")
@@ -447,7 +457,8 @@ def doob_check(payoffs, p: float, band: VolBand, grid: SpaceTimeGrid,
     solve = _solver(band, grid)
     per_payoff = mc.sweep_each(
         family, n_paths, n_steps, derive_seed(seed, "doob-lhs"),
-        [mc.lp_norm_fold(payoff, 2.0, solve(payoff.absolute()), n_steps)
+        [mc.lp_norm_fold(payoff, 2.0, solve(
+            payoff.absolute(), mc.sup_times(payoff.times, n_steps)), n_steps)
          for payoff in payoffs])
     lhs = [mc.norm_estimate(family, stats, 2.0) for stats in per_payoff]
 
@@ -528,7 +539,8 @@ def run_suite(name: str, payoff: PayoffSpec, band: VolBand,
         if energy:
             return _apriori_reports(payoff, band, family, n_paths, n_steps,
                                     seed, energy)
-        field = conditional_expectation(payoff, band, grid)
+        field = conditional_expectation(
+            payoff, band, grid, mc.path_reads(band, grid, n_steps))
         return apriori_check(payoff, band, field, family, n_paths,
                              n_steps, seed)
     if name == "difference":

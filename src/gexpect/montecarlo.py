@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NumericalError
 from .nonlinearity import VolBand, as_symmetric, sym_floor
 from .payoff import Expr, PayoffSpec
-from .pde import MEMORY_LIMIT, _as_slice
+from .pde import MEMORY_LIMIT, SpaceTimeGrid, _as_slice
 
 PATH_BLOCK = 4096
 FLOOR = 1e-6      # a family's default floor, the lift of a degenerate a_lower
@@ -505,6 +505,25 @@ def sup_grid(monitor_times, n_steps: int) -> np.ndarray:
     return np.unique(np.concatenate([
         np.round(np.linspace(0, n_steps, 17)).astype(int),
         np.round(np.asarray(monitor_times) * n_steps).astype(int)]))
+
+
+def sup_times(monitor_times, n_steps: int) -> np.ndarray:
+    """Times of the `sup_grid` steps: the doubles np.linspace(0, 1,
+    n_steps + 1) holds there, without building that grid."""
+    steps = sup_grid(monitor_times, n_steps)
+    times = steps * (1.0 / n_steps)
+    times[steps == n_steps] = 1.0
+    return times
+
+
+def path_reads(band: VolBand, grid: SpaceTimeGrid, n_steps: int):
+    """The `reads` of a field read along the whole path grid of n_steps:
+    its times, or None when that grid is at least as fine as the march
+    over [0, 1].  Then a solve told them keeps (nearly) every slice, and
+    the list, n_steps + 1 doubles, would only cost memory."""
+    if n_steps >= grid.steps_for(band, 0.0, 1.0):
+        return None
+    return np.linspace(0.0, 1.0, n_steps + 1)
 
 
 @dataclass

@@ -24,7 +24,9 @@ store every time step when no parameter axes are present and a strided
 subset otherwise; a solve told its read times keeps only the slices they
 bracket and each interval's two ends, and reads at those times equal the
 full field's bit for bit.  `value_field` (`price`, the tower check) is
-the case of reads at each interval's start.
+the case of reads at each interval's start; `verify` and `represent`
+solve every field they march for the path grid's times and every field
+they only take a time sup of for the sup grid's.
 
 Fields are read in one pass, along path grids: paths (N, M) with one time
 per column.  The value, the gradient and the second difference all come
@@ -41,7 +43,10 @@ of about _CHUNK queries, so the read's scratch memory does not grow with
 the path count.  Fields solved on one grid and band for one set of dates
 read together (`read_along(..., stacked=...)`): the brackets are taken
 once for all of them, and a block gathers every field's cells in one
-take.
+take.  A read returns its queries in the paths' C order, or in their
+column order (order="F"), which is the layout `representation.march`
+computes in: each quantity's (N, M) plane is then a Fortran-ordered view
+of the result.
 """
 
 import math
@@ -423,7 +428,7 @@ class ValueField:
                 out[f][:, rows, cols] = field._read_interval(
                     field.intervals[i], qt, x[rows, cols], h[rows, None])
 
-    def read_along(self, t, x, history=None, *, stacked=()):
+    def read_along(self, t, x, history=None, *, stacked=(), order="C"):
         """Field read along a path grid.
 
         x is (N, M) paths, t (M,) with column j read at time t[j], and
@@ -440,6 +445,11 @@ class ValueField:
         history is bracketed once for all of them, and values has three
         more columns per stacked field, in turn.  Each field's columns
         equal its own read bit for bit.
+
+        order="F" returns the same values with the K queries in x's
+        column order (the march's slab layout): values.T reshaped to
+        (3F, M, N) and transposed in its last two axes holds each
+        quantity's (N, M) plane in Fortran order, without a copy.
         """
         fields = [self, *stacked]
         for f in stacked:
@@ -459,8 +469,15 @@ class ValueField:
         n_rows, n_cols = x.shape
         if hist is not None and (hist.ndim != 2 or len(hist) != n_rows):
             raise ValueError("history must have one row per path")
-        out = np.empty((len(fields), 3, n_rows, n_cols))
-        clamped = np.empty((n_rows, n_cols), dtype=bool)
+        if order not in ("C", "F"):
+            raise ValueError("order must be 'C' or 'F'")
+        # the buffers hold the queries in the returned order; out and
+        # clamped are their (N, M) views, which the reads write through
+        shape = (n_rows, n_cols) if order == "C" else (n_cols, n_rows)
+        buf = np.empty((len(fields), 3, *shape))
+        flags = np.empty(shape, dtype=bool)
+        out, clamped = ((buf, flags) if order == "C"
+                        else (buf.swapaxes(2, 3), flags.T))
         step = max(1, _CHUNK // max(n_cols, 1))
         for start in range(0, n_rows, step):
             rows = slice(start, start + step)
@@ -479,7 +496,7 @@ class ValueField:
             else:
                 self._read_rows(fields, i, qt, _as_slice(cols), x, hist, out,
                                 clamped)
-        return out.reshape(3 * len(fields), -1).T, clamped.reshape(-1)
+        return buf.reshape(3 * len(fields), -1).T, flags.reshape(-1)
 
     def value(self, t: float, history=(), x: float = 0.0,
               kind: str = "value") -> float:

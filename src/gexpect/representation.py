@@ -69,22 +69,23 @@ class Decomposition:
 
     def to_csv(self, path, max_paths: int | None = None,
                fingerprint: str | None = None):
-        import csv
-
-        res = self.y - self.y[:, :1] - self.int_h_dx + self.k
+        """The first max_paths paths, one row per path and time: floats in
+        repr form, rows ended by CRLF, as the csv module's excel dialect
+        writes them (it quotes none of these fields)."""
         n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
+        y, h, k, int_h_dx = (a[:n] for a in (self.y, self.h, self.k,
+                                             self.int_h_dx))
+        res = y - y[:, :1] - int_h_dx + k
+        times = [repr(t) for t in self.times.tolist()]
+        lines = ["path_id,t,Y,H,K,int_HdX,residual"]
+        for p, paths in enumerate(zip(*(a.tolist() for a in (y, h, k,
+                                                             int_h_dx, res)))):
+            lines += [f"{p},{t}," + ",".join(map(repr, row))
+                      for t, *row in zip(times, *paths)]
         with open(path, "w", newline="") as fh:
             if fingerprint:
                 fh.write(f"# fingerprint={fingerprint}\n")
-            w = csv.writer(fh)
-            w.writerow(["path_id", "t", "Y", "H", "K", "int_HdX", "residual"])
-            for p in range(n):
-                for j, t in enumerate(self.times):
-                    w.writerow([p, repr(float(t)), repr(float(self.y[p, j])),
-                                repr(float(self.h[p, j])),
-                                repr(float(self.k[p, j])),
-                                repr(float(self.int_h_dx[p, j])),
-                                repr(float(res[p, j]))])
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 @dataclass
@@ -140,7 +141,9 @@ def march(band: VolBand, fields, bundle: PathBundle):
     field in one stacked read, which brackets each query once.  It holds
     its arrays in Fortran order, so that a column of every path is
     contiguous: numpy reduces and accumulates along rows of 16 several
-    times slower.  The slab's states also give its paths' running max |X|
+    times slower.  The read writes its queries in that order
+    (`read_along(..., order="F")`), so each slab's y and h are views of
+    it, not copies.  The slab's states also give its paths' running max |X|
     (`x_peak`, one array shared by the fields' slabs), from which the
     caller flags excluded paths without building the states again.
     K and int H dX enter a slab as the first column of their running sums,
@@ -171,13 +174,13 @@ def march(band: VolBand, fields, bundle: PathBundle):
         np.abs(at_cols, order="F").max(axis=1, out=peak)
         np.maximum(x_peak, peak, out=x_peak)
         read, _ = fields[0].read_along(times[cols], at_cols, history,
-                                       stacked=fields[1:])
-        reads = read.T.reshape(len(fields), 3, n_paths, -1)
+                                       stacked=fields[1:], order="F")
+        # each field's (N, b) planes, Fortran-ordered views of the read
+        reads = read.T.reshape(len(fields), 3, -1, n_paths).swapaxes(2, 3)
         # column 0 of the first slab is K_0 = 0 itself, not a carry
         first = 0 if start else 1
         slabs = []
-        for f, quantities in enumerate(reads):
-            y, h, d2u = (np.asfortranarray(q) for q in quantities)
+        for f, (y, h, d2u) in enumerate(reads):
             if y0[f] is None:
                 y0[f] = y[:, :1].copy()
             k_in, int_in = carry[f]
@@ -202,7 +205,6 @@ def march(band: VolBand, fields, bundle: PathBundle):
 
             slabs.append(Slab(cols, steps, y0[f], y, h, k, int_h_dx, x_peak))
             carry[f] = k[:, -1], int_h_dx[:, -1]
-        del read, reads, quantities
         yield tuple(slabs)
 
 

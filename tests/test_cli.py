@@ -486,6 +486,7 @@ def test_verify_apriori_all_paths_excluded_exit_2(tmp_path, capsys):
     (["verify", "--suite", "tower,mollify"], 1, 0, None),  # draws no paths
     # 8000 paths are 2 blocks: no more are in flight at run.parallel 64
     (["represent"], 64, 2, "~2199.02 GB (> limit 1.50 GB) for 2 block(s)"),
+    (["verify", "--suite", "difference"], 1, 2, "~1099.51 GB"),
 ])
 def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, parallel, code,
                                       message):
@@ -504,6 +505,51 @@ def test_oversized_path_blocks_exit_2(tmp_path, capsys, args, parallel, code,
     err = capsys.readouterr().err
     if code == 2:
         assert f"numerical failure: path blocks would need {message}" in err
+
+
+@pytest.mark.parametrize("args, expression, times, outputs", [
+    (["verify", "--suite", "difference,doob,apriori"], "sq(x1)", "1",
+     ("reports.jsonl",)),
+    (["verify", "--suite", "apriori"], "call(x1, 0)", "1", ("reports.jsonl",)),
+    (["represent"], "sq(x2 - x1)", "0.5,1",
+     ("reports.jsonl", "decomposition.csv")),
+])
+def test_read_time_storage_leaves_outputs_unchanged(tmp_path, monkeypatch,
+                                                     args, expression, times,
+                                                     outputs):
+    # every solve of these commands is told its read times; solved for
+    # every slice instead, the outputs must be the same bytes
+    from gexpect import cli, inequalities
+
+    solve = gx.conditional_expectation
+    told = []
+
+    def every_slice(payoff, band, grid, reads=None):
+        return solve(payoff, band, grid)
+
+    def recorded(payoff, band, grid, reads=None):
+        told.append((reads, solve(payoff, band, grid, reads)))
+        return told[-1][1]
+
+    runs = []
+    for name, wrapper in (("full", every_slice), ("reads", recorded)):
+        for module in (cli, inequalities):
+            monkeypatch.setattr(module, "conditional_expectation", wrapper)
+        (tmp_path / name).mkdir()
+        path, out = write_config(tmp_path / name, payoff__expression=expression,
+                                 payoff__times=times, grid__n_x=121,
+                                 grid__x_max=6.0, mc__n_paths=700,
+                                 mc__n_steps=32)
+        assert main([args[0], "--config", str(path), "--quiet",
+                     *args[1:]]) == 0
+        runs.append([(out / f).read_bytes() for f in outputs])
+    assert runs[0] == runs[1]
+    assert told
+    for reads, field in told:
+        # the path grid (33 times) or the sup grid, never every slice
+        assert reads is not None
+        stored = sum(len(iv.times) for iv in field.intervals)
+        assert stored <= 2 * len(np.unique(reads)) + 2 * len(field.intervals)
 
 
 def test_many_threads_at_default_steps_pass_the_block_guard(tmp_path):

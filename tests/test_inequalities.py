@@ -165,19 +165,21 @@ def test_difference_value_is_exact_pathwise(band12, fam5, source1, source2,
 
 def test_difference_value_detects_a_field_on_a_narrower_band(band12, fam5,
                                                              monkeypatch):
-    # the |dxi| fields (the solves told their read times) solved on [1, 1.9]
-    # instead of [1, 2]: u[0.1 xi] falls short by about 0.01 (1 - t), which
-    # the Monte Carlo slack of a two-sample gate (about 0.03) would hide
+    # the |dxi| field solved on [1, 1.9] instead of [1, 2]: u[0.1 xi]
+    # falls short by about 0.01 (1 - t), which the Monte Carlo slack of a
+    # two-sample gate (about 0.03) would hide
     solve = ineq.conditional_expectation
-
-    def narrow(payoff, band, grid, reads=None):
-        if reads is not None:
-            band = gx.VolBand.scalar(1.0, 1.9)
-        return solve(payoff, band, grid, reads)
-
-    monkeypatch.setattr(ineq, "conditional_expectation", narrow)
     payoff = gx.PayoffSpec.parse("sq(x1)")
     scaled = gx.PayoffSpec(gx.const(0.9) * payoff.expr, payoff.times)
+    dxi = PayoffSpec(Expr("sub", payoff.expr, scaled.expr),
+                     payoff.times).absolute()
+
+    def narrow(spec, band, grid, reads=None):
+        if spec == dxi:
+            band = gx.VolBand.scalar(1.0, 1.9)
+        return solve(spec, band, grid, reads)
+
+    monkeypatch.setattr(ineq, "conditional_expectation", narrow)
     grid = gx.SpaceTimeGrid(n_x=121, x_max=6.0)
     for seed in (1, 2, 3):
         r, _ = ineq.difference_check(payoff, [scaled], band12, grid, fam5,

@@ -445,3 +445,23 @@ def test_moments_merge_matches_numpy():
     assert one.stderr == blocks[0].std(ddof=1) / math.sqrt(4096)
     assert one.merge(mc.Moments.of([])) == one
     assert mc.Moments.of(np.zeros(10)).root(2.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("times", [(1.0,), (0.5, 1.0), (0.25, 0.5, 1.0)])
+def test_sup_times_are_the_path_grid_doubles(times):
+    # the kept slices of a solve told these times must bracket the times
+    # the reads use, which are the path grid's linspace doubles
+    for n_steps in (*range(1, 300), 512, 4096, 3 * 4096 + 1, 10 ** 6 - 3):
+        want = np.linspace(0.0, 1.0, n_steps + 1)[mc.sup_grid(times, n_steps)]
+        got = mc.sup_times(times, n_steps)
+        assert got.tobytes() == want.tobytes(), n_steps
+
+
+def test_path_reads_only_below_the_march_step_count(band12):
+    # at n_x 41 the march takes 16 steps over [0, 1]
+    grid = gx.SpaceTimeGrid(n_x=41, x_max=8.0)
+    assert grid.steps_for(band12, 0.0, 1.0) == 16
+    assert mc.path_reads(band12, grid, 16) is None
+    assert mc.path_reads(band12, grid, 2 ** 25) is None
+    bundle = gx.simulate(mc.ControlProcess.constant(1.0), 1, 15, seed=1)
+    assert mc.path_reads(band12, grid, 15).tobytes() == bundle.times.tobytes()

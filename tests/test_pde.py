@@ -667,6 +667,38 @@ def test_grid_read_bit_equal_on_nested_fields(band12, flat_read, source, times,
         field.read_along(t, x, hist[1:])
 
 
+@pytest.mark.parametrize("sources,times,n_x", [
+    (("call(x1, 0.3)",), (1.0,), 201),
+    (("sq(x1)", "call(x1, 0.3)", "min(abs(x1), 1)"), (1.0,), 201),
+    (("sq(x2 - x1)",), (0.5, 1.0), 61),
+    (("sq(x2 - x1)", "abs(x2 - x1)"), (0.5, 1.0), 61),
+])
+def test_fortran_order_read_is_the_c_read_reordered(band12, sources, times,
+                                                    n_x):
+    # order="F" (the march's slab layout) returns the same doubles and
+    # clamped flags with the queries in x's column order
+    grid = gx.SpaceTimeGrid(n_x=n_x, x_max=8.0)
+    fields = [gx.conditional_expectation(gx.PayoffSpec.parse(src, times),
+                                         band12, grid) for src in sources]
+    rng = np.random.default_rng(n_x + len(sources))
+    t = np.linspace(0.0, 1.0, 21)
+    n_paths = 4096 + 100                       # more than one block of rows
+    x = _grid_positions(rng, fields[0], (n_paths, len(t)))
+    hist = (rng.normal(0.0, 5.0, (n_paths, len(times) - 1))
+            if len(times) > 1 else None)
+    c_read, c_clamped = fields[0].read_along(t, x, hist, stacked=fields[1:])
+    f_read, f_clamped = fields[0].read_along(t, x, hist, stacked=fields[1:],
+                                             order="F")
+    assert f_read.shape == c_read.shape == (x.size, 3 * len(fields))
+    as_c = f_read.reshape(len(t), n_paths, -1).swapaxes(0, 1)
+    assert as_c.reshape(c_read.shape).tobytes() == c_read.tobytes()
+    assert np.array_equal(f_clamped.reshape(len(t), n_paths).T.ravel(),
+                          c_clamped)
+    assert c_clamped.any() and not c_clamped.all()
+    with pytest.raises(ValueError, match="order"):
+        fields[0].read_along(t, x, hist, order="A")
+
+
 def test_as_slice_takes_only_consecutive_runs():
     assert pde._as_slice(np.array([4, 5, 6])) == slice(4, 7)
     # the span of a run, but not a run: kept as indices

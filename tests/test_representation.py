@@ -195,6 +195,35 @@ def test_decomposition_csv(tmp_path, band12, sq_setup):
     assert len(lines) == 1 + 3 * 17
 
 
+def test_decomposition_csv_bytes_are_the_csv_modules(tmp_path, band12,
+                                                      sq_setup):
+    # to_csv joins the reprs itself; its bytes must be those of
+    # csv.writer's excel dialect, CRLF endings and awkward doubles included
+    import csv
+
+    payoff, field = sq_setup
+    dec, _ = _extract(payoff, band12, field, 1.5, n_paths=5, n_steps=16)
+    dec.y[0, 1:5] = [-0.0, 1e-310, np.nan, -np.inf]
+    dec.k[1, 2] = 1e22
+    res = dec.y - dec.y[:, :1] - dec.int_h_dx + dec.k
+    for max_paths, fingerprint in ((None, None), (3, "abc"), (0, "abc")):
+        want = tmp_path / "want.csv"
+        n = dec.n_paths if max_paths is None else max_paths
+        with open(want, "w", newline="") as fh:
+            if fingerprint:
+                fh.write(f"# fingerprint={fingerprint}\n")
+            w = csv.writer(fh)
+            w.writerow(["path_id", "t", "Y", "H", "K", "int_HdX", "residual"])
+            for p in range(n):
+                for j, t in enumerate(dec.times):
+                    w.writerow([p, repr(float(t))] + [
+                        repr(float(a[p, j]))
+                        for a in (dec.y, dec.h, dec.k, dec.int_h_dx, res)])
+        got = tmp_path / "got.csv"
+        dec.to_csv(got, max_paths, fingerprint)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_gap_rows_independent_of_degree(band12, field_cache):
     # two full path blocks and a partial one, folded on one and two threads
     payoff = gx.PayoffSpec.parse("call(x1, 0)")
@@ -419,6 +448,33 @@ def test_stacked_march_bit_equal_per_field(band12, full_extract, sources,
         assert _same_bits(rep.excluded(field, mine[-1].x_peak),
                           want.excluded)
         assert want.excluded.any() and not want.excluded.all()
+
+
+@pytest.mark.parametrize("sources,times,n_steps", [
+    (("call(x1, 0)",), (1.0,), 40), (("sq(x2 - x1)",), (0.5, 1.0), 32),
+    *STACK_CASES])
+def test_march_slabs_are_fortran_views_of_the_read(band12, monkeypatch,
+                                                   sources, times, n_steps):
+    # each slab's y and h are Fortran-ordered views of its stacked read,
+    # which the march makes once per slab
+    grid = gx.SpaceTimeGrid(n_x=121, x_max=3.0)
+    fields = [gx.conditional_expectation(gx.PayoffSpec.parse(src, times),
+                                         band12, grid) for src in sources]
+    bundle = gx.simulate(mc.ControlProcess.constant(2.0), 700, n_steps,
+                         seed=29)
+    read_along, reads = gx.ValueField.read_along, []
+
+    def recorded(self, *args, **kwargs):
+        reads.append(read_along(self, *args, **kwargs))
+        return reads[-1]
+
+    monkeypatch.setattr(gx.ValueField, "read_along", recorded)
+    for n, slabs in enumerate(rep.march(band12, fields, bundle), 1):
+        assert len(reads) == n and len(slabs) == len(fields)
+        for s in slabs:
+            for a in (s.y, s.h):
+                assert a.flags.f_contiguous
+                assert np.shares_memory(a, reads[-1][0])
 
 
 def test_stacked_march_rejects_other_grids_or_dates(band12, grid201,
